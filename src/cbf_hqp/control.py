@@ -174,11 +174,13 @@ def task_space_inertia(state: RobotState) -> tuple[Array, bool]:
     return np.linalg.inv(A), damped
 
 
-def projections(state: RobotState) -> tuple[Array, Array]:
+def projections(state: RobotState,
+                lam: Array | None = None) -> tuple[Array, Array]:
     """Dynamically consistent task projector P = J^T Lambda J M^-1 and
     its complement N = I - P (torques in range(N) cause no task-space
     acceleration)."""
-    lam, _ = task_space_inertia(state)
+    if lam is None:
+        lam, _ = task_space_inertia(state)
     P = state.J.T @ lam @ (state.J @ state.M_inv)
     return P, np.eye(state.n) - P
 
@@ -299,8 +301,7 @@ def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
     t0 = time.perf_counter()
     state.check_fresh()
     lam, damped = task_space_inertia(state)
-    P = state.J.T @ lam @ (state.J @ state.M_inv)
-    N = np.eye(state.n) - P
+    P, N = projections(state, lam)
     u_nom = nominal_torque(state, ctrl.impedance, lam=lam)
 
     z = None
@@ -349,7 +350,7 @@ def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
     info = StepInfo(
         u_nom=u_nom, u_applied=u, K=state.K,
         k_max_eff=ctrl.cbf.k_max + delta, delta=delta,
-        dW=lam @ (state.J @ (state.M_inv @ (u - u_nom))),
+        dW=wrench_deviation(state, u, u_nom, lam),
         alpha_dev=alpha_dev, statuses=statuses, active_strict=active,
         eq_residual=eq_residual, iterations=iterations, damped=damped,
         phase1_used=phase1_used, fault=fault, fault_reason=reason,

@@ -16,16 +16,22 @@ A level may carry one equality task, one inequality task, or both:
 with delta a single scalar shared by the level's inequality rows through
 per-row coefficients c (c = 0 makes a row hard even inside a level).
 After the solve, `A u = A u*` and `C u >= d - c delta*` join the ledger.
+
+The frozen equality rows are eliminated rather than re-solved: the
+ledger keeps an orthonormal basis Z of their kernel and a witness w that
+satisfies every ledger row, and each level searches u = w + Z y only
+(the nullspace approach of Kanoun, Lamiraux & Wieber, IEEE T-RO 2011,
+and Escande, Mansard & Wieber, IJRR 2014). An equality level then
+shrinks Z to Z ker(A Z).
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qpcore import FEAS_TOL, QpProblem, solve_qp
+from .qpcore import FEAS_TOL, QpProblem, numerical_rank, solve_qp
 from .tasks import Task
 
 Array = np.ndarray
@@ -79,7 +85,9 @@ class StageLedger:
 
     Inequality rows installed at stage 0 (the first n_strict of A_in)
     are the non-negotiable ones; everything after them was frozen in by
-    some solved level. Row counts never shrink.
+    some solved level. Row counts never shrink. Z is an orthonormal
+    basis of the kernel of A_eq, and witness satisfies every row, so
+    witness + Z y keeps every frozen equality for any y.
     """
     n: int
     A_eq: Array
@@ -91,6 +99,7 @@ class StageLedger:
     n_strict: int
     witness: Array
     phase1_used: bool
+    Z: Array
     level: int = 0
     records: list[LevelRecord] = field(default_factory=list)
 
@@ -115,9 +124,6 @@ class StageLedger:
             if abs(resid) <= tol * (1.0 + abs(self.b_in[i])):
                 names.append(self.in_labels[i])
         return tuple(names)
-
-    def snapshot(self) -> "StageLedger":
-        return copy.deepcopy(self)
 
 
 @dataclass(frozen=True)
@@ -155,6 +161,12 @@ class HqpResult:
     phase1_used: bool
 
 
+def _kernel(A: Array) -> Array:
+    """Orthonormal basis of the kernel of A, one column per direction."""
+    _, sig, Vt = np.linalg.svd(A)
+    return Vt[numerical_rank(sig):].T
+
+
 def init_stage0(strict_tasks: list[Task], witness: Array | None = None,
                 n: int | None = None) -> StageLedger:
     """Install the non-negotiable rows and prove them satisfiable.
@@ -188,7 +200,8 @@ def init_stage0(strict_tasks: list[Task], witness: Array | None = None,
     ledger = StageLedger(n=n, A_eq=A_eq, b_eq=b_eq, eq_labels=eq_labels,
                          A_in=A_in, b_in=b_in, in_labels=in_labels,
                          n_strict=A_in.shape[0],
-                         witness=np.zeros(n), phase1_used=False)
+                         witness=np.zeros(n), phase1_used=False,
+                         Z=_kernel(A_eq) if eq else np.eye(n))
 
     if witness is not None:
         w = np.asarray(witness, dtype=float)
@@ -219,95 +232,81 @@ def init_stage0(strict_tasks: list[Task], witness: Array | None = None,
 
 def solve_level(ledger: StageLedger, equality_task: Task | None = None,
                 inequality_task: Task | None = None, rho: float = 1e3,
-                regularization_anchor: Array | None = None,
-                x0: Array | None = None) -> tuple[Array, float, StageLedger]:
+                regularization_anchor: Array | None = None
+                ) -> tuple[Array, float, StageLedger]:
     """Solve the next priority level and freeze its outcome into the ledger.
 
-    Returns (u_star, delta_star, ledger). The ledger is mutated in
-    place: the equality task contributes rows A u = A u_star, the
-    inequality task rows C u >= d - c delta_star. Raises
-    CascadeInfeasibleError if the level cannot be solved, which can only
-    happen through hard (c = 0) inequality rows.
+    The level is solved over u = w + Z y (w the ledger's witness, Z its
+    kernel basis), which holds every frozen equality row by
+    construction. Returns (u_star, delta_star, ledger). The ledger is
+    mutated in place: the equality task contributes rows A u = A u_star
+    and shrinks Z, the inequality task adds rows C u >= d - c delta_star.
+    Raises CascadeInfeasibleError if the level cannot be solved, which
+    can only happen through hard (c = 0) inequality rows.
     """
-    if equality_task is None and inequality_task is None:
-        raise ValueError("a level needs at least one task")
-    if equality_task is not None and equality_task.kind != "eq":
-        raise ValueError("equality_task must have kind 'eq'")
-    if inequality_task is not None and inequality_task.kind != "ineq":
-        raise ValueError("inequality_task must have kind 'ineq'")
-    if inequality_task is not None and rho <= 0.0:
-        raise ValueError("rho must be > 0 when an inequality task is present")
+    LevelSpec(equality_task, inequality_task, rho)  # validates the level
     n = ledger.n
     for t in (equality_task, inequality_task):
         if t is not None and t.A.shape[1] != n:
             raise ValueError(f"task '{t.label}' has wrong torque dimension")
 
+    w, Z = ledger.witness, ledger.Z
+    k = Z.shape[1]
     slack_coef = None
     if inequality_task is not None and inequality_task.slack is not None \
             and np.any(inequality_task.slack > 0.0):
         slack_coef = inequality_task.slack
-    dim = n + (1 if slack_coef is not None else 0)
+    dim = k + (1 if slack_coef is not None else 0)
 
-    H = np.zeros((dim, dim))
-    f = np.zeros(dim)
-    if equality_task is not None:
-        A, b = equality_task.A, equality_task.b
-        H[:n, :n] += A.T @ A
-        f[:n] -= A.T @ b
-    if slack_coef is not None:
-        H[n, n] += rho
-    H = 0.5 * (H + H.T)
-
-    def pad(M):
-        if dim == n:
-            return M.reshape(-1, n)
-        return np.hstack([M.reshape(-1, n), np.zeros((M.shape[0], 1))])
-
-    A_eq = pad(ledger.A_eq)
-    b_eq = ledger.b_eq
-    in_blocks = [pad(ledger.A_in)]
-    b_blocks = [ledger.b_in]
+    # Inequality rows C u + c delta >= d: the ledger's, then the level's.
+    C, d, c = ledger.A_in, ledger.b_in, np.zeros(ledger.A_in.shape[0])
     if inequality_task is not None:
-        C, d = inequality_task.A, inequality_task.b
-        if slack_coef is not None:
-            in_blocks.append(np.hstack([C, slack_coef[:, None]]))
-        else:
-            in_blocks.append(pad(C))
-        b_blocks.append(d)
-    if slack_coef is not None:
-        e_delta = np.zeros((1, dim))
-        e_delta[0, n] = 1.0
-        in_blocks.append(e_delta)
-        b_blocks.append(np.zeros(1))
-    A_in = np.vstack(in_blocks)
-    b_in = np.concatenate(b_blocks)
+        c_level = slack_coef if slack_coef is not None \
+            else np.zeros(inequality_task.A.shape[0])
+        C = np.vstack([C, inequality_task.A])
+        d = np.concatenate([d, inequality_task.b])
+        c = np.concatenate([c, c_level])
 
-    anchor = np.zeros(dim)
-    if regularization_anchor is not None:
-        anchor[:n] = regularization_anchor
-
-    start = None
-    if x0 is not None:
-        start = np.zeros(dim)
-        start[:n] = x0
-        if slack_coef is not None:
-            need = inequality_task.b - inequality_task.A @ x0
-            pos = slack_coef > 0.0
-            if np.any(pos):
-                start[n] = max(0.0, float(np.max(need[pos] / slack_coef[pos])))
-
-    prob = QpProblem(H=H, f=f, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
-    sol = solve_qp(prob, anchor=anchor, x0=start)
     level = ledger.level + 1
-    if sol.status != "optimal":
-        if slack_coef is not None and inequality_task is not None \
-                and np.all(slack_coef > 0.0) and sol.status == "infeasible":
-            raise AssertionError(
-                "slack-relaxed level reported infeasible over a feasible ledger")
-        raise CascadeInfeasibleError(level, sol.status)
+    if dim == 0:
+        # No free direction is left: the witness is the only candidate.
+        if np.max(d - C @ w, initial=0.0) > FEAS_TOL:
+            raise CascadeInfeasibleError(level, "infeasible")
+        u_star, delta, status, iterations = w.copy(), 0.0, "optimal", 0
+    else:
+        H = np.zeros((dim, dim))
+        f = np.zeros(dim)
+        if equality_task is not None:
+            AZ = equality_task.A @ Z
+            H[:k, :k] = AZ.T @ AZ
+            f[:k] = -AZ.T @ (equality_task.b - equality_task.A @ w)
+        A_in = C @ Z
+        b_in = d - C @ w
+        start = np.zeros(dim)
+        if slack_coef is not None:
+            H[k, k] = rho
+            A_in = np.vstack([np.hstack([A_in, c[:, None]]),
+                              np.eye(1, dim, k)])
+            b_in = np.append(b_in, 0.0)
+            need = inequality_task.b - inequality_task.A @ w
+            pos = slack_coef > 0.0
+            start[k] = max(0.0, float(np.max(need[pos] / slack_coef[pos])))
+        H = 0.5 * (H + H.T)
 
-    u_star = sol.z_star[:n].copy()
-    delta = float(sol.z_star[n]) if slack_coef is not None else 0.0
+        # The Tikhonov term eps ||u - anchor||^2 restricted to the search
+        # space, up to a constant.
+        anchor = np.zeros(dim)
+        ref = np.zeros(n) if regularization_anchor is None \
+            else regularization_anchor
+        anchor[:k] = Z.T @ (ref - w)
+
+        sol = solve_qp(QpProblem(H=H, f=f, A_in=A_in, b_in=b_in),
+                       anchor=anchor, x0=start)
+        if sol.status != "optimal":
+            raise CascadeInfeasibleError(level, sol.status)
+        u_star = w + Z @ sol.z_star[:k]
+        delta = float(sol.z_star[k]) if slack_coef is not None else 0.0
+        status, iterations = sol.status, sol.iterations
 
     objective = 0.0
     if equality_task is not None:
@@ -320,31 +319,33 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
     labels = list(ledger.in_labels)
     if inequality_task is not None:
         labels += [f"level{level}:{lab}" for lab in inequality_task.row_labels]
+    lhs, rhs = C @ u_star + c * delta, d
     if slack_coef is not None:
         labels += [f"level{level}:slack"]
-    active = tuple(labels[i] for i in range(A_in.shape[0])
-                   if abs(A_in[i] @ sol.z_star - b_in[i])
-                   <= FEAS_TOL * (1.0 + abs(b_in[i])))
+        lhs, rhs = np.append(lhs, delta), np.append(rhs, 0.0)
+    active = tuple(lab for lab, lo, hi in zip(labels, lhs, rhs)
+                   if abs(lo - hi) <= FEAS_TOL * (1.0 + abs(hi)))
 
     if equality_task is not None:
         ledger.A_eq = np.vstack([ledger.A_eq, equality_task.A])
         ledger.b_eq = np.concatenate([ledger.b_eq, equality_task.A @ u_star])
         ledger.eq_labels += [f"level{level}:{lab}"
                              for lab in equality_task.row_labels]
+        if k:
+            ledger.Z = Z @ _kernel(equality_task.A @ Z)
     if inequality_task is not None:
-        c = inequality_task.slack
-        frozen_b = inequality_task.b - (c * delta if c is not None else 0.0)
         ledger.A_in = np.vstack([ledger.A_in, inequality_task.A])
-        ledger.b_in = np.concatenate([ledger.b_in, frozen_b])
+        ledger.b_in = np.concatenate(
+            [ledger.b_in, inequality_task.b - c_level * delta])
         ledger.in_labels += [f"level{level}:{lab}"
                              for lab in inequality_task.row_labels]
 
     ledger.level = level
     ledger.witness = u_star
     ledger.records.append(LevelRecord(
-        level=level, status=sol.status, u=u_star, delta=delta,
+        level=level, status=status, u=u_star, delta=delta,
         objective=objective, eq_residual=eq_residual, active_rows=active,
-        iterations=sol.iterations))
+        iterations=iterations))
     return u_star, delta, ledger
 
 
@@ -354,8 +355,8 @@ def run_cascade(strict_tasks: list[Task], levels: list[LevelSpec],
 
     u_nom doubles as the regularization anchor of every level and as the
     default feasibility witness for stage 0; x0, when given (typically
-    the previous control step's torque), takes over the witness role and
-    warm-starts level 1.
+    the previous control step's torque), takes over the witness role.
+    Every level starts from the witness its predecessor left behind.
     """
     u_nom = np.asarray(u_nom, dtype=float)
     witness = x0 if x0 is not None else u_nom
@@ -364,7 +365,7 @@ def run_cascade(strict_tasks: list[Task], levels: list[LevelSpec],
     for spec in levels:
         u, _, ledger = solve_level(
             ledger, spec.equality, spec.inequality, rho=spec.rho,
-            regularization_anchor=u_nom, x0=u)
+            regularization_anchor=u_nom)
     eq_residual = ledger.eq_violation(u)
     max_violation = ledger.max_violation(u)
     feasible = (max_violation <= 1e-8

@@ -12,6 +12,12 @@ and picks the minimum-distance-to-anchor point whenever the optimum is
 non-unique. Identical inputs produce identical outputs; there is no
 randomization anywhere in the path.
 
+A row that blocks a step joins the working set unconditionally. Should
+nearly concurrent rows ever leave that set inconsistent (its face is
+empty, so no step lands on all of its rows), the iteration idles until
+MAX_ITER and the solve ends as 'max_iterations'; the cascade raises that
+as CascadeInfeasibleError and the controller logs it as a fault.
+
 `oracle_solve` is an independent reference for small problems: it
 enumerates every candidate active set, solves the corresponding
 equality-constrained system, and keeps the KKT-consistent feasible
@@ -93,7 +99,14 @@ class QpSolution:
     mu_in: Array = field(default_factory=lambda: np.zeros(0))
 
 
-def _unconstrained_step(H: Array, grad: Array) -> Array:
+def numerical_rank(sig: Array) -> int:
+    """Rank from singular values sorted in descending order."""
+    return int(np.sum(sig > 1e-12 * max(1.0, sig[0] if sig.size else 0.0)))
+
+
+def _newton_step(H: Array, grad: Array) -> Array:
+    """Minimizer p of 1/2 p^T H p + grad^T p; least squares when H is
+    singular or the direct solve leaves a residual."""
     try:
         p = -np.linalg.solve(H, grad)
         ok = np.max(np.abs(H @ p + grad)) <= 1e-9 * (1.0 + np.max(np.abs(grad)))
@@ -102,6 +115,7 @@ def _unconstrained_step(H: Array, grad: Array) -> Array:
     if not ok:
         p = -np.linalg.lstsq(H, grad, rcond=None)[0]
     return p
+
 
 def _kkt_step(H: Array, grad: Array, A_act: Array, resid: Array):
     """Direction and multipliers for the working-set subproblem.
@@ -114,48 +128,22 @@ def _kkt_step(H: Array, grad: Array, A_act: Array, resid: Array):
     Uses the nullspace method rather than a monolithic KKT solve: the
     curvature here spans many orders of magnitude (regularization-only
     directions against penalty-weighted ones), and factoring the full
-    KKT matrix smears that conditioning into the constraint block. With
-    the split, A_act p - resid carries only the genuinely irreducible
-    part of the residual, which the caller uses to detect inconsistent
-    working sets. The returned multipliers satisfy
-    grad + H p = A_act^T nu.
+    KKT matrix smears that conditioning into the constraint block. The
+    returned multipliers satisfy grad + H p = A_act^T nu.
     """
     m = A_act.shape[0]
     if m == 0:
-        return _unconstrained_step(H, grad), np.zeros(0)
+        return _newton_step(H, grad), np.zeros(0)
     U, sig, Vt = np.linalg.svd(A_act)
-    r = int(np.sum(sig > 1e-12 * max(1.0, sig[0] if sig.size else 0.0)))
+    r = numerical_rank(sig)
     p0 = Vt[:r].T @ ((U[:, :r].T @ resid) / sig[:r]) if r else np.zeros(H.shape[0])
     N = Vt[r:].T
     if N.shape[1]:
-        Hn = N.T @ H @ N
-        gn = N.T @ (grad + H @ p0)
-        try:
-            y = np.linalg.solve(Hn, -gn)
-            ok = np.max(np.abs(Hn @ y + gn)) <= 1e-9 * (1.0 + np.max(np.abs(gn)))
-        except np.linalg.LinAlgError:
-            ok = False
-        if not ok:
-            y = -np.linalg.lstsq(Hn, gn, rcond=None)[0]
-        p = p0 + N @ y
+        p = p0 + N @ _newton_step(N.T @ H @ N, N.T @ (grad + H @ p0))
     else:
         p = p0
     nu, *_ = np.linalg.lstsq(A_act.T, grad + H @ p, rcond=None)
     return p, nu
-
-
-def _row_coefficients(A_act: Array, a_new: Array):
-    """Least-squares representation of a_new over the rows of A_act.
-
-    Returns (dependent, c) with A_act^T c ~= a_new. dependent is True
-    when the fit is essentially exact, i.e. the row adds nothing to the
-    span of the working set.
-    """
-    if A_act.shape[0] == 0:
-        return False, np.zeros(0)
-    c, *_ = np.linalg.lstsq(A_act.T, a_new, rcond=None)
-    gap = np.max(np.abs(A_act.T @ c - a_new))
-    return gap <= 1e-9 * (1.0 + np.max(np.abs(a_new))), c
 
 
 def _active_set_core(H: Array, f: Array, A_eq: Array, b_eq: Array,
@@ -174,32 +162,6 @@ def _active_set_core(H: Array, f: Array, A_eq: Array, b_eq: Array,
         b_act = np.concatenate([b_eq, b_in[work]])
         resid = b_act - A_act @ z
         p, nu = _kkt_step(H, grad, A_act, resid)
-
-        # Degenerate geometry: nearly concurrent rows can leave the
-        # working set inconsistent, so that no step lands on all of its
-        # rows at once. The KKT solve then returns its least-squares
-        # compromise and the loop would idle below the face tolerance
-        # forever. The step residual is only a cheap first alarm (very
-        # long flat-direction steps carry roundoff of the same size),
-        # so confirm with the constraint rows alone before releasing
-        # the working row whose removal leaves the most consistent
-        # remainder.
-        if work:
-            tol_gap = 1e-9 * (1.0 + np.max(np.abs(b_act)))
-            if np.max(np.abs(A_act @ p - resid)) > tol_gap:
-                q, *_ = np.linalg.lstsq(A_act, resid, rcond=None)
-                if np.max(np.abs(A_act @ q - resid)) > tol_gap:
-                    rows = np.arange(m_e + len(work))
-                    best_k, best_res = 0, np.inf
-                    for k in range(len(work)):
-                        keep = rows != m_e + k
-                        s, *_ = np.linalg.lstsq(A_act[keep], b_act[keep],
-                                                rcond=None)
-                        r = np.max(np.abs(A_act[keep] @ s - b_act[keep]))
-                        if r < best_res - 1e-15:
-                            best_res, best_k = r, k
-                    work.pop(best_k)
-                    continue
 
         # Stationary when the step is negligible or cannot improve the
         # objective beyond roundoff. The second test matters for nearly
@@ -242,33 +204,7 @@ def _active_set_core(H: Array, f: Array, A_eq: Array, b_eq: Array,
                             blocker = i
         z = z + alpha * p
         if blocker >= 0:
-            # Admission rule: the extended working set has to stay
-            # consistent, meaning some point satisfies all of its rows
-            # with equality. Rank deficiency alone is harmless (step
-            # and multipliers are least-squares based), but an
-            # inconsistent stack has an empty face and would idle the
-            # loop. In that case swap out a working row: among rows
-            # with a positive coefficient in the dependency, the one
-            # with the smallest multiplier per unit coefficient is the
-            # cheapest to release.
-            A_ext = np.vstack([A_act, A_in[blocker][None, :]])
-            b_ext = np.concatenate([b_act, b_in[blocker:blocker + 1]])
-            r_ext = b_ext - A_ext @ z
-            q, *_ = np.linalg.lstsq(A_ext, r_ext, rcond=None)
-            irr = np.max(np.abs(A_ext @ q - r_ext))
-            if irr <= 1e-9 * (1.0 + np.max(np.abs(b_ext))):
-                work.append(blocker)
-            elif work:
-                _, c = _row_coefficients(A_act, A_in[blocker])
-                cw = c[m_e:]
-                mu_w = nu[m_e:] if nu.size > m_e else np.zeros(len(work))
-                cand = np.flatnonzero(cw > 1e-10 * (1.0 + np.max(np.abs(c))))
-                if cand.size:
-                    drop = int(cand[np.argmin(mu_w[cand] / cw[cand])])
-                    work.pop(drop)
-                    work.append(blocker)
-                # without a positive coefficient the row is implied by
-                # rows we cannot release; leave the set unchanged
+            work.append(blocker)
 
     return z, "max_iterations", max_iter, work, nu
 

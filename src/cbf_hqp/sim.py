@@ -150,6 +150,22 @@ class SimResult:
     fault_reason: str
 
 
+def _section(raw: dict, name: str, allowed, default: dict) -> dict:
+    """The mapping under `name` (default when absent or empty), refusing
+    any key outside `allowed`."""
+    sec = raw.get(name) or default
+    if not isinstance(sec, dict):
+        raise ScenarioError(f"'{name}' must be a mapping")
+    for key in sec:
+        if key not in allowed:
+            raise ScenarioError(f"unknown {name} parameter '{key}'")
+    return dict(sec)
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 def load_scenario(text: str) -> Scenario:
     try:
         raw = yaml.safe_load(text)
@@ -170,31 +186,28 @@ def load_scenario(text: str) -> Scenario:
     dt = float(raw.get("dt", 1e-3))
     mode = str(raw.get("mode", "single_qp"))
 
-    ctl = raw.get("controller", {})
+    ctl = _section(raw, "controller", ("k_trans", "k_rot"), {})
     k_trans = tuple(float(v) for v in ctl.get("k_trans", (200.0, 200.0, 200.0)))
     k_rot = tuple(float(v) for v in ctl.get("k_rot", (50.0, 50.0, 50.0)))
     if len(k_trans) != 3 or len(k_rot) != 3:
         raise ScenarioError("controller stiffnesses must be 3-vectors")
 
-    cbf_raw = dict(raw.get("cbf", {}))
+    cbf_raw = _section(raw, "cbf", _field_names(CbfParams), {})
     cbf_raw.setdefault("dt", dt)
     if "plane_normal" in cbf_raw and cbf_raw["plane_normal"] is not None:
         cbf_raw["plane_normal"] = tuple(float(v) for v in cbf_raw["plane_normal"])
-    try:
-        cbf = CbfParams(**cbf_raw)
-    except TypeError as exc:
-        raise ScenarioError(f"unknown cbf parameter: {exc}") from exc
+    cbf = CbfParams(**cbf_raw)
 
     fams = raw.get("strict_families", ["torque", "velocity", "position"])
     strict_families = tuple(str(f) for f in fams)
 
-    wr = raw.get("wrench", {"kind": "none"}) or {"kind": "none"}
+    wr = _section(raw, "wrench", _field_names(WrenchSchedule), {"kind": "none"})
     wrench = WrenchSchedule(**{k: (int(v) if k == "axis" else
                                    (str(v) if k == "kind" else float(v)))
                                for k, v in wr.items()})
-    eqr = raw.get("equilibrium", {"kind": "hold"}) or {"kind": "hold"}
+    eqr = _section(raw, "equilibrium", _field_names(EquilibriumSchedule),
+                   {"kind": "hold"})
     if "offset" in eqr:
-        eqr = dict(eqr)
         eqr["offset"] = tuple(float(v) for v in eqr["offset"])
     equilibrium = EquilibriumSchedule(**eqr)
 

@@ -1,11 +1,13 @@
 """Controller checks: impedance law structure, projector identities,
 nullspace bookkeeping, and the three filter modes on short rollouts."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from cbf_hqp import hqp
 from cbf_hqp.control import (
     ControllerState,
     ImpedanceParams,
@@ -21,7 +23,7 @@ from cbf_hqp.control import (
     wrench_deviation,
 )
 from cbf_hqp.dynamics import compute_state
-from cbf_hqp.tasks import CbfParams
+from cbf_hqp.tasks import CbfParams, Task
 
 HOME = np.array([0.0, -np.pi / 4, 0.0, -2.3562, 0.0, 1.5708, np.pi / 4])
 
@@ -242,6 +244,29 @@ class TestStep:
         assert "level" in info.fault_reason or "strict" in info.fault_reason
         np.testing.assert_allclose(u, info.u_nom)  # no prior torque yet
         assert math.isnan(info.alpha_dev)  # two-link arm has no nullspace
+
+    def test_infeasible_slack_level_is_a_logged_fault(self, panda,
+                                                      monkeypatch):
+        # a solver that wrongly reports a slack level infeasible must end
+        # as a controller fault, never as an uncaught error
+        st = compute_state(panda, HOME, np.zeros(7))
+        ctrl = self.make_ctrl(st, "hqp_safety")
+        u_prev, _ = step(panda, st, ctrl)
+
+        real = hqp.solve_qp
+
+        def infeasible(problem, anchor=None, x0=None):
+            return dataclasses.replace(real(problem, anchor=anchor, x0=x0),
+                                       status="infeasible")
+
+        monkeypatch.setattr(hqp, "solve_qp", infeasible)
+        soft = Task(kind="ineq", A=[[1.0]], b=[3.0], label="want", slack=[1.0])
+        with pytest.raises(hqp.CascadeInfeasibleError, match="level 1"):
+            hqp.run_cascade([], [hqp.LevelSpec(inequality=soft)], np.zeros(1))
+        u, info = step(panda, st, ctrl)
+        assert info.fault and ctrl.fault
+        assert "level 1" in info.fault_reason
+        np.testing.assert_array_equal(u, u_prev)
 
     def test_mode_validation(self, panda):
         st = compute_state(panda, HOME, np.zeros(7))

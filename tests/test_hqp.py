@@ -126,9 +126,17 @@ class TestHandCascades:
         assert delta == 0.0
         assert ledger.A_eq.shape[0] == rows_before + n
         # a later level cannot move the torque at all
+        assert ledger.Z.shape == (n, 0)
         u2, _, _ = solve_level(ledger, equality_task=Task(
             kind="eq", A=np.eye(n), b=u_nom + 1.0, label="other"))
         np.testing.assert_allclose(u2, u_nom, atol=1e-8)
+        # with no variable left, a hard row only checks the pinned torque
+        u3, _, _ = solve_level(ledger, inequality_task=Task(
+            kind="ineq", A=np.eye(n), b=u_nom - 1.0, label="below"))
+        np.testing.assert_allclose(u3, u_nom, atol=1e-8)
+        with pytest.raises(CascadeInfeasibleError):
+            solve_level(ledger, inequality_task=Task(
+                kind="ineq", A=np.eye(n), b=u_nom + 1.0, label="above"))
 
     def test_inactive_inequality_needs_no_slack(self):
         # row 0 * u + c delta >= negative number holds at delta = 0
@@ -285,6 +293,23 @@ class TestCascadeProperties:
                 assert abs(res.records[k].objective - obj_o) <= 1e-6 * scale
                 checked += 1
         assert checked >= 30
+
+    def test_kernel_basis_tracks_frozen_equalities(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 5))
+            strict, w = random_strict(rng, n)
+            u_nom = rng.normal(size=n)
+            ledger = init_stage0([strict], witness=w)
+            for spec in random_levels(rng, n):
+                _, _, ledger = solve_level(
+                    ledger, spec.equality, spec.inequality, rho=spec.rho,
+                    regularization_anchor=u_nom)
+                Z, A_eq = ledger.Z, ledger.A_eq
+                assert np.linalg.norm(Z.T @ Z - np.eye(Z.shape[1])) <= 1e-12
+                assert np.linalg.norm(A_eq @ Z) \
+                    <= 1e-10 * (1.0 + np.linalg.norm(A_eq))
+                rank = np.linalg.matrix_rank(A_eq) if A_eq.shape[0] else 0
+                assert Z.shape == (n, n - rank)
 
     def test_single_level_reduces_to_plain_qp(self, rng):
         # one level, no strict rows, hard inequality: the cascade must

@@ -162,10 +162,19 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="not valid YAML"):
             load_scenario("{{{")
 
-    def test_unknown_cbf_parameter(self):
-        text = HOLD_SCENARIO.replace("{k_max: 0.5, gamma: 5.0}",
-                                     "{k_max: 0.5, bogus: 1.0}")
-        with pytest.raises(ScenarioError, match="unknown cbf parameter"):
+    @pytest.mark.parametrize("section",
+                             ["cbf", "wrench", "equilibrium", "controller"])
+    def test_unknown_cbf_parameter(self, section):
+        text = {
+            "cbf": HOLD_SCENARIO.replace("{k_max: 0.5, gamma: 5.0}",
+                                         "{k_max: 0.5, bogus: 1.0}"),
+            "wrench": SINE_SCENARIO.replace("frequency: 2.0}",
+                                            "frequency: 2.0, phase: 0.3}"),
+            "equilibrium": HOLD_SCENARIO
+            + "equilibrium: {kind: hold, phase: 0.3}\n",
+            "controller": HOLD_SCENARIO + "controller: {damping: 3.0}\n",
+        }[section]
+        with pytest.raises(ScenarioError, match=f"unknown {section} parameter"):
             load_scenario(text)
 
     def test_bad_mode_rejected(self):
