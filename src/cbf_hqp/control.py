@@ -31,6 +31,7 @@ from .hqp import CascadeInfeasibleError, LevelSpec, S0EmptyError, run_cascade
 from .tasks import (
     CbfParams,
     Task,
+    acceleration_witness,
     collision_plane_rows,
     energy_cbf_row,
     position_limit_rows,
@@ -115,8 +116,9 @@ class ControllerState:
 
     delta_prev is the previous step's optimal energy slack (the discrete
     slack-rate term of the energy row); z_prev keeps the nullspace basis
-    sign-continuous; u_prev doubles as feasibility witness, warm start,
-    and the fallback torque on a fault.
+    sign-continuous; u_prev is the fallback torque on a fault and, once
+    repaired into the period's acceleration box (acceleration_witness),
+    stage 0's feasibility witness and the cascade's start.
     """
     mode: str
     cbf: CbfParams
@@ -315,10 +317,15 @@ def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
     strict = build_strict_tasks(model, state, ctrl, tau_ext)
     levels = _levels_for_mode(ctrl.mode, u_nom, P, N, energy)
 
+    x0 = ctrl.u_prev
+    if x0 is not None:
+        x0 = acceleration_witness(x0, state, ctrl.cbf, model,
+                                  ctrl.strict_families, tau_ext)
+
     fault = False
     reason = ""
     try:
-        res = run_cascade(strict, levels, u_nom, x0=ctrl.u_prev)
+        res = run_cascade(strict, levels, u_nom, x0=x0)
         u = res.u_final
         delta = max((r.delta for r in res.records), default=0.0)
         statuses = tuple(r.status for r in res.records)

@@ -118,12 +118,9 @@ class StageLedger:
 
     def strict_tight_rows(self, u: Array, tol: float = FEAS_TOL) -> tuple[str, ...]:
         """Labels of stage-0 inequality rows active at u."""
-        names = []
-        for i in range(self.n_strict):
-            resid = self.A_in[i] @ u - self.b_in[i]
-            if abs(resid) <= tol * (1.0 + abs(self.b_in[i])):
-                names.append(self.in_labels[i])
-        return tuple(names)
+        m = self.n_strict
+        return _tight_labels(self.in_labels, self.A_in[:m] @ u,
+                             self.b_in[:m], tol)
 
 
 @dataclass(frozen=True)
@@ -159,6 +156,13 @@ class HqpResult:
     max_violation: float
     active_strict_rows: tuple[str, ...]
     phase1_used: bool
+
+
+def _tight_labels(labels: list[str], lhs: Array, rhs: Array,
+                  tol: float) -> tuple[str, ...]:
+    """Labels of the rows with |lhs - rhs| <= tol (1 + |rhs|), in order."""
+    tight = np.abs(lhs - rhs) <= tol * (1.0 + np.abs(rhs))
+    return tuple(labels[i] for i in np.flatnonzero(tight))
 
 
 def _kernel(A: Array) -> Array:
@@ -323,8 +327,7 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
     if slack_coef is not None:
         labels += [f"level{level}:slack"]
         lhs, rhs = np.append(lhs, delta), np.append(rhs, 0.0)
-    active = tuple(lab for lab, lo, hi in zip(labels, lhs, rhs)
-                   if abs(lo - hi) <= FEAS_TOL * (1.0 + abs(hi)))
+    active = _tight_labels(labels, lhs, rhs, FEAS_TOL)
 
     if equality_task is not None:
         ledger.A_eq = np.vstack([ledger.A_eq, equality_task.A])

@@ -162,6 +162,26 @@ def _section(raw: dict, name: str, allowed, default: dict) -> dict:
     return dict(sec)
 
 
+def _scalar(value, where: str, kind=float):
+    """value converted by `kind`, or a ScenarioError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{where} must be a number, got {value!r}") from None
+
+
+def _vector(value, length: int, where: str) -> tuple[float, ...]:
+    """value as `length` floats, or a ScenarioError naming the field."""
+    try:
+        out = None if isinstance(value, str) else tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or len(out) != length:
+        raise ScenarioError(
+            f"{where} must be a list of {length} numbers, got {value!r}")
+    return out
+
+
 def _field_names(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}
 
@@ -181,34 +201,44 @@ def load_scenario(text: str) -> Scenario:
 
     name = str(need("name"))
     model_name = str(need("model"))
-    q0 = np.asarray(need("initial_q"), dtype=float).reshape(-1)
-    duration = float(need("duration"))
-    dt = float(raw.get("dt", 1e-3))
+    try:
+        q0 = np.asarray(need("initial_q"), dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        raise ScenarioError("initial_q must be a list of numbers") from None
+    duration = _scalar(need("duration"), "duration")
+    dt = _scalar(raw.get("dt", 1e-3), "dt")
     mode = str(raw.get("mode", "single_qp"))
 
     ctl = _section(raw, "controller", ("k_trans", "k_rot"), {})
-    k_trans = tuple(float(v) for v in ctl.get("k_trans", (200.0, 200.0, 200.0)))
-    k_rot = tuple(float(v) for v in ctl.get("k_rot", (50.0, 50.0, 50.0)))
-    if len(k_trans) != 3 or len(k_rot) != 3:
-        raise ScenarioError("controller stiffnesses must be 3-vectors")
+    k_trans = _vector(ctl.get("k_trans", (200.0, 200.0, 200.0)), 3,
+                      "controller.k_trans")
+    k_rot = _vector(ctl.get("k_rot", (50.0, 50.0, 50.0)), 3, "controller.k_rot")
 
     cbf_raw = _section(raw, "cbf", _field_names(CbfParams), {})
     cbf_raw.setdefault("dt", dt)
-    if "plane_normal" in cbf_raw and cbf_raw["plane_normal"] is not None:
-        cbf_raw["plane_normal"] = tuple(float(v) for v in cbf_raw["plane_normal"])
+    for key, v in cbf_raw.items():
+        if key != "plane_normal":
+            cbf_raw[key] = _scalar(v, f"cbf.{key}")
+        elif v is not None:
+            cbf_raw[key] = _vector(v, 3, "cbf.plane_normal")
     cbf = CbfParams(**cbf_raw)
 
     fams = raw.get("strict_families", ["torque", "velocity", "position"])
+    if not isinstance(fams, list):
+        raise ScenarioError("strict_families must be a list")
     strict_families = tuple(str(f) for f in fams)
 
     wr = _section(raw, "wrench", _field_names(WrenchSchedule), {"kind": "none"})
-    wrench = WrenchSchedule(**{k: (int(v) if k == "axis" else
-                                   (str(v) if k == "kind" else float(v)))
-                               for k, v in wr.items()})
+    wrench = WrenchSchedule(**{
+        k: (str(v) if k == "kind" else
+            _scalar(v, f"wrench.{k}", int if k == "axis" else float))
+        for k, v in wr.items()})
     eqr = _section(raw, "equilibrium", _field_names(EquilibriumSchedule),
                    {"kind": "hold"})
     if "offset" in eqr:
-        eqr["offset"] = tuple(float(v) for v in eqr["offset"])
+        eqr["offset"] = _vector(eqr["offset"], 3, "equilibrium.offset")
+    if "at" in eqr:
+        eqr["at"] = _scalar(eqr["at"], "equilibrium.at")
     equilibrium = EquilibriumSchedule(**eqr)
 
     return Scenario(name=name, model_name=model_name, q0=q0, k_trans=k_trans,

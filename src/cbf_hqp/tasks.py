@@ -28,6 +28,10 @@ Derivations, in brief:
   (q_i - q_min_i); cascading two first-order conditions with rates
   lambda1, lambda2 gives hddot + (l1+l2) hdot + l1 l2 h >= 0.
 
+  Both families are per-joint bounds on qdd = M^-1 (u + w):
+  `acceleration_box` computes them, the row builders encode them, and
+  `acceleration_witness` repairs a torque into them.
+
 * Plane clearance for the end effector, also relative degree two, with
   h = n^T p_ee - offset - d_min and hddot = n^T (Jdot qd + J M^{-1}(u+w)).
   Jdot qd is formed by a central difference of the Jacobian along qd.
@@ -154,44 +158,82 @@ def torque_limit_rows(model: RobotModel) -> Task:
     return Task(kind="ineq", A=A, b=b, label="torque", row_labels=labels)
 
 
+def acceleration_box(state: RobotState, params: CbfParams,
+                     model: RobotModel, families) -> tuple[Array, Array]:
+    """Per-joint bounds lo <= qdd <= hi that the named barrier families
+    put on this period's joint acceleration (+-inf where none applies).
+
+    The velocity barrier gives -g (v_max + qd) <= qdd <= g (v_max - qd);
+    the position barrier gives -s qd - p (q - q_min) <= qdd
+    <= p (q_max - q) - s qd with s = l1 + l2 and p = l1 l2.
+    """
+    bounds = []
+    if "velocity" in families:
+        g = params.gamma_velocity
+        bounds.append((-g * (state.qd + model.v_max),
+                       g * (model.v_max - state.qd)))
+    if "position" in families:
+        l1, l2 = params.lambda1, params.lambda2
+        s, p = l1 + l2, l1 * l2
+        bounds.append((-s * state.qd - p * (state.q - model.q_min),
+                       p * (model.q_max - state.q) - s * state.qd))
+    if not bounds:
+        return np.full(state.n, -np.inf), np.full(state.n, np.inf)
+    lo, hi = bounds[0]
+    for other_lo, other_hi in bounds[1:]:
+        lo, hi = np.maximum(lo, other_lo), np.minimum(hi, other_hi)
+    return lo, hi
+
+
+def _acceleration_rows(state: RobotState, params: CbfParams,
+                       model: RobotModel, tau_ext: Array | None,
+                       family: str, upper: str, lower: str) -> Task:
+    """The family's box lo <= M^-1 (u + w) <= hi as 2n rows A u >= b."""
+    lo, hi = acceleration_box(state, params, model, (family,))
+    Minv = state.M_inv
+    a = Minv @ _drift_torque(state, tau_ext)
+    A = np.vstack([-Minv, Minv])
+    b = np.concatenate([a - hi, lo - a])
+    n = model.n_joints
+    labels = [f"{upper}[{i}]" for i in range(n)] + \
+             [f"{lower}[{i}]" for i in range(n)]
+    return Task(kind="ineq", A=A, b=b, label=family, row_labels=labels)
+
+
 def velocity_limit_rows(state: RobotState, params: CbfParams,
                         model: RobotModel,
                         tau_ext: Array | None = None) -> Task:
     """First-order barriers on +-qd_i with rate gamma_velocity."""
-    w = _drift_torque(state, tau_ext)
-    Minv = state.M_inv
-    a = Minv @ w
-    g = params.gamma_velocity
-    # upper: h = v_max - qd_i ; lower: h = qd_i + v_max
-    A = np.vstack([-Minv, Minv])
-    b = np.concatenate([
-        a - g * (model.v_max - state.qd),
-        -a - g * (state.qd + model.v_max),
-    ])
-    n = model.n_joints
-    labels = [f"vel_max[{i}]" for i in range(n)] + \
-             [f"vel_min[{i}]" for i in range(n)]
-    return Task(kind="ineq", A=A, b=b, label="velocity", row_labels=labels)
+    return _acceleration_rows(state, params, model, tau_ext,
+                              "velocity", "vel_max", "vel_min")
 
 
 def position_limit_rows(state: RobotState, params: CbfParams,
                         model: RobotModel,
                         tau_ext: Array | None = None) -> Task:
     """Second-order barriers on the joint range with rates lambda1/2."""
+    return _acceleration_rows(state, params, model, tau_ext,
+                              "position", "pos_max", "pos_min")
+
+
+def acceleration_witness(u_prev: Array, state: RobotState,
+                         params: CbfParams, model: RobotModel,
+                         families, tau_ext: Array | None = None) -> Array:
+    """The previous torque repaired into this period's acceleration box.
+
+    The velocity and position rows only bound qdd = M^-1 (u + w), so
+    the acceleration u_prev causes, clipped into acceleration_box and
+    mapped back with u = M qdd - w, satisfies all of them. u_prev is
+    returned as it is when nothing needed clipping. The torque box and
+    the plane row are not considered; stage 0 checks the result against
+    every strict row.
+    """
+    lo, hi = acceleration_box(state, params, model, families)
     w = _drift_torque(state, tau_ext)
-    Minv = state.M_inv
-    a = Minv @ w
-    l1, l2 = params.lambda1, params.lambda2
-    s, p = l1 + l2, l1 * l2
-    A = np.vstack([-Minv, Minv])
-    b = np.concatenate([
-        a + s * state.qd - p * (model.q_max - state.q),
-        -a - s * state.qd - p * (state.q - model.q_min),
-    ])
-    n = model.n_joints
-    labels = [f"pos_max[{i}]" for i in range(n)] + \
-             [f"pos_min[{i}]" for i in range(n)]
-    return Task(kind="ineq", A=A, b=b, label="position", row_labels=labels)
+    acc = state.M_inv @ (u_prev + w)
+    if ((lo <= acc) & (acc <= hi)).all():
+        return u_prev
+    return state.M @ np.clip(acc, lo, hi) - w
 
 
 def collision_plane_rows(state: RobotState, params: CbfParams,

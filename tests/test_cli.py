@@ -136,6 +136,15 @@ wrench: {kind: sine, axis: 1, amplitude: 60.0, frequency: 1.0}
         assert rc == 1
         assert capsys.readouterr().err.strip()
 
+    def test_mistyped_field_exits_one_naming_it(self, tmp_path, capsys):
+        scn = tmp_path / "typo.yaml"
+        scn.write_text("name: typo\nmodel: panda\nduration: 0.01\n"
+                       "initial_q: [0, 0, 0, -2, 0, 2, 0]\n"
+                       "controller: {k_trans: 5}\n")
+        rc = run_cli("run", "--scenario", str(scn), "--out", str(tmp_path))
+        assert rc == 1
+        assert "controller.k_trans" in capsys.readouterr().err
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("run")  # --scenario is required

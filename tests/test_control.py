@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cbf_hqp import hqp
+from cbf_hqp import control, hqp, sim
 from cbf_hqp.control import (
     ControllerState,
     ImpedanceParams,
@@ -280,3 +280,23 @@ class TestStep:
             ControllerState(mode="single_qp", cbf=CbfParams(),
                             impedance=impedance_at(st),
                             strict_families=("gravity",))
+
+
+def test_step_lunge_needs_no_phase1(monkeypatch):
+    """After the step at t = 1 s the previous torque breaks the velocity
+    and position rows; repaired into the acceleration box it still
+    proves stage 0 feasible, so no period falls back to phase-1."""
+    used = []
+    real = control.run_cascade
+
+    def counting(*args, **kwargs):
+        res = real(*args, **kwargs)
+        used.append(res.phase1_used)
+        return res
+
+    monkeypatch.setattr(control, "run_cascade", counting)
+    scenario = sim.load_scenario_file(sim.bundled_scenario_path("step"))
+    result = sim.run_scenario(scenario, mode="single_qp", duration=1.1)
+    assert not result.fault
+    assert len(used) == 1100
+    assert not any(used)

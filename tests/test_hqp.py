@@ -311,6 +311,42 @@ class TestCascadeProperties:
                 rank = np.linalg.matrix_rank(A_eq) if A_eq.shape[0] else 0
                 assert Z.shape == (n, n - rank)
 
+    def test_tight_labels_match_per_row_reference(self, rng):
+        def tight(rows, tol=1e-8):
+            return tuple(lab for lab, lhs, rhs in rows
+                         if abs(lhs - rhs) <= tol * (1.0 + abs(rhs)))
+
+        strict_seen = level_seen = 0
+        for _ in range(30):
+            n = int(rng.integers(2, 5))
+            strict, w = random_strict(rng, n)
+            u_nom = rng.normal(size=n) * 3.0
+            ledger = init_stage0([strict], witness=w)
+            for spec in random_levels(rng, n):
+                A, b = ledger.A_in.copy(), ledger.b_in.copy()
+                labels = list(ledger.in_labels)
+                ineq = spec.inequality
+                u, delta, ledger = solve_level(
+                    ledger, spec.equality, ineq, rho=spec.rho,
+                    regularization_anchor=u_nom)
+                rows = [(lab, A[i] @ u, b[i]) for i, lab in enumerate(labels)]
+                if ineq is not None:
+                    name = f"level{ledger.level}:"
+                    rows += [(name + lab, ineq.A[i] @ u + ineq.slack[i] * delta,
+                              ineq.b[i])
+                             for i, lab in enumerate(ineq.row_labels)]
+                    rows += [(name + "slack", delta, 0.0)]
+                expected = tight(rows)
+                assert ledger.records[-1].active_rows == expected
+                level_seen += len(expected)
+            u = ledger.witness
+            expected = tight([(ledger.in_labels[i], ledger.A_in[i] @ u,
+                               ledger.b_in[i])
+                              for i in range(ledger.n_strict)])
+            assert ledger.strict_tight_rows(u) == expected
+            strict_seen += len(expected)
+        assert strict_seen > 0 and level_seen > 0
+
     def test_single_level_reduces_to_plain_qp(self, rng):
         # one level, no strict rows, hard inequality: the cascade must
         # equal a direct projection QP onto those rows

@@ -177,6 +177,30 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match=f"unknown {section} parameter"):
             load_scenario(text)
 
+    @pytest.mark.parametrize("field, text", [
+        ("controller.k_trans", HOLD_SCENARIO + "controller: {k_trans: 5}\n"),
+        ("equilibrium.offset", HOLD_SCENARIO
+         + "equilibrium: {kind: step, offset: 0.2, at: 1.0}\n"),
+        ("equilibrium.offset", HOLD_SCENARIO
+         + "equilibrium: {kind: step, offset: [0.0, 0.2], at: 1.0}\n"),
+        ("cbf.plane_normal", HOLD_SCENARIO.replace(
+            "{k_max: 0.5, gamma: 5.0}", "{k_max: 0.5, plane_normal: 1.0}")),
+        ("cbf.lambda2", HOLD_SCENARIO.replace(
+            "{k_max: 0.5, gamma: 5.0}", "{k_max: 0.5, lambda2: [1, 2]}")),
+        ("wrench.amplitude", SINE_SCENARIO.replace(
+            "amplitude: 30.0", "amplitude: [1, 2]")),
+        ("equilibrium.at", HOLD_SCENARIO
+         + "equilibrium: {kind: step, offset: [0.0, 0.0, 0.2], at: [1]}\n"),
+        ("duration", HOLD_SCENARIO.replace("duration: 0.3", "duration: [1]")),
+        ("strict_families", HOLD_SCENARIO + "strict_families: torque\n"),
+        ("initial_q", HOLD_SCENARIO.replace("[0.0, -0.785", "[a, -0.785")),
+    ], ids=["k_trans_scalar", "offset_scalar", "offset_short",
+            "plane_normal_scalar", "lambda2_list", "amplitude_list",
+            "at_list", "duration_list", "families_scalar", "initial_q_text"])
+    def test_mistyped_field_named(self, field, text):
+        with pytest.raises(ScenarioError, match=field):
+            load_scenario(text)
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ScenarioError, match="mode"):
             load_scenario(HOLD_SCENARIO.replace("hqp_performance", "warp"))

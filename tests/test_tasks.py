@@ -9,12 +9,18 @@ inside its safe set.
 
 import numpy as np
 import pytest
+from conftest import random_panda_state
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from cbf_hqp.dynamics import StaleStateError, compute_state
-from cbf_hqp.qpcore import QpProblem, solve_qp
+from cbf_hqp.hqp import S0EmptyError, init_stage0
+from cbf_hqp.qpcore import FEAS_TOL, QpProblem, solve_qp
 from cbf_hqp.tasks import (
     CbfParams,
     Task,
+    acceleration_box,
+    acceleration_witness,
     collision_plane_rows,
     energy_cbf_row,
     position_limit_rows,
@@ -191,6 +197,116 @@ class TestTaskContainer:
         with pytest.raises(ValueError, match="slack"):
             Task(kind="ineq", A=np.eye(2), b=np.zeros(2), label="x",
                  slack=[1.0, -1.0])
+
+
+FAMILY_SETS = [("velocity",), ("position",), ("velocity", "position")]
+
+
+def drift_torque(st, tau_ext=None):
+    w = -st.C @ st.qd - st.g
+    return w if tau_ext is None else w + tau_ext
+
+
+def acceleration_rows(st, params, model, families, tau_ext=None):
+    build = {"velocity": velocity_limit_rows, "position": position_limit_rows}
+    return [build[f](st, params, model, tau_ext) for f in families]
+
+
+def worst_violation(tasks, u):
+    return max(float(np.max(t.b - t.A @ u)) for t in tasks)
+
+
+def stage0_outcome(tasks, witness):
+    try:
+        ledger = init_stage0(tasks, witness=witness)
+    except S0EmptyError:
+        return "empty"
+    assert ledger.max_violation(ledger.witness) <= FEAS_TOL
+    return "nonempty"
+
+
+class TestAccelerationWitness:
+    def test_rows_bound_the_acceleration_to_the_box(self, panda, rng):
+        params = CbfParams()
+        for _ in range(10):
+            st = compute_state(panda, *random_panda_state(panda, rng))
+            tau_ext = rng.uniform(-5.0, 5.0, 7)
+            u = rng.uniform(-50.0, 50.0, 7)
+            acc = st.M_inv @ (u + drift_torque(st, tau_ext))
+            boxes = []
+            for fam in ("velocity", "position"):
+                lo, hi = acceleration_box(st, params, panda, (fam,))
+                [task] = acceleration_rows(st, params, panda, (fam,), tau_ext)
+                np.testing.assert_allclose(
+                    task.A @ u - task.b, np.concatenate([hi - acc, acc - lo]),
+                    atol=1e-8)
+                boxes.append((lo, hi))
+            lo, hi = acceleration_box(st, params, panda,
+                                      ("velocity", "position"))
+            assert np.array_equal(lo, np.maximum(boxes[0][0], boxes[1][0]))
+            assert np.array_equal(hi, np.minimum(boxes[0][1], boxes[1][1]))
+
+    @pytest.mark.parametrize("families", FAMILY_SETS)
+    def test_repairs_a_previous_torque_that_breaks_the_rows(
+            self, panda, rng, families):
+        params = CbfParams()
+        in_torque_box = 0
+        for _ in range(40):
+            st = compute_state(panda, *random_panda_state(panda, rng))
+            tau_ext = rng.uniform(-5.0, 5.0, 7) if rng.random() < 0.5 else None
+            lo, hi = acceleration_box(st, params, panda, families)
+            acc = np.clip(rng.normal(scale=2.0, size=7), lo, hi)
+            out = rng.random(7) < 0.3
+            out[rng.integers(7)] = True
+            push = rng.uniform(0.1, 5.0, 7)
+            above = rng.random(7) < 0.5
+            acc = np.where(out, np.where(above, hi + push, lo - push), acc)
+            u_prev = st.M @ acc - drift_torque(st, tau_ext)
+            rows = acceleration_rows(st, params, panda, families, tau_ext)
+            assert worst_violation(rows, u_prev) > FEAS_TOL
+
+            u = acceleration_witness(u_prev, st, params, panda, families,
+                                     tau_ext)
+            assert worst_violation(rows, u) <= FEAS_TOL
+            if np.all(np.abs(u) <= panda.tau_max):
+                in_torque_box += 1
+                ledger = init_stage0([torque_limit_rows(panda)] + rows,
+                                     witness=u)
+                assert not ledger.phase1_used
+                assert np.array_equal(ledger.witness, u)
+        assert in_torque_box >= 5
+
+    def test_torque_inside_the_box_comes_back_unchanged(self, panda, rng):
+        params = CbfParams()
+        families = ("velocity", "position")
+        for _ in range(20):
+            st = compute_state(panda, *random_panda_state(panda, rng))
+            lo, hi = acceleration_box(st, params, panda, families)
+            acc = lo + rng.uniform(0.05, 0.95, 7) * (hi - lo)
+            u_prev = st.M @ acc - drift_torque(st)
+            u = acceleration_witness(u_prev, st, params, panda, families)
+            assert np.array_equal(u, u_prev)
+        # no acceleration family enabled: nothing to repair
+        u_prev = 10.0 * panda.tau_max
+        u = acceleration_witness(u_prev, st, params, panda, ("torque",))
+        assert np.array_equal(u, u_prev)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(q_frac=hst.lists(hst.floats(0.0, 1.0), min_size=7, max_size=7),
+           qd_frac=hst.lists(hst.floats(-2.0, 2.0), min_size=7, max_size=7),
+           u_frac=hst.lists(hst.floats(-1.5, 1.5), min_size=7, max_size=7),
+           families=hst.sampled_from(FAMILY_SETS))
+    def test_witness_and_previous_torque_agree_on_emptiness(
+            self, panda, q_frac, qd_frac, u_frac, families):
+        q = panda.q_min + np.array(q_frac) * (panda.q_max - panda.q_min)
+        st = compute_state(panda, q, np.array(qd_frac) * panda.v_max)
+        params = CbfParams()
+        u_prev = np.array(u_frac) * panda.tau_max
+        tasks = [torque_limit_rows(panda)] + acceleration_rows(
+            st, params, panda, families)
+        u = acceleration_witness(u_prev, st, params, panda, families)
+        assert stage0_outcome(tasks, u) == stage0_outcome(tasks, u_prev)
 
 
 def filtered_rollout(model, q0, qd0, u_des_fn, rows_fn, steps, dt=DT):
