@@ -14,9 +14,15 @@ mode's priority levels, then runs the QP cascade:
   hqp_safety         1: energy + slack  2: task wrench  3: nullspace
 
 The dynamically consistent projector P = J^T Lambda J M^-1 splits torque
-into a task part and a nullspace part N = I - P; the wrench deviation
-Lambda J M^-1 (u - u_nom) and the nullspace coefficient z^T N u quantify
-where the filter spent its adjustments.
+into a task part and a nullspace part N = I - P. The cascade tracks them
+through full-row-rank rows with the same norms (`task_rows`): the wrench
+rows W = S U^T Lambda J M^-1, from the thin SVD J = U S V^T, satisfy
+P = V W and so ||W x|| = ||P x||; the nullspace row kappa z^T, with z
+spanning ker J and kappa = ||M z|| / (z^T M z), satisfies
+|kappa z^T x| = ||N x|| because N x = M z (z^T x) / (z^T M z). The
+wrench deviation Lambda J M^-1 (u - u_nom) and the nullspace coefficient
+z^T (u - u_nom) = z^T N (u - u_nom) quantify where the filter spent its
+adjustments.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ STRICT_FAMILIES = ("torque", "velocity", "position", "plane")
 
 class UnsupportedConfigurationError(RuntimeError):
     """The arm does not have the one-dimensional nullspace the
-    coefficient extraction assumes."""
+    nullspace row assumes."""
 
 
 def _quat_mul(a: Array, b: Array) -> Array:
@@ -237,13 +243,16 @@ def nullspace_basis(state: RobotState, z_prev: Array | None = None) -> Array:
     return z
 
 
-def nullspace_coefficient(state: RobotState, u: Array,
-                          z: Array | None = None) -> float:
-    """alpha = z^T N u, the torque component invisible to the task."""
+def task_rows(state: RobotState, lam: Array,
+              z: Array | None) -> tuple[Array, Array]:
+    """The wrench rows W and the nullspace row V of the module docstring;
+    V has no rows when z is None (no one-dimensional nullspace)."""
+    U, s, _ = np.linalg.svd(state.J, full_matrices=False)
+    W = (s[:, None] * U.T) @ (lam @ (state.J @ state.M_inv))
     if z is None:
-        z = nullspace_basis(state)
-    _, N = projections(state)
-    return float(z @ (N @ u))
+        return W, np.zeros((0, state.n))
+    Mz = state.M @ z
+    return W, (np.linalg.norm(Mz) / float(z @ Mz)) * z[None, :]
 
 
 def wrench_deviation(state: RobotState, u: Array, u_nom: Array,
@@ -272,12 +281,14 @@ def build_strict_tasks(model: RobotModel, state: RobotState,
     return tasks
 
 
-def _levels_for_mode(mode: str, u_nom: Array, P: Array, N: Array,
+def _levels_for_mode(mode: str, u_nom: Array, W: Array, V: Array,
                      energy: Task) -> list[LevelSpec]:
+    """The mode's levels. With W, V from `task_rows`, ||W x|| = ||P x|| and
+    |V x| = ||N x||, so task_wrench and nullspace minimize P, N (u - u_nom)."""
     n = u_nom.shape[0]
     track = Task(kind="eq", A=np.eye(n), b=u_nom, label="torque_tracking")
-    cartesian = Task(kind="eq", A=P, b=P @ u_nom, label="task_wrench")
-    nullspace = Task(kind="eq", A=N, b=N @ u_nom, label="nullspace")
+    cartesian = Task(kind="eq", A=W, b=W @ u_nom, label="task_wrench")
+    nullspace = Task(kind="eq", A=V, b=V @ u_nom, label="nullspace")
     if mode == "single_qp":
         hard_energy = Task(kind="ineq", A=energy.A, b=energy.b,
                            label=energy.label, slack=None,
@@ -303,7 +314,6 @@ def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
     t0 = time.perf_counter()
     state.check_fresh()
     lam, damped = task_space_inertia(state)
-    P, N = projections(state, lam)
     u_nom = nominal_torque(state, ctrl.impedance, lam=lam)
 
     z = None
@@ -311,11 +321,12 @@ def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
         z = nullspace_basis(state, ctrl.z_prev)
     except UnsupportedConfigurationError:
         pass
+    W, V = task_rows(state, lam, z)
 
     energy = energy_cbf_row(state, ctrl.cbf, tau_ext=tau_ext,
                             delta_prev=ctrl.delta_prev)
     strict = build_strict_tasks(model, state, ctrl, tau_ext)
-    levels = _levels_for_mode(ctrl.mode, u_nom, P, N, energy)
+    levels = _levels_for_mode(ctrl.mode, u_nom, W, V, energy)
 
     x0 = ctrl.u_prev
     if x0 is not None:
@@ -349,7 +360,7 @@ def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
         ctrl.fault_reason = reason
 
     if z is not None:
-        alpha_dev = float(z @ (N @ (u - u_nom)))
+        alpha_dev = float(z @ (u - u_nom))
         ctrl.z_prev = z
     else:
         alpha_dev = float("nan")

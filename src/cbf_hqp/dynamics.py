@@ -350,15 +350,6 @@ def gravity_torque(model: RobotModel, q) -> Array:
     return _gravity_from_jv(model, Jv[0])
 
 
-def _mass_and_partials(model: RobotModel, q: Array):
-    """M(q) and the stacked partials dM[i] = dM/dq_i via complex step."""
-    n = model.n_joints
-    Q = np.tile(q.astype(complex), (n + 1, 1))
-    Q[1:] += 1j * _CSTEP * np.eye(n)
-    Mb = _mass_matrix_batched(model, _chain(model, Q))
-    return Mb[0].real, Mb[1:].imag / _CSTEP
-
-
 def _coriolis_from_partials(dM: Array, qd: Array) -> Array:
     # Christoffel symbols of the first kind, contracted with qd:
     # C[k, j] = 1/2 sum_i (dM[i][k, j] + dM[j][k, i] - dM[k][i, j]) qd[i].
@@ -370,12 +361,8 @@ def _coriolis_from_partials(dM: Array, qd: Array) -> Array:
 
 def dynamics_terms(model: RobotModel, q, qd) -> tuple[Array, Array, Array]:
     """Mass matrix, Coriolis matrix, and gravity torque at (q, qd)."""
-    q = np.asarray(q, dtype=float)
-    qd = np.asarray(qd, dtype=float)
-    M, dM = _mass_and_partials(model, q)
-    C = _coriolis_from_partials(dM, qd)
-    g = gravity_torque(model, q)
-    return M, C, g
+    state = compute_state(model, q, qd)
+    return state.M, state.C, state.g
 
 
 def kinetic_energy(model: RobotModel, q, qd) -> float:

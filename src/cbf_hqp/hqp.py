@@ -116,11 +116,10 @@ class StageLedger:
     def max_violation(self, u: Array) -> float:
         return max(self.eq_violation(u), self.in_violation(u))
 
-    def strict_tight_rows(self, u: Array, tol: float = FEAS_TOL) -> tuple[str, ...]:
+    def strict_tight_rows(self, u: Array) -> tuple[str, ...]:
         """Labels of stage-0 inequality rows active at u."""
         m = self.n_strict
-        return _tight_labels(self.in_labels, self.A_in[:m] @ u,
-                             self.b_in[:m], tol)
+        return _tight_labels(self.in_labels, self.A_in[:m] @ u, self.b_in[:m])
 
 
 @dataclass(frozen=True)
@@ -158,10 +157,10 @@ class HqpResult:
     phase1_used: bool
 
 
-def _tight_labels(labels: list[str], lhs: Array, rhs: Array,
-                  tol: float) -> tuple[str, ...]:
-    """Labels of the rows with |lhs - rhs| <= tol (1 + |rhs|), in order."""
-    tight = np.abs(lhs - rhs) <= tol * (1.0 + np.abs(rhs))
+def _tight_labels(labels: list[str], lhs: Array,
+                  rhs: Array) -> tuple[str, ...]:
+    """Labels of the rows with |lhs - rhs| <= FEAS_TOL (1 + |rhs|), in order."""
+    tight = np.abs(lhs - rhs) <= FEAS_TOL * (1.0 + np.abs(rhs))
     return tuple(labels[i] for i in np.flatnonzero(tight))
 
 
@@ -327,7 +326,7 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
     if slack_coef is not None:
         labels += [f"level{level}:slack"]
         lhs, rhs = np.append(lhs, delta), np.append(rhs, 0.0)
-    active = _tight_labels(labels, lhs, rhs, FEAS_TOL)
+    active = _tight_labels(labels, lhs, rhs)
 
     if equality_task is not None:
         ledger.A_eq = np.vstack([ledger.A_eq, equality_task.A])

@@ -147,7 +147,7 @@ def _kkt_step(H: Array, grad: Array, A_act: Array, resid: Array):
 
 
 def _active_set_core(H: Array, f: Array, A_eq: Array, b_eq: Array,
-                     A_in: Array, b_in: Array, z0: Array, max_iter: int):
+                     A_in: Array, b_in: Array, z0: Array):
     """Primal active-set iteration from a feasible start."""
     n = z0.shape[0]
     m_e = A_eq.shape[0]
@@ -156,7 +156,7 @@ def _active_set_core(H: Array, f: Array, A_eq: Array, b_eq: Array,
     work: list[int] = []
     nu = np.zeros(m_e)
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         grad = H @ z + f
         A_act = np.vstack([A_eq, A_in[work]]) if (m_e or work) else np.zeros((0, n))
         b_act = np.concatenate([b_eq, b_in[work]])
@@ -189,24 +189,20 @@ def _active_set_core(H: Array, f: Array, A_eq: Array, b_eq: Array,
 
         # Longest feasible step along p; inactive rows with a^T p < 0 block.
         alpha = 1.0
-        blocker = -1
-        if m_i:
-            free = [i for i in range(m_i) if i not in work]
-            if free:
-                Af = A_in[free]
-                d = Af @ p
-                slack = Af @ z - b_in[free]
-                for idx, i in enumerate(free):
-                    if d[idx] < -1e-12:
-                        ratio = max(slack[idx], 0.0) / (-d[idx])
-                        if ratio < alpha - 1e-14:
-                            alpha = ratio
-                            blocker = i
+        d = A_in @ p
+        blocking = d < -1e-12
+        blocking[work] = False
+        if blocking.any():
+            ratio = np.full(m_i, np.inf)
+            ratio[blocking] = (np.maximum(A_in[blocking] @ z - b_in[blocking],
+                                          0.0) / -d[blocking])
+            blocker = int(np.argmin(ratio))
+            if ratio[blocker] < alpha - 1e-14:
+                alpha = ratio[blocker]
+                work.append(blocker)
         z = z + alpha * p
-        if blocker >= 0:
-            work.append(blocker)
 
-    return z, "max_iterations", max_iter, work, nu
+    return z, "max_iterations", MAX_ITER, work, nu
 
 
 def _phase1(A_eq: Array, b_eq: Array, A_in: Array, b_in: Array, n: int):
@@ -243,7 +239,7 @@ def _phase1(A_eq: Array, b_eq: Array, A_in: Array, b_in: Array, n: int):
     s0 = np.maximum(0.0, b_in - A_in @ z0)
     start = np.concatenate([z0, s0])
     sol, _, iters, _, _ = _active_set_core(H, f, A_eq1, b_eq, A_in1, b_in1,
-                                           start, MAX_ITER)
+                                           start)
     z = sol[:n]
     feasible = np.max(b_in - A_in @ z, initial=0.0) <= FEAS_TOL
     return z, feasible, iters
@@ -277,8 +273,7 @@ def solve_qp(problem: QpProblem, anchor: Array | None = None,
                               mu_in=np.zeros(problem.A_in.shape[0]))
 
     z, status, iters, work, nu = _active_set_core(
-        H, f, problem.A_eq, problem.b_eq, problem.A_in, problem.b_in,
-        z0, MAX_ITER)
+        H, f, problem.A_eq, problem.b_eq, problem.A_in, problem.b_in, z0)
 
     m_e = problem.A_eq.shape[0]
     lam_eq = nu[:m_e] if nu.size >= m_e else np.zeros(m_e)

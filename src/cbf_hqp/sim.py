@@ -163,11 +163,16 @@ def _section(raw: dict, name: str, allowed, default: dict) -> dict:
 
 
 def _scalar(value, where: str, kind=float):
-    """value converted by `kind`, or a ScenarioError naming the field."""
+    """value as a `kind`, or a ScenarioError naming the field; bools,
+    strings and, for an int field, fractions are refused, not converted."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{where} must be a number, got {value!r}") from None
+        out = None if isinstance(value, (bool, str)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (kind is int and not out.is_integer()):
+        noun = "an integer" if kind is int else "a number"
+        raise ScenarioError(f"{where} must be {noun}, got {value!r}")
+    return kind(out)
 
 
 def _vector(value, length: int, where: str) -> tuple[float, ...]:

@@ -47,6 +47,8 @@ from .dynamics import RobotModel, RobotState, jacobian
 
 Array = np.ndarray
 
+_JDOT_STEP = 1e-6  # central-difference step of the plane row's Jdot qd
+
 
 @dataclass(frozen=True)
 class CbfParams:
@@ -238,8 +240,7 @@ def acceleration_witness(u_prev: Array, state: RobotState,
 
 def collision_plane_rows(state: RobotState, params: CbfParams,
                          model: RobotModel,
-                         tau_ext: Array | None = None,
-                         fd_step: float = 1e-6) -> Task:
+                         tau_ext: Array | None = None) -> Task:
     """Keep the end effector on the positive side of the configured
     plane: h = n.p_ee - offset - d_min >= 0, relative degree two.
 
@@ -257,9 +258,9 @@ def collision_plane_rows(state: RobotState, params: CbfParams,
     h = float(n_vec @ state.ee_pos) - params.plane_offset - params.d_min
     hd = float(n_vec @ (Jv @ state.qd))
 
-    Jp = jacobian(model, state.q + fd_step * state.qd)[:3]
-    Jm = jacobian(model, state.q - fd_step * state.qd)[:3]
-    Jdot_qd = (Jp - Jm) @ state.qd / (2.0 * fd_step)
+    Jp = jacobian(model, state.q + _JDOT_STEP * state.qd)[:3]
+    Jm = jacobian(model, state.q - _JDOT_STEP * state.qd)[:3]
+    Jdot_qd = (Jp - Jm) @ state.qd / (2.0 * _JDOT_STEP)
 
     l1, l2 = params.lambda1, params.lambda2
     row = n_vec @ Jv @ state.M_inv

@@ -15,10 +15,10 @@ from cbf_hqp.control import (
     critical_damping,
     nominal_torque,
     nullspace_basis,
-    nullspace_coefficient,
     pose_error,
     projections,
     step,
+    task_rows,
     task_space_inertia,
     wrench_deviation,
 )
@@ -26,6 +26,7 @@ from cbf_hqp.dynamics import compute_state
 from cbf_hqp.tasks import CbfParams, Task
 
 HOME = np.array([0.0, -np.pi / 4, 0.0, -2.3562, 0.0, 1.5708, np.pi / 4])
+TWOLINK_HOME = np.array([0.4, 0.8])
 
 
 def impedance_at(state, dz=0.0):
@@ -134,15 +135,60 @@ class TestNullspace:
         with pytest.raises(UnsupportedConfigurationError, match="nullspace"):
             nullspace_basis(st)
 
-    def test_coefficient_linearity(self, panda, rng):
-        st = compute_state(panda, HOME, np.zeros(7))
-        z = nullspace_basis(st)
-        _, N = projections(st)
-        u_nom = nominal_torque(st, impedance_at(st))
-        w = rng.normal(size=7)
-        a0 = nullspace_coefficient(st, u_nom, z)
-        a1 = nullspace_coefficient(st, u_nom + N @ w, z)
-        assert a1 - a0 == pytest.approx(float(z @ (N @ w)), abs=1e-9)
+
+class TestTaskRows:
+    def test_rows_keep_the_projector_norms(self, panda, twolink, rng):
+        # W and V have full row rank and measure torques as P and N do;
+        # z^T N = z^T is what makes alpha_dev = z^T (u - u_nom)
+        for _ in range(50):
+            st = compute_state(panda, HOME + rng.uniform(-0.6, 0.6, 7),
+                               rng.uniform(-1, 1, 7))
+            lam, damped = task_space_inertia(st)
+            assert not damped
+            z = nullspace_basis(st)
+            W, V = task_rows(st, lam, z)
+            P, N = projections(st, lam)
+            assert W.shape == (6, 7) and V.shape == (1, 7)
+            assert np.linalg.matrix_rank(W) == 6
+            np.testing.assert_allclose(z @ N, z, atol=1e-10)
+            for x in rng.normal(size=(5, 7)):
+                assert np.linalg.norm(W @ x) == pytest.approx(
+                    np.linalg.norm(P @ x), rel=1e-9, abs=1e-9)
+                assert np.linalg.norm(V @ x) == pytest.approx(
+                    np.linalg.norm(N @ x), rel=1e-9, abs=1e-9)
+
+        for _ in range(50):
+            q = np.array([rng.uniform(-3.0, 3.0),
+                          rng.choice([-1, 1]) * rng.uniform(0.3, 2.8)])
+            st = compute_state(twolink, q, rng.uniform(-1, 1, 2))
+            lam, _ = task_space_inertia(st)
+            W, V = task_rows(st, lam, None)
+            P, _ = projections(st, lam)
+            assert W.shape == (2, 2) and V.shape == (0, 2)
+            assert np.linalg.matrix_rank(W) == 2
+            for x in rng.normal(size=(5, 2)):
+                assert np.linalg.norm(W @ x) == pytest.approx(
+                    np.linalg.norm(P @ x), rel=1e-9, abs=1e-9)
+
+    def test_step_hands_the_cascade_full_rank_rows(self, panda, monkeypatch):
+        # an hqp period on the Panda freezes 7 independent equality rows
+        seen = []
+        real = control.run_cascade
+
+        def capture(strict, levels, u_nom, x0=None):
+            seen.append(levels)
+            return real(strict, levels, u_nom, x0=x0)
+
+        monkeypatch.setattr(control, "run_cascade", capture)
+        st = compute_state(panda, HOME, 0.05 * np.ones(7))
+        for mode in ("hqp_performance", "hqp_safety"):
+            step(panda, st, ControllerState(mode=mode, cbf=CbfParams(),
+                                            impedance=impedance_at(st, 0.1)))
+        assert len(seen) == 2
+        for levels in seen:
+            rows = [lv.equality.A for lv in levels if lv.equality is not None]
+            assert sum(A.shape[0] for A in rows) == 7
+            assert all(np.linalg.matrix_rank(A) == A.shape[0] for A in rows)
 
 
 class TestStep:
@@ -175,11 +221,12 @@ class TestStep:
         from cbf_hqp.hqp import run_cascade
         from cbf_hqp.control import _levels_for_mode, build_strict_tasks
         from cbf_hqp.tasks import Task, energy_cbf_row
-        P, N = projections(st)
+        lam, _ = task_space_inertia(st)
+        W, V = task_rows(st, lam, nullspace_basis(st))
         energy = energy_cbf_row(st, ctrl.cbf)
         pinned = Task(kind="ineq", A=energy.A, b=energy.b, label="energy",
                       slack=None)
-        levels = _levels_for_mode("hqp_performance", info.u_nom, P, N, energy)
+        levels = _levels_for_mode("hqp_performance", info.u_nom, W, V, energy)
         levels[1] = type(levels[1])(inequality=pinned)
         res = run_cascade(build_strict_tasks(panda, st,
                                              ControllerState(
@@ -228,6 +275,24 @@ class TestStep:
         # the cap holds up to the held-torque discretization remainder
         assert peak <= ctrl.cbf.k_max + 2e-2
         assert max(np.max(np.abs(i.dW)) for _, i in infos) > 1e-2
+
+    def test_cascade_modes_on_an_arm_without_nullspace(self, twolink):
+        # the two-link arm has no task nullspace: the nullspace level has
+        # no rows and no variable left, yet every period solves
+        st0 = compute_state(twolink, TWOLINK_HOME, np.zeros(2))
+        pos = st0.ee_pos + np.array([0.0, 0.1, 0.0])
+        for mode in ("hqp_performance", "hqp_safety"):
+            ctrl = ControllerState(
+                mode=mode, cbf=CbfParams(k_max=0.05, gamma=5.0, dt=1e-3),
+                impedance=ImpedanceParams(eq_position=tuple(pos),
+                                          eq_quat=tuple(st0.ee_quat)))
+            infos = rollout(twolink, ctrl, TWOLINK_HOME, steps=200)
+            for _, info in infos:
+                assert not info.fault
+                assert info.statuses == ("optimal",) * 3
+                assert math.isnan(info.alpha_dev)
+            if mode == "hqp_performance":
+                assert max(i.delta for _, i in infos) > 1e-3
 
     def test_fault_emits_last_torque_and_flags(self, twolink):
         # runaway joint speed makes the hard energy row clash with the

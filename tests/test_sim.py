@@ -194,9 +194,16 @@ class TestScenarioLoading:
         ("duration", HOLD_SCENARIO.replace("duration: 0.3", "duration: [1]")),
         ("strict_families", HOLD_SCENARIO + "strict_families: torque\n"),
         ("initial_q", HOLD_SCENARIO.replace("[0.0, -0.785", "[a, -0.785")),
+        ("wrench.axis", SINE_SCENARIO.replace("axis: 2", "axis: 2.7")),
+        ("wrench.axis", SINE_SCENARIO.replace("axis: 2", "axis: '3'")),
+        ("wrench.axis", SINE_SCENARIO.replace("axis: 2", "axis: true")),
+        ("duration", HOLD_SCENARIO.replace("duration: 0.3", "duration: '8'")),
+        ("cbf.gamma", HOLD_SCENARIO.replace("gamma: 5.0", "gamma: true")),
     ], ids=["k_trans_scalar", "offset_scalar", "offset_short",
             "plane_normal_scalar", "lambda2_list", "amplitude_list",
-            "at_list", "duration_list", "families_scalar", "initial_q_text"])
+            "at_list", "duration_list", "families_scalar", "initial_q_text",
+            "axis_fraction", "axis_text", "axis_bool", "duration_text",
+            "gamma_bool"])
     def test_mistyped_field_named(self, field, text):
         with pytest.raises(ScenarioError, match=field):
             load_scenario(text)
