@@ -42,7 +42,7 @@ from .hqp import (
     run_cascade,
     solve_level,
 )
-from .qpcore import QpProblem, QpSolution, oracle_solve, solve_qp
+from .qpcore import QpProblem, QpSolution, solve_qp
 from .sim import (
     Scenario,
     ScenarioError,
@@ -103,7 +103,6 @@ __all__ = [
     "load_scenario_file",
     "nominal_torque",
     "nullspace_basis",
-    "oracle_solve",
     "position_limit_rows",
     "projections",
     "run_cascade",

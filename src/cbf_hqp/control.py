@@ -35,8 +35,10 @@ import numpy as np
 from .dynamics import RobotModel, RobotState
 from .hqp import CascadeInfeasibleError, LevelSpec, S0EmptyError, run_cascade
 from .tasks import (
+    AccelerationBox,
     CbfParams,
     Task,
+    acceleration_box,
     acceleration_witness,
     collision_plane_rows,
     energy_cbf_row,
@@ -123,8 +125,10 @@ class ControllerState:
     delta_prev is the previous step's optimal energy slack (the discrete
     slack-rate term of the energy row); z_prev keeps the nullspace basis
     sign-continuous; u_prev is the fallback torque on a fault and, once
-    repaired into the period's acceleration box (acceleration_witness),
-    stage 0's feasibility witness and the cascade's start.
+    repaired into the period's acceleration box and, when level 1 has a
+    single hard inequality row (single_qp's energy row), into that row
+    (acceleration_witness), stage 0's feasibility witness and level 1's
+    start.
     """
     mode: str
     cbf: CbfParams
@@ -265,17 +269,24 @@ def wrench_deviation(state: RobotState, u: Array, u_nom: Array,
 
 
 def build_strict_tasks(model: RobotModel, state: RobotState,
-                       ctrl: ControllerState,
-                       tau_ext: Array | None = None) -> list[Task]:
-    """The hard rows the controller enforces at every priority level."""
+                       ctrl: ControllerState, tau_ext: Array | None = None,
+                       box: AccelerationBox | None = None) -> list[Task]:
+    """The hard rows the controller enforces at every priority level.
+    box, when given, is this period's acceleration_box over
+    ctrl.strict_families."""
+    if box is None:
+        box = acceleration_box(state, ctrl.cbf, model, ctrl.strict_families,
+                               tau_ext)
     tasks = []
     for fam in ctrl.strict_families:
         if fam == "torque":
             tasks.append(torque_limit_rows(model))
         elif fam == "velocity":
-            tasks.append(velocity_limit_rows(state, ctrl.cbf, model, tau_ext))
+            tasks.append(velocity_limit_rows(state, ctrl.cbf, model, tau_ext,
+                                             box))
         elif fam == "position":
-            tasks.append(position_limit_rows(state, ctrl.cbf, model, tau_ext))
+            tasks.append(position_limit_rows(state, ctrl.cbf, model, tau_ext,
+                                             box))
         elif fam == "plane":
             tasks.append(collision_plane_rows(state, ctrl.cbf, model, tau_ext))
     return tasks
@@ -303,6 +314,17 @@ def _levels_for_mode(mode: str, u_nom: Array, W: Array, V: Array,
             LevelSpec(equality=nullspace)]
 
 
+def _hard_row(levels: list[LevelSpec]) -> tuple[Array, float] | None:
+    """Level 1's inequality row (a, beta) of a^T u >= beta when it is a
+    single row without slack (single_qp's energy row): its QP starts at
+    the stage-0 witness, which must then satisfy it as well."""
+    task = levels[0].inequality
+    if task is None or task.m != 1 or (
+            task.slack is not None and np.any(task.slack > 0.0)):
+        return None
+    return task.A[0], float(task.b[0])
+
+
 def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
          tau_ext: Array | None = None) -> tuple[Array, StepInfo]:
     """Run one control period: nominal law, safety filter, bookkeeping.
@@ -325,13 +347,14 @@ def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
 
     energy = energy_cbf_row(state, ctrl.cbf, tau_ext=tau_ext,
                             delta_prev=ctrl.delta_prev)
-    strict = build_strict_tasks(model, state, ctrl, tau_ext)
+    box = acceleration_box(state, ctrl.cbf, model, ctrl.strict_families,
+                           tau_ext)
+    strict = build_strict_tasks(model, state, ctrl, tau_ext, box)
     levels = _levels_for_mode(ctrl.mode, u_nom, W, V, energy)
 
     x0 = ctrl.u_prev
     if x0 is not None:
-        x0 = acceleration_witness(x0, state, ctrl.cbf, model,
-                                  ctrl.strict_families, tau_ext)
+        x0 = acceleration_witness(x0, state, box, _hard_row(levels))
 
     fault = False
     reason = ""

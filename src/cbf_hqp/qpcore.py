@@ -17,16 +17,10 @@ nearly concurrent rows ever leave that set inconsistent (its face is
 empty, so no step lands on all of its rows), the iteration idles until
 MAX_ITER and the solve ends as 'max_iterations'; the cascade raises that
 as CascadeInfeasibleError and the controller logs it as a fault.
-
-`oracle_solve` is an independent reference for small problems: it
-enumerates every candidate active set, solves the corresponding
-equality-constrained system, and keeps the KKT-consistent feasible
-candidates. It exists for testing and is deliberately brute force.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -290,52 +284,3 @@ def solve_qp(problem: QpProblem, anchor: Array | None = None,
     return QpSolution(z_star=z, status=status, active_set=tight,
                       objective_value=problem.objective(z),
                       iterations=iters0 + iters, lam_eq=lam_eq, mu_in=mu_in)
-
-
-def oracle_solve(problem: QpProblem) -> tuple[Array | None, float]:
-    """Exhaustive-enumeration reference solver for small problems.
-
-    Tries every subset of inequality rows as the active set, keeps the
-    candidates that are primal feasible with nonnegative multipliers,
-    and returns the best. Returns (None, inf) when no candidate exists,
-    which for a positive definite Hessian means the problem is
-    infeasible.
-    """
-    n = problem.n
-    m_i = problem.A_in.shape[0]
-    if n > 8 or m_i > 12:
-        raise ValueError("problem too large for the exhaustive oracle")
-
-    H = problem.H + 2.0 * REG * np.eye(n)
-    f = problem.f
-    m_e = problem.A_eq.shape[0]
-    best_z = None
-    best_obj = float("inf")
-
-    for r in range(m_i + 1):
-        for subset in itertools.combinations(range(m_i), r):
-            S = list(subset)
-            A_act = np.vstack([problem.A_eq, problem.A_in[S]])
-            b_act = np.concatenate([problem.b_eq, problem.b_in[S]])
-            m = A_act.shape[0]
-            K = np.zeros((n + m, n + m))
-            K[:n, :n] = H
-            K[:n, n:] = A_act.T
-            K[n:, :n] = A_act
-            rhs = np.concatenate([-f, b_act])
-            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-            if np.max(np.abs(K @ sol - rhs)) > 1e-7 * (1.0 + np.max(np.abs(rhs))):
-                continue  # this face is empty or inconsistent
-            z = sol[:n]
-            # the KKT block solves H z + A^T y = -f, so y = -mu
-            mu = -sol[n + m_e:]
-            if m_i and np.max(problem.b_in - problem.A_in @ z, initial=0.0) > FEAS_TOL:
-                continue
-            if mu.size and np.min(mu) < -FEAS_TOL:
-                continue
-            obj = problem.objective(z)
-            if obj < best_obj - 1e-12:
-                best_obj = obj
-                best_z = z
-
-    return best_z, best_obj

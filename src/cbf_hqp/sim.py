@@ -12,9 +12,6 @@ The integrator holds torque and wrench constant over each step:
 
     qdd = M^-1 (u + J^T F_ext - C qd - g)
     qd += dt qdd ; q += dt qd
-
-An RK4 variant of the same vector field exists purely as a convergence
-oracle for tests; nothing in the package calls it for real work.
 """
 
 from __future__ import annotations
@@ -279,29 +276,6 @@ def integrate_step(model: RobotModel, state: RobotState, u_applied: Array,
     q_next = state.q + dt * qd_next
     if not (np.all(np.isfinite(q_next)) and np.all(np.isfinite(qd_next))):
         raise SimulationFault("state became non-finite")
-    return compute_state(model, q_next, qd_next)
-
-
-def rk4_step(model: RobotModel, state: RobotState, u_applied: Array,
-             wrench: Array | None = None, dt: float = 1e-3) -> RobotState:
-    """Classical RK4 on the same held-input vector field (test oracle)."""
-    u = np.asarray(u_applied, dtype=float)
-
-    def accel(st: RobotState) -> Array:
-        tau = u if wrench is None else u + st.J.T @ np.asarray(wrench, float)
-        return st.M_inv @ (tau - st.C @ st.qd - st.g)
-
-    def deriv(q, qd):
-        st = compute_state(model, q, qd)
-        return qd, accel(st)
-
-    q, qd = state.q, state.qd
-    k1q, k1v = deriv(q, qd)
-    k2q, k2v = deriv(q + 0.5 * dt * k1q, qd + 0.5 * dt * k1v)
-    k3q, k3v = deriv(q + 0.5 * dt * k2q, qd + 0.5 * dt * k2v)
-    k4q, k4v = deriv(q + dt * k3q, qd + dt * k3v)
-    q_next = q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
-    qd_next = qd + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
     return compute_state(model, q_next, qd_next)
 
 

@@ -29,8 +29,10 @@ Derivations, in brief:
   lambda1, lambda2 gives hddot + (l1+l2) hdot + l1 l2 h >= 0.
 
   Both families are per-joint bounds on qdd = M^-1 (u + w):
-  `acceleration_box` computes them, the row builders encode them, and
-  `acceleration_witness` repairs a torque into them.
+  `acceleration_box` computes them once per period, together with w and
+  M^-1 w, the row builders encode them, and `acceleration_witness`
+  repairs a torque into them and, when given one, into a hard halfspace
+  such as single_qp's energy row.
 
 * Plane clearance for the end effector, also relative degree two, with
   h = n^T p_ee - offset - d_min and hddot = n^T (Jdot qd + J M^{-1}(u+w)).
@@ -160,40 +162,61 @@ def torque_limit_rows(model: RobotModel) -> Task:
     return Task(kind="ineq", A=A, b=b, label="torque", row_labels=labels)
 
 
+@dataclass(frozen=True)
+class AccelerationBox:
+    """One period's per-joint bounds lo <= qdd <= hi on the joint
+    acceleration qdd = M^-1 (u + w) (+-inf where no family applies),
+    each enabled family's own bounds, and the drift torque
+    w = tau_ext - C qd - g with its acceleration M^-1 w. Built once per
+    period and shared by the row builders and the witness."""
+    lo: Array
+    hi: Array
+    family: dict[str, tuple[Array, Array]]
+    drift: Array
+    drift_acc: Array
+
+
+def _family_bounds(state: RobotState, params: CbfParams,
+                   model: RobotModel, family: str) -> tuple[Array, Array]:
+    if family == "velocity":
+        g = params.gamma_velocity
+        return -g * (state.qd + model.v_max), g * (model.v_max - state.qd)
+    l1, l2 = params.lambda1, params.lambda2
+    s, p = l1 + l2, l1 * l2
+    return (-s * state.qd - p * (state.q - model.q_min),
+            p * (model.q_max - state.q) - s * state.qd)
+
+
 def acceleration_box(state: RobotState, params: CbfParams,
-                     model: RobotModel, families) -> tuple[Array, Array]:
-    """Per-joint bounds lo <= qdd <= hi that the named barrier families
-    put on this period's joint acceleration (+-inf where none applies).
+                     model: RobotModel, families,
+                     tau_ext: Array | None = None) -> AccelerationBox:
+    """The bounds the named barrier families put on this period's joint
+    acceleration.
 
     The velocity barrier gives -g (v_max + qd) <= qdd <= g (v_max - qd);
     the position barrier gives -s qd - p (q - q_min) <= qdd
     <= p (q_max - q) - s qd with s = l1 + l2 and p = l1 l2.
     """
-    bounds = []
-    if "velocity" in families:
-        g = params.gamma_velocity
-        bounds.append((-g * (state.qd + model.v_max),
-                       g * (model.v_max - state.qd)))
-    if "position" in families:
-        l1, l2 = params.lambda1, params.lambda2
-        s, p = l1 + l2, l1 * l2
-        bounds.append((-s * state.qd - p * (state.q - model.q_min),
-                       p * (model.q_max - state.q) - s * state.qd))
-    if not bounds:
-        return np.full(state.n, -np.inf), np.full(state.n, np.inf)
-    lo, hi = bounds[0]
-    for other_lo, other_hi in bounds[1:]:
-        lo, hi = np.maximum(lo, other_lo), np.minimum(hi, other_hi)
-    return lo, hi
+    family = {f: _family_bounds(state, params, model, f)
+              for f in ("velocity", "position") if f in families}
+    lo, hi = np.full(state.n, -np.inf), np.full(state.n, np.inf)
+    for f_lo, f_hi in family.values():
+        lo, hi = np.maximum(lo, f_lo), np.minimum(hi, f_hi)
+    w = _drift_torque(state, tau_ext)
+    return AccelerationBox(lo=lo, hi=hi, family=family, drift=w,
+                           drift_acc=state.M_inv @ w)
 
 
 def _acceleration_rows(state: RobotState, params: CbfParams,
                        model: RobotModel, tau_ext: Array | None,
+                       box: AccelerationBox | None,
                        family: str, upper: str, lower: str) -> Task:
     """The family's box lo <= M^-1 (u + w) <= hi as 2n rows A u >= b."""
-    lo, hi = acceleration_box(state, params, model, (family,))
+    if box is None:
+        box = acceleration_box(state, params, model, (family,), tau_ext)
+    lo, hi = box.family[family]
     Minv = state.M_inv
-    a = Minv @ _drift_torque(state, tau_ext)
+    a = box.drift_acc
     A = np.vstack([-Minv, Minv])
     b = np.concatenate([a - hi, lo - a])
     n = model.n_joints
@@ -203,39 +226,80 @@ def _acceleration_rows(state: RobotState, params: CbfParams,
 
 
 def velocity_limit_rows(state: RobotState, params: CbfParams,
-                        model: RobotModel,
-                        tau_ext: Array | None = None) -> Task:
-    """First-order barriers on +-qd_i with rate gamma_velocity."""
-    return _acceleration_rows(state, params, model, tau_ext,
+                        model: RobotModel, tau_ext: Array | None = None,
+                        box: AccelerationBox | None = None) -> Task:
+    """First-order barriers on +-qd_i with rate gamma_velocity. box, when
+    given, is this period's acceleration_box with the family enabled."""
+    return _acceleration_rows(state, params, model, tau_ext, box,
                               "velocity", "vel_max", "vel_min")
 
 
 def position_limit_rows(state: RobotState, params: CbfParams,
-                        model: RobotModel,
-                        tau_ext: Array | None = None) -> Task:
-    """Second-order barriers on the joint range with rates lambda1/2."""
-    return _acceleration_rows(state, params, model, tau_ext,
+                        model: RobotModel, tau_ext: Array | None = None,
+                        box: AccelerationBox | None = None) -> Task:
+    """Second-order barriers on the joint range with rates lambda1/2.
+    box, when given, is this period's acceleration_box with the family
+    enabled."""
+    return _acceleration_rows(state, params, model, tau_ext, box,
                               "position", "pos_max", "pos_min")
 
 
+def _halfspace_step(x: Array, c: Array, gamma: float, lo: Array,
+                    hi: Array) -> float:
+    """Smallest lam >= 0 with c^T clip(x + lam c, lo, hi) >= gamma, for x
+    inside [lo, hi]; 0 when no lam reaches gamma (box and halfspace do
+    not meet).
+
+    g(lam) = c^T x + sum_i c_i^2 min(lam, t_i), with t_i >= 0 the step at
+    which joint i reaches the bound c_i points to (inf when unbounded), is
+    nondecreasing and piecewise linear. It is evaluated at every finite
+    t_i at once, and the segment that brackets gamma is interpolated.
+    """
+    g0 = float(c @ x)
+    if g0 >= gamma:
+        return 0.0
+    t = np.zeros_like(x)
+    np.divide(np.where(c > 0.0, hi, lo) - x, c, out=t, where=c != 0.0)
+    order = np.argsort(t)
+    t, s = t[order], (c * c)[order]
+    m = int(np.count_nonzero(np.isfinite(t)))
+    t_fin, s_fin = t[:m], s[:m]
+    g = g0 + np.cumsum(s_fin * t_fin) + t_fin * (s.sum() - np.cumsum(s_fin))
+    j = int(np.searchsorted(g, gamma))
+    t_lo, g_lo = (t_fin[j - 1], g[j - 1]) if j else (0.0, g0)
+    if j < m:
+        return t_lo + (t_fin[j] - t_lo) * (gamma - g_lo) / (g[j] - g_lo)
+    slope = s[m:].sum()  # past the last breakpoint only unbounded joints move
+    return t_lo + (gamma - g_lo) / slope if slope > 0.0 else 0.0
+
+
 def acceleration_witness(u_prev: Array, state: RobotState,
-                         params: CbfParams, model: RobotModel,
-                         families, tau_ext: Array | None = None) -> Array:
-    """The previous torque repaired into this period's acceleration box.
+                         box: AccelerationBox,
+                         row: tuple[Array, float] | None = None) -> Array:
+    """The previous torque repaired into this period's acceleration box
+    and, when row = (a, beta) is given, into the halfspace a^T u >= beta.
 
     The velocity and position rows only bound qdd = M^-1 (u + w), so
-    the acceleration u_prev causes, clipped into acceleration_box and
-    mapped back with u = M qdd - w, satisfies all of them. u_prev is
-    returned as it is when nothing needed clipping. The torque box and
-    the plane row are not considered; stage 0 checks the result against
-    every strict row.
+    the acceleration u_prev causes, clipped into the box and mapped back
+    with u = M qdd - w, satisfies all of them. In acceleration terms the
+    row reads c^T qdd >= beta + a^T w with c = M a; the clipped
+    acceleration then moves along c, clipped again, until it reaches
+    the halfspace (`_halfspace_step`). When the box misses the halfspace
+    the row is left broken. u_prev is returned as it is when nothing
+    needed repair. The torque box and the plane row are not considered;
+    stage 0 checks the result against every strict row.
     """
-    lo, hi = acceleration_box(state, params, model, families)
-    w = _drift_torque(state, tau_ext)
+    lo, hi, w = box.lo, box.hi, box.drift
     acc = state.M_inv @ (u_prev + w)
-    if ((lo <= acc) & (acc <= hi)).all():
-        return u_prev
-    return state.M @ np.clip(acc, lo, hi) - w
+    x = acc if ((lo <= acc) & (acc <= hi)).all() else np.clip(acc, lo, hi)
+    if row is not None:
+        a, beta = row
+        if x is not acc or a @ u_prev < beta:
+            c = state.M @ a
+            lam = _halfspace_step(x, c, beta + a @ w, lo, hi)
+            if lam > 0.0:
+                x = np.clip(x + lam * c, lo, hi)
+    return u_prev if x is acc else state.M @ x - w
 
 
 def collision_plane_rows(state: RobotState, params: CbfParams,

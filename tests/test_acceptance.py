@@ -13,13 +13,14 @@ import time
 
 import numpy as np
 import pytest
+from oracles import oracle_solve, rk4_step
 
 from cbf_hqp.control import projections, task_space_inertia
 from cbf_hqp.dynamics import compute_state, load_bundled_model, mass_matrix
 from cbf_hqp.hqp import LevelSpec, run_cascade
-from cbf_hqp.qpcore import QpProblem, oracle_solve, solve_qp
+from cbf_hqp.qpcore import QpProblem, solve_qp
 from cbf_hqp.sim import (audit, bundled_scenario_path, load_scenario_file,
-                         rk4_step, run_scenario)
+                         run_scenario)
 from cbf_hqp.tasks import Task
 
 K_BOUND_TOL = 1e-6

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cbf_hqp import control, hqp, sim
+from cbf_hqp import control, hqp, qpcore, sim
 from cbf_hqp.control import (
     ControllerState,
     ImpedanceParams,
@@ -349,19 +349,27 @@ class TestStep:
 
 def test_step_lunge_needs_no_phase1(monkeypatch):
     """After the step at t = 1 s the previous torque breaks the velocity
-    and position rows; repaired into the acceleration box it still
-    proves stage 0 feasible, so no period falls back to phase-1."""
+    and position rows and the hard energy row; repaired into the
+    acceleration box and that row it proves stage 0 feasible and is a
+    feasible start for level 1, so no QP of any period runs phase-1."""
     used = []
-    real = control.run_cascade
+    phase1_calls = []
+    real_cascade, real_phase1 = control.run_cascade, qpcore._phase1
 
     def counting(*args, **kwargs):
-        res = real(*args, **kwargs)
+        res = real_cascade(*args, **kwargs)
         used.append(res.phase1_used)
         return res
 
+    def counting_phase1(*args, **kwargs):
+        phase1_calls.append(len(used))
+        return real_phase1(*args, **kwargs)
+
     monkeypatch.setattr(control, "run_cascade", counting)
+    monkeypatch.setattr(qpcore, "_phase1", counting_phase1)
     scenario = sim.load_scenario_file(sim.bundled_scenario_path("step"))
     result = sim.run_scenario(scenario, mode="single_qp", duration=1.1)
     assert not result.fault
     assert len(used) == 1100
     assert not any(used)
+    assert phase1_calls == []

@@ -3,6 +3,7 @@ with the brute-force QP oracle on randomized small hierarchies."""
 
 import numpy as np
 import pytest
+from oracles import oracle_solve
 
 from cbf_hqp.hqp import (
     CascadeInfeasibleError,
@@ -12,7 +13,7 @@ from cbf_hqp.hqp import (
     run_cascade,
     solve_level,
 )
-from cbf_hqp.qpcore import QpProblem, oracle_solve, solve_qp
+from cbf_hqp.qpcore import QpProblem, solve_qp
 from cbf_hqp.tasks import Task
 
 

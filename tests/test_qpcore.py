@@ -3,8 +3,9 @@ with the exhaustive enumeration oracle on random instances."""
 
 import numpy as np
 import pytest
+from oracles import oracle_solve
 
-from cbf_hqp.qpcore import FEAS_TOL, QpProblem, oracle_solve, solve_qp
+from cbf_hqp.qpcore import FEAS_TOL, QpProblem, solve_qp
 
 
 def kkt_residual(problem, sol):

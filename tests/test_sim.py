@@ -6,6 +6,7 @@ from textwrap import dedent
 
 import numpy as np
 import pytest
+from oracles import rk4_step
 
 from cbf_hqp.dynamics import compute_state
 from cbf_hqp.sim import (
@@ -20,7 +21,6 @@ from cbf_hqp.sim import (
     integrate_step,
     load_scenario,
     load_scenario_file,
-    rk4_step,
     run_scenario,
     write_csv,
 )

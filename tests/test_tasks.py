@@ -10,7 +10,7 @@ inside its safe set.
 import numpy as np
 import pytest
 from conftest import random_panda_state
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from cbf_hqp.dynamics import StaleStateError, compute_state
@@ -233,18 +233,28 @@ class TestAccelerationWitness:
             tau_ext = rng.uniform(-5.0, 5.0, 7)
             u = rng.uniform(-50.0, 50.0, 7)
             acc = st.M_inv @ (u + drift_torque(st, tau_ext))
+            shared = acceleration_box(st, params, panda,
+                                      ("velocity", "position"), tau_ext)
+            np.testing.assert_allclose(shared.drift_acc,
+                                       st.M_inv @ drift_torque(st, tau_ext))
             boxes = []
             for fam in ("velocity", "position"):
-                lo, hi = acceleration_box(st, params, panda, (fam,))
+                box = acceleration_box(st, params, panda, (fam,))
                 [task] = acceleration_rows(st, params, panda, (fam,), tau_ext)
                 np.testing.assert_allclose(
-                    task.A @ u - task.b, np.concatenate([hi - acc, acc - lo]),
-                    atol=1e-8)
-                boxes.append((lo, hi))
-            lo, hi = acceleration_box(st, params, panda,
-                                      ("velocity", "position"))
-            assert np.array_equal(lo, np.maximum(boxes[0][0], boxes[1][0]))
-            assert np.array_equal(hi, np.minimum(boxes[0][1], boxes[1][1]))
+                    task.A @ u - task.b,
+                    np.concatenate([box.hi - acc, acc - box.lo]), atol=1e-8)
+                boxes.append((box.lo, box.hi))
+                # the period's shared box builds the very same rows
+                build = {"velocity": velocity_limit_rows,
+                         "position": position_limit_rows}[fam]
+                again = build(st, params, panda, tau_ext, box=shared)
+                assert np.array_equal(again.A, task.A)
+                assert np.array_equal(again.b, task.b)
+            assert np.array_equal(shared.lo,
+                                  np.maximum(boxes[0][0], boxes[1][0]))
+            assert np.array_equal(shared.hi,
+                                  np.minimum(boxes[0][1], boxes[1][1]))
 
     @pytest.mark.parametrize("families", FAMILY_SETS)
     def test_repairs_a_previous_torque_that_breaks_the_rows(
@@ -254,7 +264,8 @@ class TestAccelerationWitness:
         for _ in range(40):
             st = compute_state(panda, *random_panda_state(panda, rng))
             tau_ext = rng.uniform(-5.0, 5.0, 7) if rng.random() < 0.5 else None
-            lo, hi = acceleration_box(st, params, panda, families)
+            box = acceleration_box(st, params, panda, families, tau_ext)
+            lo, hi = box.lo, box.hi
             acc = np.clip(rng.normal(scale=2.0, size=7), lo, hi)
             out = rng.random(7) < 0.3
             out[rng.integers(7)] = True
@@ -265,8 +276,7 @@ class TestAccelerationWitness:
             rows = acceleration_rows(st, params, panda, families, tau_ext)
             assert worst_violation(rows, u_prev) > FEAS_TOL
 
-            u = acceleration_witness(u_prev, st, params, panda, families,
-                                     tau_ext)
+            u = acceleration_witness(u_prev, st, box)
             assert worst_violation(rows, u) <= FEAS_TOL
             if np.all(np.abs(u) <= panda.tau_max):
                 in_torque_box += 1
@@ -281,14 +291,15 @@ class TestAccelerationWitness:
         families = ("velocity", "position")
         for _ in range(20):
             st = compute_state(panda, *random_panda_state(panda, rng))
-            lo, hi = acceleration_box(st, params, panda, families)
-            acc = lo + rng.uniform(0.05, 0.95, 7) * (hi - lo)
+            box = acceleration_box(st, params, panda, families)
+            acc = box.lo + rng.uniform(0.05, 0.95, 7) * (box.hi - box.lo)
             u_prev = st.M @ acc - drift_torque(st)
-            u = acceleration_witness(u_prev, st, params, panda, families)
+            u = acceleration_witness(u_prev, st, box)
             assert np.array_equal(u, u_prev)
         # no acceleration family enabled: nothing to repair
         u_prev = 10.0 * panda.tau_max
-        u = acceleration_witness(u_prev, st, params, panda, ("torque",))
+        u = acceleration_witness(
+            u_prev, st, acceleration_box(st, params, panda, ("torque",)))
         assert np.array_equal(u, u_prev)
 
     @settings(max_examples=60, deadline=None, derandomize=True,
@@ -305,8 +316,64 @@ class TestAccelerationWitness:
         u_prev = np.array(u_frac) * panda.tau_max
         tasks = [torque_limit_rows(panda)] + acceleration_rows(
             st, params, panda, families)
-        u = acceleration_witness(u_prev, st, params, panda, families)
+        u = acceleration_witness(
+            u_prev, st, acceleration_box(st, params, panda, families))
         assert stage0_outcome(tasks, u) == stage0_outcome(tasks, u_prev)
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(q_frac=hst.lists(hst.floats(0.0, 1.0), min_size=7, max_size=7),
+           qd_frac=hst.lists(hst.floats(-2.0, 2.0), min_size=7, max_size=7),
+           u_frac=hst.lists(hst.floats(-1.5, 1.5), min_size=7, max_size=7),
+           ext_frac=hst.lists(hst.floats(-0.1, 0.1), min_size=7, max_size=7),
+           acc_frac=hst.none() | hst.lists(hst.floats(0.05, 0.95),
+                                           min_size=7, max_size=7),
+           k_max=hst.floats(0.01, 2.0),
+           gamma=hst.sampled_from([1.0, 5.0, 50.0, 1e3, 1e4]),
+           families=hst.sampled_from(FAMILY_SETS + [("torque",)]))
+    def test_energy_repaired_witness_meets_the_row_and_the_box(
+            self, panda, q_frac, qd_frac, u_frac, ext_frac, acc_frac, k_max,
+            gamma, families):
+        """With single_qp's hard energy row a^T u >= beta passed along,
+        the witness satisfies it and every velocity/position row whenever
+        the acceleration box meets the row's halfspace; when they do not
+        meet, it is the box-only witness; a torque that already satisfies
+        both comes back unchanged. acc_frac, when drawn, places the
+        previous torque's acceleration inside a bounded box."""
+        q = panda.q_min + np.array(q_frac) * (panda.q_max - panda.q_min)
+        st = compute_state(panda, q, np.array(qd_frac) * panda.v_max)
+        params = CbfParams(k_max=k_max, gamma=gamma)
+        tau_ext = np.array(ext_frac) * panda.tau_max
+        u_prev = np.array(u_frac) * panda.tau_max
+        energy = energy_cbf_row(st, params, tau_ext)
+        a, beta = energy.A[0], float(energy.b[0])
+        box = acceleration_box(st, params, panda, families, tau_ext)
+        assume(np.all(box.lo <= box.hi))
+        if acc_frac is not None and np.all(np.isfinite(box.hi - box.lo)):
+            u_prev = st.M @ (box.lo + np.array(acc_frac) * (box.hi - box.lo)) \
+                - drift_torque(st, tau_ext)
+        rows = acceleration_rows(st, params, panda, [
+            f for f in families if f != "torque"], tau_ext)
+        u = acceleration_witness(u_prev, st, box, (a, beta))
+
+        acc = st.M_inv @ (u_prev + drift_torque(st, tau_ext))
+        if (np.all((box.lo <= acc) & (acc <= box.hi))
+                and a @ u_prev >= beta):
+            assert u is u_prev
+            return
+        # sup of c^T qdd over the box, c = M a, against beta + a^T w
+        c = st.M @ a
+        top = np.where(c > 0.0, box.hi, box.lo)
+        with np.errstate(invalid="ignore"):
+            reach = float(np.sum(np.where(c != 0.0, c * top, 0.0)))
+        gap = reach - (beta + a @ drift_torque(st, tau_ext))
+        if gap > 1e-9:
+            assert beta - a @ u <= FEAS_TOL
+        elif gap < -1e-9:
+            np.testing.assert_array_equal(
+                u, acceleration_witness(u_prev, st, box))
+        if rows:
+            assert worst_violation(rows, u) <= FEAS_TOL
 
 
 def filtered_rollout(model, q0, qd0, u_des_fn, rows_fn, steps, dt=DT):
