@@ -107,10 +107,14 @@ class ImpedanceParams:
     eq_quat: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if any(k <= 0.0 for k in self.k_trans) or any(k <= 0.0 for k in self.k_rot):
-            raise ValueError("stiffnesses must be > 0")
+        for name in ("k_trans", "k_rot"):
+            if not all(0.0 < k < np.inf for k in getattr(self, name)):
+                raise ValueError(f"{name}: stiffnesses must be finite "
+                                 f"numbers > 0")
+        if not np.all(np.isfinite(self.eq_position)):
+            raise ValueError("eq_position must hold finite numbers")
         q = np.asarray(self.eq_quat, dtype=float)
-        if q.shape != (4,) or abs(np.linalg.norm(q) - 1.0) > 1e-6:
+        if q.shape != (4,) or not abs(np.linalg.norm(q) - 1.0) <= 1e-6:
             raise ValueError("eq_quat must be a unit quaternion (w, x, y, z)")
 
     @property

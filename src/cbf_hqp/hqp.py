@@ -28,10 +28,12 @@ shrinks Z to Z ker(A Z).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .qpcore import FEAS_TOL, QpProblem, numerical_rank, solve_qp
+from .qpcore import FEAS_TOL, REG, QpProblem, numerical_rank, solve_qp
 from .tasks import Task
 
 Array = np.ndarray
@@ -64,19 +66,96 @@ class CascadeInfeasibleError(RuntimeError):
         super().__init__(f"priority level {level} ended with status '{status}'")
 
 
+def _slack_of(task: Task | None) -> Array | None:
+    """The task's slack coefficients when it has a slack variable, i.e.
+    when some coefficient is positive; None for a hard task."""
+    if task is not None and task.slack is not None and np.any(task.slack > 0.0):
+        return task.slack
+    return None
+
+
+def _labels(tasks) -> list[str]:
+    """Row labels of (level, task) pairs: stage-0 rows keep their own,
+    the rows frozen by level k are prefixed 'level{k}:'."""
+    return [f"level{lvl}:{lab}" if lvl else lab
+            for lvl, t in tasks for lab in t.row_labels]
+
+
+def _tight_labels(labels, lhs: Array, rhs: Array) -> tuple[str, ...]:
+    """Labels of the rows with |lhs - rhs| <= FEAS_TOL (1 + |rhs|), in
+    order. labels() builds the label list, and is called only when some
+    row is tight."""
+    tight = np.flatnonzero(np.abs(lhs - rhs) <= FEAS_TOL * (1.0 + np.abs(rhs)))
+    if not tight.size:
+        return ()
+    names = labels()
+    return tuple(names[i] for i in tight)
+
+
+class _LevelRows(NamedTuple):
+    """The ledger as one level was solved against it: the equality rows
+    it inherited, and every inequality row C u + c delta >= d (the
+    ledger's, then the level's own) with the (level, task) pairs that
+    label them."""
+    A_eq: Array
+    b_eq: Array
+    C: Array
+    d: Array
+    in_tasks: tuple[tuple[int, Task], ...]
+
+
 @dataclass
 class LevelRecord:
-    """What one priority level did: its optimum, slack, objective value
-    1/2 ||A u - b||^2 + rho/2 delta^2, the residual of all equality rows
-    inherited from earlier levels, and which inequality rows were tight."""
+    """What one priority level did: its optimum u, its slack delta, the
+    active-set iterations (0 for a level solved in closed form), and
+    whether its QP had to search for a feasible start (phase1_used).
+
+    objective (1/2 ||A u - b||^2 + rho/2 delta^2), eq_residual (the
+    largest residual of the equality rows inherited from earlier levels)
+    and active_rows (the labels of the inequality rows tight at u, the
+    slack's included) are computed on first read, from the rows that
+    existed when the level was solved. The record keeps its own copy of
+    the equality task's b (callers reuse that buffer, e.g. for u_nom);
+    the tasks' A, slack and row labels are read, not copied, and must
+    not be changed in place after the solve.
+    """
     level: int
     status: str
     u: Array
     delta: float
-    objective: float
-    eq_residual: float
-    active_rows: tuple[str, ...]
     iterations: int
+    phase1_used: bool
+    spec: LevelSpec = field(repr=False, compare=False)
+    rows: _LevelRows = field(repr=False, compare=False)
+    eq_b: Array | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def objective(self) -> float:
+        objective = 0.0
+        if self.spec.equality is not None:
+            r = self.spec.equality.A @ self.u - self.eq_b
+            objective += 0.5 * float(r @ r)
+        if _slack_of(self.spec.inequality) is not None:
+            objective += 0.5 * self.spec.rho * self.delta * self.delta
+        return objective
+
+    @cached_property
+    def eq_residual(self) -> float:
+        if not self.rows.A_eq.shape[0]:
+            return 0.0
+        return float(np.abs(self.rows.A_eq @ self.u - self.rows.b_eq).max())
+
+    @cached_property
+    def active_rows(self) -> tuple[str, ...]:
+        lhs, rhs = self.rows.C @ self.u, self.rows.d
+        slack = _slack_of(self.spec.inequality)
+        extra = []
+        if slack is not None:
+            lhs[rhs.shape[0] - slack.shape[0]:] += slack * self.delta
+            lhs, rhs = np.append(lhs, self.delta), np.append(rhs, 0.0)
+            extra = [f"level{self.level}:slack"]
+        return _tight_labels(lambda: _labels(self.rows.in_tasks) + extra,
+                             lhs, rhs)
 
 
 @dataclass
@@ -87,31 +166,41 @@ class StageLedger:
     are the non-negotiable ones; everything after them was frozen in by
     some solved level. Row counts never shrink. Z is an orthonormal
     basis of the kernel of A_eq, and witness satisfies every row, so
-    witness + Z y keeps every frozen equality for any y.
+    witness + Z y keeps every frozen equality for any y. eq_tasks and
+    in_tasks hold the (level, task) pairs behind the rows, level 0 for
+    stage 0; the row labels are built from them on demand.
     """
     n: int
     A_eq: Array
     b_eq: Array
-    eq_labels: list[str]
     A_in: Array
     b_in: Array
-    in_labels: list[str]
     n_strict: int
     witness: Array
     phase1_used: bool
     Z: Array
+    eq_tasks: list[tuple[int, Task]] = field(default_factory=list)
+    in_tasks: list[tuple[int, Task]] = field(default_factory=list)
     level: int = 0
     records: list[LevelRecord] = field(default_factory=list)
+
+    @property
+    def eq_labels(self) -> list[str]:
+        return _labels(self.eq_tasks)
+
+    @property
+    def in_labels(self) -> list[str]:
+        return _labels(self.in_tasks)
 
     def eq_violation(self, u: Array) -> float:
         if not self.A_eq.shape[0]:
             return 0.0
-        return float(np.max(np.abs(self.A_eq @ u - self.b_eq)))
+        return float(np.abs(self.A_eq @ u - self.b_eq).max())
 
     def in_violation(self, u: Array) -> float:
         if not self.A_in.shape[0]:
             return 0.0
-        return float(np.max(self.b_in - self.A_in @ u, initial=0.0))
+        return float((self.b_in - self.A_in @ u).max(initial=0.0))
 
     def max_violation(self, u: Array) -> float:
         return max(self.eq_violation(u), self.in_violation(u))
@@ -119,7 +208,8 @@ class StageLedger:
     def strict_tight_rows(self, u: Array) -> tuple[str, ...]:
         """Labels of stage-0 inequality rows active at u."""
         m = self.n_strict
-        return _tight_labels(self.in_labels, self.A_in[:m] @ u, self.b_in[:m])
+        return _tight_labels(lambda: self.in_labels, self.A_in[:m] @ u,
+                             self.b_in[:m])
 
 
 @dataclass(frozen=True)
@@ -147,6 +237,8 @@ class HqpResult:
 
     feasible means u_final satisfies every row the ledger ever
     accumulated within 1e-8 and every level reported an optimum.
+    phase1_used reports stage 0's feasibility search; each level's own
+    is in its record.
     """
     u_final: Array
     records: list[LevelRecord]
@@ -157,17 +249,29 @@ class HqpResult:
     phase1_used: bool
 
 
-def _tight_labels(labels: list[str], lhs: Array,
-                  rhs: Array) -> tuple[str, ...]:
-    """Labels of the rows with |lhs - rhs| <= FEAS_TOL (1 + |rhs|), in order."""
-    tight = np.abs(lhs - rhs) <= FEAS_TOL * (1.0 + np.abs(rhs))
-    return tuple(labels[i] for i in np.flatnonzero(tight))
-
-
 def _kernel(A: Array) -> Array:
     """Orthonormal basis of the kernel of A, one column per direction."""
     _, sig, Vt = np.linalg.svd(A)
     return Vt[numerical_rank(sig):].T
+
+
+def _interval_minimizer(a: Array, b: Array, y_unc: float) -> float:
+    """Minimizer over {y : a y >= b} of a strictly convex scalar QP whose
+    unconstrained minimizer is y_unc, from a start y = 0 that meets
+    every row within FEAS_TOL, taken as the active-set method takes it:
+    one step toward y_unc, cut short by the first row that blocks it
+    (a_i y_unc < -1e-12). A row the start breaks blocks where it stands,
+    i.e. its bound b_i is clamped to min(b_i, 0), as `solve_qp` clamps
+    it to the start's value.
+    """
+    p = y_unc
+    d = a * p
+    block = d < -1e-12
+    if block.any():
+        ratio = float((np.maximum(-b[block], 0.0) / -d[block]).min())
+        if ratio < 1.0 - 1e-14:
+            p *= ratio
+    return p
 
 
 def init_stage0(strict_tasks: list[Task], witness: Array | None = None,
@@ -181,7 +285,7 @@ def init_stage0(strict_tasks: list[Task], witness: Array | None = None,
     """
     tasks = list(strict_tasks)
     for t in tasks:
-        if t.slack is not None and np.any(t.slack > 0.0):
+        if _slack_of(t) is not None:
             raise ValueError(
                 f"strict task '{t.label}' carries slack coefficients")
     if tasks:
@@ -193,18 +297,17 @@ def init_stage0(strict_tasks: list[Task], witness: Array | None = None,
     ineq = [t for t in tasks if t.kind == "ineq"]
     A_eq = np.vstack([t.A for t in eq]) if eq else np.zeros((0, n))
     b_eq = np.concatenate([t.b for t in eq]) if eq else np.zeros(0)
-    eq_labels = [lab for t in eq for lab in t.row_labels]
     A_in = np.vstack([t.A for t in ineq]) if ineq else np.zeros((0, n))
     b_in = np.concatenate([t.b for t in ineq]) if ineq else np.zeros(0)
-    in_labels = [lab for t in ineq for lab in t.row_labels]
     if any(t.A.shape[1] != n for t in tasks):
         raise ValueError("strict tasks disagree on torque dimension")
 
-    ledger = StageLedger(n=n, A_eq=A_eq, b_eq=b_eq, eq_labels=eq_labels,
-                         A_in=A_in, b_in=b_in, in_labels=in_labels,
+    ledger = StageLedger(n=n, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
                          n_strict=A_in.shape[0],
                          witness=np.zeros(n), phase1_used=False,
-                         Z=_kernel(A_eq) if eq else np.eye(n))
+                         Z=_kernel(A_eq) if eq else np.eye(n),
+                         eq_tasks=[(0, t) for t in eq],
+                         in_tasks=[(0, t) for t in ineq])
 
     if witness is not None:
         w = np.asarray(witness, dtype=float)
@@ -218,9 +321,9 @@ def init_stage0(strict_tasks: list[Task], witness: Array | None = None,
     if sol.status == "infeasible":
         z = sol.z_star
         viol = [(lab, abs(float(A_eq[i] @ z - b_eq[i])))
-                for i, lab in enumerate(eq_labels)]
+                for i, lab in enumerate(ledger.eq_labels)]
         viol += [(lab, float(b_in[i] - A_in[i] @ z))
-                 for i, lab in enumerate(in_labels)]
+                 for i, lab in enumerate(ledger.in_labels)]
         viol = [(lab, v) for lab, v in viol if v > FEAS_TOL]
         viol.sort(key=lambda item: -item[1])
         if not viol:
@@ -244,10 +347,13 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
     construction. Returns (u_star, delta_star, ledger). The ledger is
     mutated in place: the equality task contributes rows A u = A u_star
     and shrinks Z, the inequality task adds rows C u >= d - c delta_star.
-    Raises CascadeInfeasibleError if the level cannot be solved, which
-    can only happen through hard (c = 0) inequality rows.
+    A level with one free direction, no slack and a witness that meets
+    every row is a scalar QP over an interval and is minimized in closed
+    form, without `solve_qp`; its record reports 0 iterations. Raises
+    CascadeInfeasibleError if the level cannot be solved, which can only
+    happen through hard (c = 0) inequality rows.
     """
-    LevelSpec(equality_task, inequality_task, rho)  # validates the level
+    spec = LevelSpec(equality_task, inequality_task, rho)  # validates it
     n = ledger.n
     for t in (equality_task, inequality_task):
         if t is not None and t.A.shape[1] != n:
@@ -255,39 +361,52 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
 
     w, Z = ledger.witness, ledger.Z
     k = Z.shape[1]
-    slack_coef = None
-    if inequality_task is not None and inequality_task.slack is not None \
-            and np.any(inequality_task.slack > 0.0):
-        slack_coef = inequality_task.slack
+    slack_coef = _slack_of(inequality_task)
     dim = k + (1 if slack_coef is not None else 0)
+    ref = np.zeros(n) if regularization_anchor is None \
+        else regularization_anchor
+    AZ = equality_task.A @ Z if equality_task is not None else None
 
     # Inequality rows C u + c delta >= d: the ledger's, then the level's.
-    C, d, c = ledger.A_in, ledger.b_in, np.zeros(ledger.A_in.shape[0])
+    C, d = ledger.A_in, ledger.b_in
     if inequality_task is not None:
-        c_level = slack_coef if slack_coef is not None \
-            else np.zeros(inequality_task.A.shape[0])
         C = np.vstack([C, inequality_task.A])
         d = np.concatenate([d, inequality_task.b])
-        c = np.concatenate([c, c_level])
+
+    # The same rows on the search space: A_in y >= b_in.
+    A_in, b_in = C @ Z, d - C @ w
 
     level = ledger.level + 1
+    phase1_used = False
     if dim == 0:
         # No free direction is left: the witness is the only candidate.
-        if np.max(d - C @ w, initial=0.0) > FEAS_TOL:
+        if b_in.max(initial=0.0) > FEAS_TOL:
             raise CascadeInfeasibleError(level, "infeasible")
         u_star, delta, status, iterations = w.copy(), 0.0, "optimal", 0
+    elif dim == 1 and slack_coef is None \
+            and b_in.max(initial=0.0) <= FEAS_TOL:
+        # One free direction, no slack and a feasible witness: the level
+        # is a scalar QP over an interval, minimized in closed form with
+        # its Tikhonov term. A witness breaking a row goes to solve_qp.
+        H = f = 0.0
+        if AZ is not None:
+            H = float((AZ.T @ AZ)[0, 0])
+            f = -float((AZ.T @ (equality_task.b - equality_task.A @ w))[0])
+        anchor = float((Z.T @ (ref - w))[0])
+        y = _interval_minimizer(A_in[:, 0], b_in,
+                                -(f - 2.0 * REG * anchor) / (H + 2.0 * REG))
+        u_star = w + Z @ np.array([y])
+        delta, status, iterations = 0.0, "optimal", 0
     else:
         H = np.zeros((dim, dim))
         f = np.zeros(dim)
-        if equality_task is not None:
-            AZ = equality_task.A @ Z
+        if AZ is not None:
             H[:k, :k] = AZ.T @ AZ
             f[:k] = -AZ.T @ (equality_task.b - equality_task.A @ w)
-        A_in = C @ Z
-        b_in = d - C @ w
         start = np.zeros(dim)
         if slack_coef is not None:
             H[k, k] = rho
+            c = np.concatenate([np.zeros(ledger.A_in.shape[0]), slack_coef])
             A_in = np.vstack([np.hstack([A_in, c[:, None]]),
                               np.eye(1, dim, k)])
             b_in = np.append(b_in, 0.0)
@@ -299,8 +418,6 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
         # The Tikhonov term eps ||u - anchor||^2 restricted to the search
         # space, up to a constant.
         anchor = np.zeros(dim)
-        ref = np.zeros(n) if regularization_anchor is None \
-            else regularization_anchor
         anchor[:k] = Z.T @ (ref - w)
 
         sol = solve_qp(QpProblem(H=H, f=f, A_in=A_in, b_in=b_in),
@@ -310,44 +427,30 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
         u_star = w + Z @ sol.z_star[:k]
         delta = float(sol.z_star[k]) if slack_coef is not None else 0.0
         status, iterations = sol.status, sol.iterations
+        phase1_used = sol.phase1_used
 
-    objective = 0.0
-    if equality_task is not None:
-        r = equality_task.A @ u_star - equality_task.b
-        objective += 0.5 * float(r @ r)
-    if slack_coef is not None:
-        objective += 0.5 * rho * delta * delta
-    eq_residual = ledger.eq_violation(u_star)
-
-    labels = list(ledger.in_labels)
     if inequality_task is not None:
-        labels += [f"level{level}:{lab}" for lab in inequality_task.row_labels]
-    lhs, rhs = C @ u_star + c * delta, d
-    if slack_coef is not None:
-        labels += [f"level{level}:slack"]
-        lhs, rhs = np.append(lhs, delta), np.append(rhs, 0.0)
-    active = _tight_labels(labels, lhs, rhs)
-
+        ledger.in_tasks.append((level, inequality_task))
+    rows = _LevelRows(A_eq=ledger.A_eq, b_eq=ledger.b_eq, C=C, d=d,
+                      in_tasks=tuple(ledger.in_tasks))
     if equality_task is not None:
         ledger.A_eq = np.vstack([ledger.A_eq, equality_task.A])
         ledger.b_eq = np.concatenate([ledger.b_eq, equality_task.A @ u_star])
-        ledger.eq_labels += [f"level{level}:{lab}"
-                             for lab in equality_task.row_labels]
+        ledger.eq_tasks.append((level, equality_task))
         if k:
-            ledger.Z = Z @ _kernel(equality_task.A @ Z)
+            ledger.Z = Z @ _kernel(AZ)
     if inequality_task is not None:
-        ledger.A_in = np.vstack([ledger.A_in, inequality_task.A])
-        ledger.b_in = np.concatenate(
-            [ledger.b_in, inequality_task.b - c_level * delta])
-        ledger.in_labels += [f"level{level}:{lab}"
-                             for lab in inequality_task.row_labels]
+        ledger.A_in = C
+        ledger.b_in = d if slack_coef is None else np.concatenate(
+            [ledger.b_in, inequality_task.b - slack_coef * delta])
 
     ledger.level = level
     ledger.witness = u_star
     ledger.records.append(LevelRecord(
         level=level, status=status, u=u_star, delta=delta,
-        objective=objective, eq_residual=eq_residual, active_rows=active,
-        iterations=iterations))
+        iterations=iterations, phase1_used=phase1_used, spec=spec,
+        rows=rows,
+        eq_b=None if equality_task is None else equality_task.b.copy()))
     return u_star, delta, ledger
 
 
@@ -369,7 +472,7 @@ def run_cascade(strict_tasks: list[Task], levels: list[LevelSpec],
             ledger, spec.equality, spec.inequality, rho=spec.rho,
             regularization_anchor=u_nom)
     eq_residual = ledger.eq_violation(u)
-    max_violation = ledger.max_violation(u)
+    max_violation = max(eq_residual, ledger.in_violation(u))
     feasible = (max_violation <= 1e-8
                 and all(r.status == "optimal" for r in ledger.records))
     return HqpResult(u_final=u, records=ledger.records, feasible=feasible,

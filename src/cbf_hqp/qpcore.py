@@ -22,6 +22,7 @@ as CascadeInfeasibleError and the controller logs it as a fault.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,21 +77,54 @@ class QpProblem:
     def max_violation(self, z: Array) -> float:
         v = 0.0
         if self.A_eq.shape[0]:
-            v = float(np.max(np.abs(self.A_eq @ z - self.b_eq)))
+            v = float(np.abs(self.A_eq @ z - self.b_eq).max())
         if self.A_in.shape[0]:
-            v = max(v, float(np.max(self.b_in - self.A_in @ z, initial=0.0)))
+            v = max(v, float((self.b_in - self.A_in @ z).max(initial=0.0)))
         return v
 
 
 @dataclass
 class QpSolution:
+    """Outcome of `solve_qp`. phase1_used says whether the start came from
+    the phase-1 search (no feasible x0 was given). active_set (indices of
+    the inequality rows tight within FEAS_TOL), objective_value, lam_eq
+    and mu_in are computed from the problem on first read; the problem's
+    arrays are not copied and must not be changed in place after the
+    solve."""
     z_star: Array
     status: str                 # optimal | infeasible | max_iterations
-    active_set: Array           # indices of tight inequality rows
-    objective_value: float
     iterations: int
-    lam_eq: Array = field(default_factory=lambda: np.zeros(0))
-    mu_in: Array = field(default_factory=lambda: np.zeros(0))
+    phase1_used: bool
+    problem: QpProblem = field(repr=False)
+    work: list[int] = field(default_factory=list, repr=False)
+    nu: Array = field(default_factory=lambda: np.zeros(0), repr=False)
+
+    @cached_property
+    def active_set(self) -> Array:
+        if self.status == "infeasible" or not self.problem.A_in.shape[0]:
+            return np.zeros(0, dtype=int)
+        resid = self.problem.A_in @ self.z_star - self.problem.b_in
+        return np.flatnonzero(np.abs(resid) <= FEAS_TOL)
+
+    @cached_property
+    def objective_value(self) -> float:
+        if self.status == "infeasible":
+            return float("nan")
+        return self.problem.objective(self.z_star)
+
+    @cached_property
+    def lam_eq(self) -> Array:
+        m_e = self.problem.A_eq.shape[0]
+        return self.nu[:m_e] if self.nu.size >= m_e else np.zeros(m_e)
+
+    @cached_property
+    def mu_in(self) -> Array:
+        m_e = self.problem.A_eq.shape[0]
+        mu = np.zeros(self.problem.A_in.shape[0])
+        for k, i in enumerate(self.work):
+            if m_e + k < self.nu.size:
+                mu[i] = self.nu[m_e + k]
+        return mu
 
 
 def numerical_rank(sig: Array) -> int:
@@ -103,7 +137,8 @@ def _newton_step(H: Array, grad: Array) -> Array:
     singular or the direct solve leaves a residual."""
     try:
         p = -np.linalg.solve(H, grad)
-        ok = np.max(np.abs(H @ p + grad)) <= 1e-9 * (1.0 + np.max(np.abs(grad)))
+        ok = (np.abs(H @ p + grad).max()
+              <= 1e-9 * (1.0 + np.abs(grad).max()))
     except np.linalg.LinAlgError:
         ok = False
     if not ok:
@@ -142,20 +177,32 @@ def _kkt_step(H: Array, grad: Array, A_act: Array, resid: Array):
 
 def _active_set_core(H: Array, f: Array, A_eq: Array, b_eq: Array,
                      A_in: Array, b_in: Array, z0: Array):
-    """Primal active-set iteration from a feasible start."""
-    n = z0.shape[0]
+    """Primal active-set iteration from a start feasible within FEAS_TOL.
+
+    An inequality row the start breaks holds where the start has it: its
+    bound is clamped to the start's value. Pulling the iterate back onto
+    such a row could be blocked for good by a tight row on its other
+    side, when no point meets both exactly.
+    """
     m_e = A_eq.shape[0]
     m_i = A_in.shape[0]
     z = z0.astype(float).copy()
+    if m_i:
+        b_in = np.minimum(b_in, A_in @ z)
     work: list[int] = []
     nu = np.zeros(m_e)
 
     for it in range(1, MAX_ITER + 1):
         grad = H @ z + f
-        A_act = np.vstack([A_eq, A_in[work]]) if (m_e or work) else np.zeros((0, n))
-        b_act = np.concatenate([b_eq, b_in[work]])
-        resid = b_act - A_act @ z
-        p, nu = _kkt_step(H, grad, A_act, resid)
+        if m_e or work:
+            A_act = np.vstack([A_eq, A_in[work]])
+            b_act = np.concatenate([b_eq, b_in[work]])
+            resid = b_act - A_act @ z
+            p, nu = _kkt_step(H, grad, A_act, resid)
+            on_face = (np.abs(resid).max()
+                       <= 1e-11 * (1.0 + np.abs(b_act).max()))
+        else:
+            p, nu, on_face = _newton_step(H, grad), np.zeros(0), True
 
         # Stationary when the step is negligible or cannot improve the
         # objective beyond roundoff. The second test matters for nearly
@@ -164,18 +211,15 @@ def _active_set_core(H: Array, f: Array, A_eq: Array, b_eq: Array,
         # Neither applies while the iterate still has to be pulled onto
         # the working-set rows (resid nonzero): that correction step may
         # move uphill and must be taken.
-        on_face = (resid.size == 0 or
-                   np.max(np.abs(resid)) <= 1e-11 * (1.0 + np.max(np.abs(b_act))))
-        pred_dec = -(grad @ p + 0.5 * p @ H @ p)
-        obj_scale = 1.0 + abs(0.5 * z @ grad + 0.5 * f @ z)
         stationary = on_face and (
-            np.max(np.abs(p), initial=0.0)
-            <= 1e-10 * (1.0 + np.max(np.abs(z), initial=0.0))
-            or pred_dec <= 1e-17 * obj_scale
+            np.abs(p).max(initial=0.0)
+            <= 1e-10 * (1.0 + np.abs(z).max(initial=0.0))
+            or -(grad @ p + 0.5 * p @ H @ p)
+            <= 1e-17 * (1.0 + abs(0.5 * z @ grad + 0.5 * f @ z))
         )
         if stationary:
             mu_w = nu[m_e:]
-            if mu_w.size == 0 or np.min(mu_w) >= -1e-9:
+            if mu_w.size == 0 or mu_w.min() >= -1e-9:
                 return z, "optimal", it, work, nu
             drop = int(np.argmin(mu_w))
             work.pop(drop)
@@ -244,7 +288,8 @@ def solve_qp(problem: QpProblem, anchor: Array | None = None,
     """Solve the QP. `anchor` centers the Tikhonov term; a feasible `x0`
     skips the phase-1 search."""
     n = problem.n
-    H = problem.H + 2.0 * REG * np.eye(n)
+    H = problem.H.copy()
+    H.flat[::n + 1] += 2.0 * REG
     f = problem.f.copy()
     if anchor is not None:
         f -= 2.0 * REG * np.asarray(anchor, dtype=float)
@@ -255,32 +300,17 @@ def solve_qp(problem: QpProblem, anchor: Array | None = None,
         x0 = np.asarray(x0, dtype=float)
         if problem.max_violation(x0) <= FEAS_TOL:
             z0 = x0
-    if z0 is None:
+    phase1_used = z0 is None
+    if phase1_used:
         z0, feasible, iters0 = _phase1(problem.A_eq, problem.b_eq,
                                        problem.A_in, problem.b_in, n)
         if not feasible:
             return QpSolution(z_star=z0, status="infeasible",
-                              active_set=np.zeros(0, dtype=int),
-                              objective_value=float("nan"),
-                              iterations=iters0,
-                              lam_eq=np.zeros(problem.A_eq.shape[0]),
-                              mu_in=np.zeros(problem.A_in.shape[0]))
+                              iterations=iters0, phase1_used=True,
+                              problem=problem)
 
     z, status, iters, work, nu = _active_set_core(
         H, f, problem.A_eq, problem.b_eq, problem.A_in, problem.b_in, z0)
-
-    m_e = problem.A_eq.shape[0]
-    lam_eq = nu[:m_e] if nu.size >= m_e else np.zeros(m_e)
-    mu_in = np.zeros(problem.A_in.shape[0])
-    for k, i in enumerate(work):
-        if m_e + k < nu.size:
-            mu_in[i] = nu[m_e + k]
-
-    tight = np.zeros(0, dtype=int)
-    if problem.A_in.shape[0]:
-        resid = problem.A_in @ z - problem.b_in
-        tight = np.flatnonzero(np.abs(resid) <= FEAS_TOL)
-
-    return QpSolution(z_star=z, status=status, active_set=tight,
-                      objective_value=problem.objective(z),
-                      iterations=iters0 + iters, lam_eq=lam_eq, mu_in=mu_in)
+    return QpSolution(z_star=z, status=status, iterations=iters0 + iters,
+                      phase1_used=phase1_used, problem=problem, work=work,
+                      nu=nu)

@@ -106,10 +106,12 @@ class Scenario:
     equilibrium: EquilibriumSchedule
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ScenarioError("duration must be > 0")
-        if self.dt <= 0.0:
-            raise ScenarioError("dt must be > 0")
+        if not np.all(np.isfinite(self.q0)):
+            raise ScenarioError("initial_q must hold finite numbers")
+        if not (0.0 < self.duration < np.inf):
+            raise ScenarioError("duration must be a finite number > 0")
+        if not (0.0 < self.dt < np.inf):
+            raise ScenarioError("dt must be a finite number > 0")
         if self.mode not in control.MODES:
             raise ScenarioError(f"mode must be one of {control.MODES}")
 
@@ -161,26 +163,30 @@ def _section(raw: dict, name: str, allowed, default: dict) -> dict:
 
 def _scalar(value, where: str, kind=float):
     """value as a `kind`, or a ScenarioError naming the field; bools,
-    strings and, for an int field, fractions are refused, not converted."""
+    strings, nan, inf and, for an int field, fractions are refused, not
+    converted."""
     try:
         out = None if isinstance(value, (bool, str)) else float(value)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or (kind is int and not out.is_integer()):
-        noun = "an integer" if kind is int else "a number"
+    if out is None or not np.isfinite(out) or (
+            kind is int and not out.is_integer()):
+        noun = "an integer" if kind is int else "a finite number"
         raise ScenarioError(f"{where} must be {noun}, got {value!r}")
     return kind(out)
 
 
 def _vector(value, length: int, where: str) -> tuple[float, ...]:
-    """value as `length` floats, or a ScenarioError naming the field."""
+    """value as `length` finite floats, or a ScenarioError naming the
+    field."""
     try:
         out = None if isinstance(value, str) else tuple(float(v) for v in value)
     except (TypeError, ValueError):
         out = None
-    if out is None or len(out) != length:
+    if out is None or len(out) != length or not np.all(np.isfinite(out)):
         raise ScenarioError(
-            f"{where} must be a list of {length} numbers, got {value!r}")
+            f"{where} must be a list of {length} finite numbers, "
+            f"got {value!r}")
     return out
 
 
@@ -299,6 +305,9 @@ def run_scenario(scenario: Scenario, model: RobotModel | None = None,
             gamma=float(gamma) if gamma is not None else cbf.gamma,
             k_max=float(k_max) if k_max is not None else cbf.k_max)
     duration = float(duration) if duration is not None else scenario.duration
+    if not (0.0 < duration < np.inf):
+        raise ScenarioError(f"duration must be a finite number > 0, "
+                            f"got {duration!r}")
     dt = scenario.dt
     n_steps = int(round(duration / dt))
 

@@ -74,12 +74,17 @@ class CbfParams:
     def __post_init__(self):
         for name in ("k_max", "gamma", "gamma_velocity", "lambda1",
                      "lambda2", "dt"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+            if not (0.0 < getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be a finite number > 0")
+        for name in ("plane_offset", "d_min"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if self.plane_normal is not None:
             n = np.asarray(self.plane_normal, dtype=float).reshape(-1)
-            if n.shape[0] != 3 or np.linalg.norm(n) < 1e-12:
-                raise ValueError("plane_normal must be a nonzero 3-vector")
+            if n.shape[0] != 3 or not np.all(np.isfinite(n)) \
+                    or np.linalg.norm(n) < 1e-12:
+                raise ValueError("plane_normal must be a finite nonzero "
+                                 "3-vector")
 
 
 @dataclass

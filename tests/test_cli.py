@@ -145,6 +145,17 @@ wrench: {kind: sine, axis: 1, amplitude: 60.0, frequency: 1.0}
         assert rc == 1
         assert "controller.k_trans" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--gamma", "nan"), ("--kmax", "inf"), ("--duration", "0")])
+    def test_non_finite_or_empty_override_exits_one_naming_it(
+            self, tmp_path, capsys, option, value):
+        rc = run_cli("run", "--scenario", "step", "--mode", "single_qp",
+                     option, value, "--out", str(tmp_path))
+        assert rc == 1
+        name = {"--kmax": "k_max"}.get(option, option[2:])
+        assert name in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("run")  # --scenario is required

@@ -93,6 +93,15 @@ class TestNominalLaw:
             ImpedanceParams(k_trans=(0.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="quaternion"):
             ImpedanceParams(eq_quat=(1.0, 1.0, 0.0, 0.0))
+        nan = float("nan")
+        with pytest.raises(ValueError, match="k_trans"):
+            ImpedanceParams(k_trans=(nan, 1.0, 1.0))
+        with pytest.raises(ValueError, match="k_rot"):
+            ImpedanceParams(k_rot=(1.0, float("inf"), 1.0))
+        with pytest.raises(ValueError, match="eq_position"):
+            ImpedanceParams(eq_position=(0.0, nan, 0.0))
+        with pytest.raises(ValueError, match="quaternion"):
+            ImpedanceParams(eq_quat=(nan, 0.0, 0.0, 0.0))
 
 
 class TestProjections:

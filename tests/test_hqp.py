@@ -13,7 +13,7 @@ from cbf_hqp.hqp import (
     run_cascade,
     solve_level,
 )
-from cbf_hqp.qpcore import QpProblem, solve_qp
+from cbf_hqp.qpcore import FEAS_TOL, REG, QpProblem, solve_qp
 from cbf_hqp.tasks import Task
 
 
@@ -378,3 +378,166 @@ class TestCascadeProperties:
             assert np.array_equal(ra.u, rb.u)
             assert ra.delta == rb.delta
             assert ra.iterations == rb.iterations
+
+
+def one_variable_level(rng):
+    """A ledger with one free direction z left, and a slack-free level on
+    it: an equality task, a hard inequality task, or both.
+
+    Every inequality row, the ledger's and the level's, is slack, tight
+    or broken by at most FEAS_TOL at the witness, and some rows reach z
+    only through coefficients near 1e-12 (the ratio test's threshold).
+    """
+    n = int(rng.integers(2, 6))
+    w = rng.normal(size=n)
+    E = rng.normal(size=(n - 1, n))
+    z = np.linalg.svd(E)[2][-1]
+
+    def rows(m):
+        A = rng.normal(size=(m, n))
+        tiny = rng.random(m) < 0.3
+        s = rng.choice([1e-13, 5e-13, 1e-12, 2e-12, 1e-11], size=m) \
+            * rng.choice([-1.0, 1.0], size=m)
+        A[tiny] += np.outer(s[tiny] - A[tiny] @ z, z)
+        gap = rng.choice(3, size=m)  # 0 slack, 1 tight, 2 broken
+        b = A @ w - np.where(gap == 0, rng.uniform(0.01, 1.0, size=m), 0.0)
+        b += np.where(gap == 2, rng.uniform(0.0, FEAS_TOL, size=m), 0.0)
+        return A, b
+
+    A_s, b_s = rows(int(rng.integers(1, 8)))
+    ledger = init_stage0([Task(kind="eq", A=E, b=E @ w, label="pin"),
+                          Task(kind="ineq", A=A_s, b=b_s, label="strict")],
+                         witness=w)
+    assert ledger.Z.shape == (n, 1)
+    pick = int(rng.integers(0, 3))
+    eq = ineq = None
+    if pick in (0, 2):
+        r = int(rng.integers(1, 4))
+        eq = Task(kind="eq", A=rng.normal(size=(r, n)),
+                  b=rng.normal(size=r) * 3.0, label="track")
+    if pick in (1, 2):
+        A, b = rows(int(rng.integers(1, 4)))
+        ineq = Task(kind="ineq", A=A, b=b, label="hard")
+    return ledger, eq, ineq, w + rng.normal(size=n) * 3.0
+
+
+class TestClosedFormLevel:
+    """A level with one free direction and no slack is minimized in
+    closed form; solve_qp on the same reduced problem is the oracle."""
+
+    def test_matches_solve_qp_on_random_one_variable_levels(self, rng):
+        held = 0
+        for _ in range(300):
+            ledger, eq, ineq, u_nom = one_variable_level(rng)
+            w, Z = ledger.witness, ledger.Z
+            C, d = ledger.A_in, ledger.b_in
+            if ineq is not None:
+                C, d = np.vstack([C, ineq.A]), np.concatenate([d, ineq.b])
+            H, f = np.zeros((1, 1)), np.zeros(1)
+            if eq is not None:
+                AZ = eq.A @ Z
+                H, f = AZ.T @ AZ, -AZ.T @ (eq.b - eq.A @ w)
+            a, b = (C @ Z)[:, 0], d - C @ w
+            anchor = Z.T @ (u_nom - w)
+            ref = solve_qp(QpProblem(H=H, f=f, A_in=C @ Z, b_in=b),
+                           anchor=anchor, x0=np.zeros(1))
+            assert ref.status == "optimal" and not ref.phase1_used
+
+            u, delta, ledger = solve_level(ledger, eq, ineq,
+                                           regularization_anchor=u_nom)
+            rec = ledger.records[-1]
+            assert (rec.status, rec.iterations, delta) == ("optimal", 0, 0.0)
+            assert not rec.phase1_used
+            u_ref = w + Z @ ref.z_star
+            assert np.max(np.abs(u - u_ref)) \
+                <= 1e-9 * (1.0 + np.max(np.abs(u_ref)))
+            # No row ends worse than the witness left it, beyond the
+            # ratio test's 1e-12 (a row moving less does not block): a
+            # row the witness breaks holds where the witness had it.
+            y = float(Z[:, 0] @ (u - w))
+            assert np.all(a * y - b >= np.minimum(-b, 0.0) - 1e-12)
+            y_unc = -(f[0] - 2.0 * REG * anchor[0]) / (H[0, 0] + 2.0 * REG)
+            held += bool(np.any((a * y_unc < -1e-12)
+                                & (b > 1e-11 * (1.0 + np.abs(b)))))
+        # Levels where a row broken beyond solve_qp's on-face band blocks
+        # the step toward the unconstrained minimizer.
+        assert held >= 100, held
+
+    def test_start_breaking_a_hard_row_is_recorded(self):
+        n = 2
+        track = Task(kind="eq", A=np.eye(n), b=np.zeros(n), label="track")
+        hard = Task(kind="ineq", A=[[1.0, 1.0]], b=[1.0], label="hard")
+        # Two free directions: solve_qp's phase-1 finds the start.
+        res = run_cascade([box_task(n, 10.0)],
+                          [LevelSpec(equality=track, inequality=hard)],
+                          u_nom=np.zeros(n), x0=np.zeros(n))
+        assert not res.phase1_used  # stage 0's witness was fine
+        assert res.records[0].phase1_used
+        np.testing.assert_allclose(res.u_final, [0.5, 0.5], atol=1e-8)
+
+        # One free direction: a start that breaks a row is not solved in
+        # closed form; solve_qp's phase-1 finds the start.
+        pin = Task(kind="eq", A=[[1.0, -1.0]], b=[0.0], label="pin")
+        res = run_cascade([box_task(n, 10.0)],
+                          [LevelSpec(equality=pin), LevelSpec(inequality=hard)],
+                          u_nom=np.zeros(n), x0=np.zeros(n))
+        assert not res.phase1_used
+        assert [r.phase1_used for r in res.records] == [False, True]
+        assert res.records[1].iterations > 0
+        np.testing.assert_allclose(res.u_final, [0.5, 0.5], atol=1e-8)
+
+        clash = Task(kind="ineq", A=[[-1.0, -1.0]], b=[0.0], label="clash")
+        with pytest.raises(CascadeInfeasibleError, match="level 3"):
+            run_cascade([box_task(n, 10.0)],
+                        [LevelSpec(equality=pin), LevelSpec(inequality=hard),
+                         LevelSpec(inequality=clash)],
+                        u_nom=np.zeros(n), x0=np.zeros(n))
+
+    def test_record_fields_read_late_equal_the_eager_formulas(self, rng):
+        """objective, eq_residual and active_rows are computed on first
+        read; read after later levels have grown the ledger and the
+        equality tasks' b have been overwritten, they equal the formulas
+        evaluated when the level was solved."""
+        def tight(rows, tol=FEAS_TOL):
+            return tuple(lab for lab, lhs, rhs in rows
+                         if abs(lhs - rhs) <= tol * (1.0 + abs(rhs)))
+
+        grown = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            strict, w = random_strict(rng, n)
+            u_nom = rng.normal(size=n) * 3.0
+            ledger = init_stage0([strict], witness=w)
+            levels = random_levels(rng, n) + [LevelSpec(
+                equality=Task(kind="eq", A=rng.normal(size=(1, n)),
+                              b=rng.normal(size=1), label="last"))]
+            eager = []
+            for spec in levels:
+                A_eq, b_eq = ledger.A_eq, ledger.b_eq
+                A, b = ledger.A_in.copy(), ledger.b_in.copy()
+                labels = list(ledger.in_labels)
+                ineq = spec.inequality
+                u, delta, ledger = solve_level(
+                    ledger, spec.equality, ineq, rho=spec.rho,
+                    regularization_anchor=u_nom)
+                rows = [(lab, A[i] @ u, b[i]) for i, lab in enumerate(labels)]
+                if ineq is not None:
+                    name = f"level{ledger.level}:"
+                    rows += [(name + lab, ineq.A[i] @ u + ineq.slack[i] * delta,
+                              ineq.b[i])
+                             for i, lab in enumerate(ineq.row_labels)]
+                    rows += [(name + "slack", delta, 0.0)]
+                eq_res = (float(np.max(np.abs(A_eq @ u - b_eq)))
+                          if A_eq.shape[0] else 0.0)
+                eager.append((level_objective(spec, u, delta), eq_res,
+                              tight(rows)))
+            # The caller may reuse its buffers once the levels are solved.
+            for spec in levels:
+                if spec.equality is not None:
+                    spec.equality.b += 1.0
+            for rec, (objective, eq_res, active) in zip(ledger.records, eager):
+                assert rec.objective == objective
+                assert rec.eq_residual == eq_res
+                assert rec.active_rows == active
+                grown += rec.level < ledger.level
+        assert grown >= 40

@@ -112,6 +112,27 @@ class TestHandCases:
         assert warm.status == "optimal"
         np.testing.assert_allclose(warm.z_star, cold.z_star, atol=1e-8)
 
+    def test_phase1_use_is_reported(self):
+        p = QpProblem(H=np.eye(1), f=[0.0], A_in=[[1.0]], b_in=[1.0])
+        assert solve_qp(p).phase1_used
+        assert solve_qp(p, x0=np.array([0.0])).phase1_used  # breaks the row
+        warm = solve_qp(p, x0=np.array([2.0]))
+        assert not warm.phase1_used and warm.status == "optimal"
+        clash = QpProblem(H=np.eye(1), f=[0.0], A_in=[[1.0], [-1.0]],
+                          b_in=[1.0, 0.0])
+        assert solve_qp(clash).phase1_used
+
+    def test_start_breaking_a_blocking_row_holds_it(self):
+        # x0 = 0 breaks x >= 1e-9 by less than FEAS_TOL, and x <= 0 is
+        # tight. No point meets both rows exactly, so the step toward
+        # x = -5 stops at once and the broken row holds where x0 has it.
+        p = QpProblem(H=np.eye(1), f=[5.0], A_in=[[1.0], [-1.0]],
+                      b_in=[1e-9, 0.0])
+        sol = solve_qp(p, x0=np.array([0.0]))
+        assert sol.status == "optimal" and not sol.phase1_used
+        assert sol.z_star[0] == 0.0
+        assert list(sol.active_set) == [0, 1]
+
     def test_equality_only_inconsistent(self):
         p = QpProblem(H=2 * np.eye(2), f=[0.0, 0.0],
                       A_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[0.0, 1.0])

@@ -199,11 +199,21 @@ class TestScenarioLoading:
         ("wrench.axis", SINE_SCENARIO.replace("axis: 2", "axis: true")),
         ("duration", HOLD_SCENARIO.replace("duration: 0.3", "duration: '8'")),
         ("cbf.gamma", HOLD_SCENARIO.replace("gamma: 5.0", "gamma: true")),
+        ("cbf.gamma", HOLD_SCENARIO.replace("gamma: 5.0", "gamma: .nan")),
+        ("cbf.k_max", HOLD_SCENARIO.replace("k_max: 0.5", "k_max: .inf")),
+        ("dt", HOLD_SCENARIO.replace("dt: 0.001", "dt: .nan")),
+        ("duration", HOLD_SCENARIO.replace("duration: 0.3", "duration: .inf")),
+        ("controller.k_trans", HOLD_SCENARIO
+         + "controller: {k_trans: [.nan, 200.0, 200.0]}\n"),
+        ("initial_q", HOLD_SCENARIO.replace("[0.0, -0.785", "[.nan, -0.785")),
+        ("wrench.amplitude", SINE_SCENARIO.replace(
+            "amplitude: 30.0", "amplitude: .nan")),
     ], ids=["k_trans_scalar", "offset_scalar", "offset_short",
             "plane_normal_scalar", "lambda2_list", "amplitude_list",
             "at_list", "duration_list", "families_scalar", "initial_q_text",
             "axis_fraction", "axis_text", "axis_bool", "duration_text",
-            "gamma_bool"])
+            "gamma_bool", "gamma_nan", "k_max_inf", "dt_nan", "duration_inf",
+            "k_trans_nan", "initial_q_nan", "amplitude_nan"])
     def test_mistyped_field_named(self, field, text):
         with pytest.raises(ScenarioError, match=field):
             load_scenario(text)
@@ -287,6 +297,11 @@ class TestRollout:
         assert res.k_max == 0.2
         assert len(res.records) == 20
         assert sc.cbf.gamma == 5.0  # the scenario object is untouched
+
+    @pytest.mark.parametrize("duration", [0.0, -0.1, float("nan")])
+    def test_duration_override_must_be_positive(self, duration):
+        with pytest.raises(ScenarioError, match="duration"):
+            run_scenario(load_scenario(HOLD_SCENARIO), duration=duration)
 
     def test_fault_keeps_partial_log(self):
         # torque demand far beyond the box: stage feasibility collapses

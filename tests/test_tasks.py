@@ -488,6 +488,15 @@ class TestParams:
         with pytest.raises(ValueError, match="dt"):
             CbfParams(dt=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", float("nan")), ("k_max", float("inf")),
+        ("lambda1", float("nan")), ("dt", float("inf")),
+        ("plane_offset", float("nan")), ("d_min", float("inf")),
+        ("plane_normal", (0.0, float("nan"), 1.0))])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CbfParams(**{field: value})
+
     def test_degenerate_plane_rejected(self):
         with pytest.raises(ValueError, match="plane_normal"):
             CbfParams(plane_normal=(0.0, 0.0, 0.0))
