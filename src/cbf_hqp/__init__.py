@@ -13,7 +13,6 @@ from .control import (
     UnsupportedConfigurationError,
     nominal_torque,
     nullspace_basis,
-    projections,
     step,
     wrench_deviation,
 )
@@ -59,9 +58,7 @@ from .tasks import (
     Task,
     collision_plane_rows,
     energy_cbf_row,
-    position_limit_rows,
     torque_limit_rows,
-    velocity_limit_rows,
 )
 
 __all__ = [
@@ -103,15 +100,12 @@ __all__ = [
     "load_scenario_file",
     "nominal_torque",
     "nullspace_basis",
-    "position_limit_rows",
-    "projections",
     "run_cascade",
     "run_scenario",
     "solve_level",
     "solve_qp",
     "step",
     "torque_limit_rows",
-    "velocity_limit_rows",
     "wrench_deviation",
     "write_csv",
 ]

@@ -33,18 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import RobotModel, RobotState
-from .hqp import CascadeInfeasibleError, LevelSpec, S0EmptyError, run_cascade
+from .hqp import (CascadeInfeasibleError, LevelSpec, S0EmptyError, _slack_of,
+                  run_cascade)
 from .tasks import (
     AccelerationBox,
     CbfParams,
     Task,
     acceleration_box,
+    acceleration_rows,
     acceleration_witness,
     collision_plane_rows,
     energy_cbf_row,
-    position_limit_rows,
     torque_limit_rows,
-    velocity_limit_rows,
 )
 
 Array = np.ndarray
@@ -190,17 +190,6 @@ def task_space_inertia(state: RobotState) -> tuple[Array, bool]:
     return np.linalg.inv(A), damped
 
 
-def projections(state: RobotState,
-                lam: Array | None = None) -> tuple[Array, Array]:
-    """Dynamically consistent task projector P = J^T Lambda J M^-1 and
-    its complement N = I - P (torques in range(N) cause no task-space
-    acceleration)."""
-    if lam is None:
-        lam, _ = task_space_inertia(state)
-    P = state.J.T @ lam @ (state.J @ state.M_inv)
-    return P, np.eye(state.n) - P
-
-
 def pose_error(state: RobotState, impedance: ImpedanceParams) -> Array:
     """6-vector [position error; orientation log error], desired minus
     current, in the base frame."""
@@ -222,11 +211,10 @@ def critical_damping(lam: Array, stiffness: Array) -> Array:
 
 
 def nominal_torque(state: RobotState, impedance: ImpedanceParams,
-                   lam: Array | None = None) -> Array:
-    """Impedance law u_nom = J^T (K_c e - D_c J qd) + g."""
+                   lam: Array) -> Array:
+    """Impedance law u_nom = J^T (K_c e - D_c J qd) + g, with lam the
+    task-space inertia."""
     state.check_fresh()
-    if lam is None:
-        lam, _ = task_space_inertia(state)
     K_c = impedance.stiffness
     D_c = critical_damping(lam, K_c)
     wrench = K_c @ pose_error(state, impedance) - D_c @ (state.J @ state.qd)
@@ -240,8 +228,7 @@ def nullspace_basis(state: RobotState, z_prev: Array | None = None) -> Array:
     exactly one-dimensional (redundant arm away from singularities).
     """
     _, s, Vt = np.linalg.svd(state.J)
-    tol = max(state.J.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > max(tol, 1e-8 * (s[0] if s.size else 1.0))))
+    rank = int(np.sum(s > 1e-8 * s[0]))
     if state.n - rank != 1:
         raise UnsupportedConfigurationError(
             f"nullspace dimension is {state.n - rank}, expected 1")
@@ -264,35 +251,27 @@ def task_rows(state: RobotState, lam: Array,
 
 
 def wrench_deviation(state: RobotState, u: Array, u_nom: Array,
-                     lam: Array | None = None) -> Array:
+                     lam: Array) -> Array:
     """Equivalent end-effector wrench of the torque adjustment:
     Lambda J M^-1 (u - u_nom); zero exactly when P (u - u_nom) = 0."""
-    if lam is None:
-        lam, _ = task_space_inertia(state)
     return lam @ (state.J @ (state.M_inv @ (u - u_nom)))
 
 
 def build_strict_tasks(model: RobotModel, state: RobotState,
-                       ctrl: ControllerState, tau_ext: Array | None = None,
-                       box: AccelerationBox | None = None) -> list[Task]:
-    """The hard rows the controller enforces at every priority level.
-    box, when given, is this period's acceleration_box over
-    ctrl.strict_families."""
-    if box is None:
-        box = acceleration_box(state, ctrl.cbf, model, ctrl.strict_families,
-                               tau_ext)
+                       ctrl: ControllerState, tau_ext: Array | None,
+                       box: AccelerationBox) -> list[Task]:
+    """The hard rows the controller enforces at every priority level, in
+    the order ctrl.strict_families names them; box is this period's
+    acceleration_box over those families, and its one acceleration task
+    stands where the first of velocity/position is named."""
     tasks = []
     for fam in ctrl.strict_families:
         if fam == "torque":
             tasks.append(torque_limit_rows(model))
-        elif fam == "velocity":
-            tasks.append(velocity_limit_rows(state, ctrl.cbf, model, tau_ext,
-                                             box))
-        elif fam == "position":
-            tasks.append(position_limit_rows(state, ctrl.cbf, model, tau_ext,
-                                             box))
         elif fam == "plane":
             tasks.append(collision_plane_rows(state, ctrl.cbf, model, tau_ext))
+        elif not any(t.label == "acceleration" for t in tasks):
+            tasks.append(acceleration_rows(state, box))
     return tasks
 
 
@@ -323,8 +302,7 @@ def _hard_row(levels: list[LevelSpec]) -> tuple[Array, float] | None:
     single row without slack (single_qp's energy row): its QP starts at
     the stage-0 witness, which must then satisfy it as well."""
     task = levels[0].inequality
-    if task is None or task.m != 1 or (
-            task.slack is not None and np.any(task.slack > 0.0)):
+    if task is None or task.m != 1 or _slack_of(task) is not None:
         return None
     return task.A[0], float(task.b[0])
 

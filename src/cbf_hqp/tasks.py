@@ -28,11 +28,11 @@ Derivations, in brief:
   (q_i - q_min_i); cascading two first-order conditions with rates
   lambda1, lambda2 gives hddot + (l1+l2) hdot + l1 l2 h >= 0.
 
-  Both families are per-joint bounds on qdd = M^-1 (u + w):
-  `acceleration_box` computes them once per period, together with w and
-  M^-1 w, the row builders encode them, and `acceleration_witness`
-  repairs a torque into them and, when given one, into a hard halfspace
-  such as single_qp's energy row.
+  Both families are per-joint bounds on qdd = M^-1 (u + w), so they
+  are one task: `acceleration_box` intersects them once per period,
+  together with w and M^-1 w, `acceleration_rows` encodes the box, and
+  `acceleration_witness` repairs a torque into it and, when given one,
+  into a hard halfspace such as single_qp's energy row.
 
 * Plane clearance for the end effector, also relative degree two, with
   h = n^T p_ee - offset - d_min and hddot = n^T (Jdot qd + J M^{-1}(u+w)).
@@ -173,7 +173,8 @@ class AccelerationBox:
     acceleration qdd = M^-1 (u + w) (+-inf where no family applies),
     each enabled family's own bounds, and the drift torque
     w = tau_ext - C qd - g with its acceleration M^-1 w. Built once per
-    period and shared by the row builders and the witness."""
+    period and shared by acceleration_rows and the witness. family keeps
+    the order the families were named in."""
     lo: Array
     hi: Array
     family: dict[str, tuple[Array, Array]]
@@ -203,7 +204,7 @@ def acceleration_box(state: RobotState, params: CbfParams,
     <= p (q_max - q) - s qd with s = l1 + l2 and p = l1 l2.
     """
     family = {f: _family_bounds(state, params, model, f)
-              for f in ("velocity", "position") if f in families}
+              for f in families if f in ("velocity", "position")}
     lo, hi = np.full(state.n, -np.inf), np.full(state.n, np.inf)
     for f_lo, f_hi in family.values():
         lo, hi = np.maximum(lo, f_lo), np.minimum(hi, f_hi)
@@ -212,41 +213,22 @@ def acceleration_box(state: RobotState, params: CbfParams,
                            drift_acc=state.M_inv @ w)
 
 
-def _acceleration_rows(state: RobotState, params: CbfParams,
-                       model: RobotModel, tau_ext: Array | None,
-                       box: AccelerationBox | None,
-                       family: str, upper: str, lower: str) -> Task:
-    """The family's box lo <= M^-1 (u + w) <= hi as 2n rows A u >= b."""
-    if box is None:
-        box = acceleration_box(state, params, model, (family,), tau_ext)
-    lo, hi = box.family[family]
-    Minv = state.M_inv
+def acceleration_rows(state: RobotState, box: AccelerationBox) -> Task:
+    """The period's box lo <= M^-1 (u + w) <= hi as 2n rows A u >= b,
+    upper bounds first. Each row carries the label of the family whose
+    bound sets it (vel_max/pos_max, vel_min/pos_min); on a tie, the
+    family named first in the box wins. box must enable a family."""
+    prefix = [f[:3] for f in box.family]  # vel, pos
+    lo0, hi0 = next(iter(box.family.values()))
+    # the first family's bound where it binds, else the other family's
+    labels = [f"{prefix[k]}_max[{i}]"
+              for i, k in enumerate((hi0 > box.hi).tolist())] + \
+             [f"{prefix[k]}_min[{i}]"
+              for i, k in enumerate((lo0 < box.lo).tolist())]
     a = box.drift_acc
-    A = np.vstack([-Minv, Minv])
-    b = np.concatenate([a - hi, lo - a])
-    n = model.n_joints
-    labels = [f"{upper}[{i}]" for i in range(n)] + \
-             [f"{lower}[{i}]" for i in range(n)]
-    return Task(kind="ineq", A=A, b=b, label=family, row_labels=labels)
-
-
-def velocity_limit_rows(state: RobotState, params: CbfParams,
-                        model: RobotModel, tau_ext: Array | None = None,
-                        box: AccelerationBox | None = None) -> Task:
-    """First-order barriers on +-qd_i with rate gamma_velocity. box, when
-    given, is this period's acceleration_box with the family enabled."""
-    return _acceleration_rows(state, params, model, tau_ext, box,
-                              "velocity", "vel_max", "vel_min")
-
-
-def position_limit_rows(state: RobotState, params: CbfParams,
-                        model: RobotModel, tau_ext: Array | None = None,
-                        box: AccelerationBox | None = None) -> Task:
-    """Second-order barriers on the joint range with rates lambda1/2.
-    box, when given, is this period's acceleration_box with the family
-    enabled."""
-    return _acceleration_rows(state, params, model, tau_ext, box,
-                              "position", "pos_max", "pos_min")
+    return Task(kind="ineq", A=np.vstack([-state.M_inv, state.M_inv]),
+                b=np.concatenate([a - box.hi, box.lo - a]),
+                label="acceleration", row_labels=labels)
 
 
 def _halfspace_step(x: Array, c: Array, gamma: float, lo: Array,

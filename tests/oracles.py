@@ -1,5 +1,6 @@
-"""Test oracles kept out of the package: a brute-force QP solver and an
-RK4 step of the simulator's vector field."""
+"""Test oracles kept out of the package: a brute-force QP solver, an
+RK4 step of the simulator's vector field, and the n x n task and
+nullspace projectors the controller's full-rank rows stand in for."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import itertools
 
 import numpy as np
 
+from cbf_hqp.control import task_space_inertia
 from cbf_hqp.dynamics import RobotModel, RobotState, compute_state
 from cbf_hqp.qpcore import FEAS_TOL, REG, QpProblem
 
@@ -83,3 +85,15 @@ def rk4_step(model: RobotModel, state: RobotState, u_applied: Array,
     q_next = q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
     qd_next = qd + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
     return compute_state(model, q_next, qd_next)
+
+
+def projections(state: RobotState,
+                lam: Array | None = None) -> tuple[Array, Array]:
+    """Dynamically consistent task projector P = J^T Lambda J M^-1 and
+    its complement N = I - P (torques in range(N) cause no task-space
+    acceleration); Lambda is the controller's task-space inertia unless
+    lam is given."""
+    if lam is None:
+        lam, _ = task_space_inertia(state)
+    P = state.J.T @ lam @ (state.J @ state.M_inv)
+    return P, np.eye(state.n) - P

@@ -13,9 +13,9 @@ import time
 
 import numpy as np
 import pytest
-from oracles import oracle_solve, rk4_step
+from oracles import oracle_solve, projections, rk4_step
 
-from cbf_hqp.control import projections, task_space_inertia
+from cbf_hqp.control import task_space_inertia
 from cbf_hqp.dynamics import compute_state, load_bundled_model, mass_matrix
 from cbf_hqp.hqp import LevelSpec, run_cascade
 from cbf_hqp.qpcore import QpProblem, solve_qp

@@ -6,24 +6,25 @@ import math
 
 import numpy as np
 import pytest
+from oracles import projections
 
 from cbf_hqp import control, hqp, qpcore, sim
 from cbf_hqp.control import (
     ControllerState,
     ImpedanceParams,
     UnsupportedConfigurationError,
+    build_strict_tasks,
     critical_damping,
     nominal_torque,
     nullspace_basis,
     pose_error,
-    projections,
     step,
     task_rows,
     task_space_inertia,
     wrench_deviation,
 )
 from cbf_hqp.dynamics import compute_state
-from cbf_hqp.tasks import CbfParams, Task
+from cbf_hqp.tasks import CbfParams, Task, acceleration_box
 
 HOME = np.array([0.0, -np.pi / 4, 0.0, -2.3562, 0.0, 1.5708, np.pi / 4])
 TWOLINK_HOME = np.array([0.4, 0.8])
@@ -55,7 +56,7 @@ def rollout(model, ctrl, q0, steps, dt=1e-3, tau_ext_fn=None):
 class TestNominalLaw:
     def test_gravity_compensation_at_equilibrium(self, panda):
         st = compute_state(panda, HOME, np.zeros(7))
-        u = nominal_torque(st, impedance_at(st))
+        u = nominal_torque(st, impedance_at(st), task_space_inertia(st)[0])
         np.testing.assert_allclose(u, st.g, atol=1e-9)
 
     def test_step_offset_pulls_with_stiffness_times_error(self, panda):
@@ -64,7 +65,7 @@ class TestNominalLaw:
         imp = impedance_at(st, dz=0.2)
         e = pose_error(st, imp)
         np.testing.assert_allclose(e, [0, 0, 0.2, 0, 0, 0], atol=1e-12)
-        u = nominal_torque(st, imp)
+        u = nominal_torque(st, imp, task_space_inertia(st)[0])
         np.testing.assert_allclose(u - st.g, st.J.T @ np.array([0, 0, 40.0, 0, 0, 0]),
                                    atol=1e-9)
 
@@ -74,7 +75,7 @@ class TestNominalLaw:
             qd = rng.uniform(-0.5, 0.5, 7)
             st = compute_state(panda, q, qd)
             imp = impedance_at(st, dz=0.1)
-            u = nominal_torque(st, imp) - st.g
+            u = nominal_torque(st, imp, task_space_inertia(st)[0]) - st.g
             coef, *_ = np.linalg.lstsq(st.J.T, u, rcond=None)
             np.testing.assert_allclose(st.J.T @ coef, u, atol=1e-8)
 
@@ -116,13 +117,14 @@ class TestProjections:
 
     def test_wrench_deviation_blind_to_nullspace(self, panda, rng):
         st = compute_state(panda, HOME, np.zeros(7))
-        _, N = projections(st)
-        u_nom = nominal_torque(st, impedance_at(st))
+        lam, _ = task_space_inertia(st)
+        _, N = projections(st, lam)
+        u_nom = nominal_torque(st, impedance_at(st), lam)
         w = rng.normal(size=7)
-        dW = wrench_deviation(st, u_nom + N @ w, u_nom)
+        dW = wrench_deviation(st, u_nom + N @ w, u_nom, lam)
         assert np.max(np.abs(dW)) <= 1e-8
         dW2 = wrench_deviation(st, u_nom + st.J.T @ np.array([0, 0, 5.0, 0, 0, 0]),
-                               u_nom)
+                               u_nom, lam)
         assert np.max(np.abs(dW2)) > 1.0
 
 
@@ -199,6 +201,37 @@ class TestTaskRows:
             assert sum(A.shape[0] for A in rows) == 7
             assert all(np.linalg.matrix_rank(A) == A.shape[0] for A in rows)
 
+    def test_step_hands_the_cascade_one_acceleration_task(self, panda,
+                                                         monkeypatch):
+        # default families: torque box 14 rows, velocity and position
+        # merged into one acceleration task of 14 rows
+        seen = []
+        real = control.run_cascade
+
+        def capture(strict, levels, u_nom, x0=None):
+            seen.append(strict)
+            return real(strict, levels, u_nom, x0=x0)
+
+        monkeypatch.setattr(control, "run_cascade", capture)
+        st = compute_state(panda, HOME, 0.05 * np.ones(7))
+        step(panda, st, ControllerState(mode="single_qp", cbf=CbfParams(),
+                                        impedance=impedance_at(st, 0.1)))
+        [strict] = seen
+        assert [t.label for t in strict] == ["torque", "acceleration"]
+        assert sum(t.m for t in strict) == 28
+
+    def test_strict_tasks_follow_the_named_family_order(self, panda):
+        st = compute_state(panda, HOME, 0.05 * np.ones(7))
+        ctrl = ControllerState(
+            mode="single_qp",
+            cbf=CbfParams(plane_normal=(0.0, 0.0, 1.0), plane_offset=-1.0),
+            impedance=impedance_at(st),
+            strict_families=("plane", "position", "torque", "velocity"))
+        box = acceleration_box(st, ctrl.cbf, panda, ctrl.strict_families)
+        tasks = build_strict_tasks(panda, st, ctrl, None, box)
+        assert [t.label for t in tasks] == ["plane", "acceleration", "torque"]
+        assert [t.m for t in tasks] == [1, 14, 14]
+
 
 class TestStep:
     def make_ctrl(self, state, mode, k_max=0.5, dz=0.0, gamma=5.0):
@@ -228,7 +261,7 @@ class TestStep:
         u, info = step(panda, st, ctrl)
         assert info.delta == 0.0
         from cbf_hqp.hqp import run_cascade
-        from cbf_hqp.control import _levels_for_mode, build_strict_tasks
+        from cbf_hqp.control import _levels_for_mode
         from cbf_hqp.tasks import Task, energy_cbf_row
         lam, _ = task_space_inertia(st)
         W, V = task_rows(st, lam, nullspace_basis(st))
@@ -237,11 +270,8 @@ class TestStep:
                       slack=None)
         levels = _levels_for_mode("hqp_performance", info.u_nom, W, V, energy)
         levels[1] = type(levels[1])(inequality=pinned)
-        res = run_cascade(build_strict_tasks(panda, st,
-                                             ControllerState(
-                                                 mode="hqp_performance",
-                                                 cbf=ctrl.cbf,
-                                                 impedance=ctrl.impedance)),
+        box = acceleration_box(st, ctrl.cbf, panda, ctrl.strict_families)
+        res = run_cascade(build_strict_tasks(panda, st, ctrl, None, box),
                           levels, info.u_nom)
         np.testing.assert_allclose(u, res.u_final, atol=1e-8)
 

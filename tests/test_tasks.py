@@ -17,15 +17,15 @@ from cbf_hqp.dynamics import StaleStateError, compute_state
 from cbf_hqp.hqp import S0EmptyError, init_stage0
 from cbf_hqp.qpcore import FEAS_TOL, QpProblem, solve_qp
 from cbf_hqp.tasks import (
+    AccelerationBox,
     CbfParams,
     Task,
     acceleration_box,
+    acceleration_rows,
     acceleration_witness,
     collision_plane_rows,
     energy_cbf_row,
-    position_limit_rows,
     torque_limit_rows,
-    velocity_limit_rows,
 )
 
 DT = 1e-3
@@ -110,7 +110,7 @@ class TestLimitRows:
             st = compute_state(twolink, rng.uniform(-1, 1, 2), rng.uniform(-2, 2, 2))
             u = rng.uniform(-30, 30, 2)
             tau_ext = rng.uniform(-5, 5, 2)
-            task = velocity_limit_rows(st, params, twolink, tau_ext=tau_ext)
+            [task] = family_rows(st, params, twolink, ("velocity",), tau_ext)
             resid = task.A @ u - task.b
             qdd = joint_accel(twolink, st, u, tau_ext)
             g = params.gamma_velocity
@@ -126,7 +126,7 @@ class TestLimitRows:
         for _ in range(25):
             st = compute_state(twolink, rng.uniform(-1, 1, 2), rng.uniform(-2, 2, 2))
             u = rng.uniform(-30, 30, 2)
-            task = position_limit_rows(st, params, twolink)
+            [task] = family_rows(st, params, twolink, ("position",))
             resid = task.A @ u - task.b
             qdd = joint_accel(twolink, st, u)
             for i in range(2):
@@ -207,9 +207,11 @@ def drift_torque(st, tau_ext=None):
     return w if tau_ext is None else w + tau_ext
 
 
-def acceleration_rows(st, params, model, families, tau_ext=None):
-    build = {"velocity": velocity_limit_rows, "position": position_limit_rows}
-    return [build[f](st, params, model, tau_ext) for f in families]
+def family_rows(st, params, model, families, tau_ext=None):
+    """One acceleration task per family, each from its own box."""
+    return [acceleration_rows(
+        st, acceleration_box(st, params, model, (f,), tau_ext))
+        for f in families]
 
 
 def worst_violation(tasks, u):
@@ -223,6 +225,65 @@ def stage0_outcome(tasks, witness):
         return "empty"
     assert ledger.max_violation(ledger.witness) <= FEAS_TOL
     return "nonempty"
+
+
+class TestAccelerationTask:
+    """The velocity and position families are one task: the rows of
+    their intersected box, each labelled by the family that sets it."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(q_frac=hst.lists(hst.floats(0.0, 1.0), min_size=7, max_size=7),
+           qd_frac=hst.lists(hst.floats(-2.0, 2.0), min_size=7, max_size=7),
+           u_frac=hst.lists(hst.floats(-1.5, 1.5), min_size=7, max_size=7),
+           ext_frac=hst.lists(hst.floats(-0.1, 0.1), min_size=7, max_size=7),
+           families=hst.sampled_from(FAMILY_SETS
+                                     + [("position", "velocity")]))
+    def test_merged_rows_are_the_binding_family_rows(
+            self, panda, q_frac, qd_frac, u_frac, ext_frac, families):
+        q = panda.q_min + np.array(q_frac) * (panda.q_max - panda.q_min)
+        st = compute_state(panda, q, np.array(qd_frac) * panda.v_max)
+        params = CbfParams()
+        tau_ext = np.array(ext_frac) * panda.tau_max
+        u = np.array(u_frac) * panda.tau_max
+        merged = acceleration_rows(
+            st, acceleration_box(st, params, panda, families, tau_ext))
+        single = family_rows(st, params, panda, families, tau_ext)
+        assert merged.m == 14
+        resid = np.array([t.A @ u - t.b for t in single])
+        np.testing.assert_array_equal(merged.A @ u - merged.b,
+                                      resid.min(axis=0))
+        # each label names the family whose row binds, the first on a tie
+        first = np.argmax([t.b for t in single], axis=0)
+        assert merged.row_labels == [single[k].row_labels[i]
+                                     for i, k in enumerate(first)]
+        torque = [torque_limit_rows(panda)]
+        assert stage0_outcome(torque + [merged], u) == \
+            stage0_outcome(torque + single, u)
+
+    def test_tie_goes_to_the_family_named_first(self, panda):
+        st = compute_state(panda, np.zeros(7), np.zeros(7))
+        bounds = (-np.ones(7), np.ones(7))
+        for families in (("velocity", "position"), ("position", "velocity")):
+            box = AccelerationBox(
+                lo=bounds[0], hi=bounds[1],
+                family={f: bounds for f in families},
+                drift=np.zeros(7), drift_acc=np.zeros(7))
+            prefix = families[0][:3]
+            assert acceleration_rows(st, box).row_labels == \
+                [f"{prefix}_max[{i}]" for i in range(7)] + \
+                [f"{prefix}_min[{i}]" for i in range(7)]
+
+    def test_families_named_in_either_order_give_the_same_box(self, panda,
+                                                              rng):
+        params = CbfParams()
+        for _ in range(10):
+            st = compute_state(panda, *random_panda_state(panda, rng))
+            one = acceleration_box(st, params, panda, ("velocity", "position"))
+            two = acceleration_box(st, params, panda, ("position", "velocity"))
+            assert np.array_equal(one.lo, two.lo)
+            assert np.array_equal(one.hi, two.hi)
+            assert list(two.family) == ["position", "velocity"]
 
 
 class TestAccelerationWitness:
@@ -240,17 +301,11 @@ class TestAccelerationWitness:
             boxes = []
             for fam in ("velocity", "position"):
                 box = acceleration_box(st, params, panda, (fam,))
-                [task] = acceleration_rows(st, params, panda, (fam,), tau_ext)
+                [task] = family_rows(st, params, panda, (fam,), tau_ext)
                 np.testing.assert_allclose(
                     task.A @ u - task.b,
                     np.concatenate([box.hi - acc, acc - box.lo]), atol=1e-8)
                 boxes.append((box.lo, box.hi))
-                # the period's shared box builds the very same rows
-                build = {"velocity": velocity_limit_rows,
-                         "position": position_limit_rows}[fam]
-                again = build(st, params, panda, tau_ext, box=shared)
-                assert np.array_equal(again.A, task.A)
-                assert np.array_equal(again.b, task.b)
             assert np.array_equal(shared.lo,
                                   np.maximum(boxes[0][0], boxes[1][0]))
             assert np.array_equal(shared.hi,
@@ -273,7 +328,7 @@ class TestAccelerationWitness:
             above = rng.random(7) < 0.5
             acc = np.where(out, np.where(above, hi + push, lo - push), acc)
             u_prev = st.M @ acc - drift_torque(st, tau_ext)
-            rows = acceleration_rows(st, params, panda, families, tau_ext)
+            rows = family_rows(st, params, panda, families, tau_ext)
             assert worst_violation(rows, u_prev) > FEAS_TOL
 
             u = acceleration_witness(u_prev, st, box)
@@ -314,7 +369,7 @@ class TestAccelerationWitness:
         st = compute_state(panda, q, np.array(qd_frac) * panda.v_max)
         params = CbfParams()
         u_prev = np.array(u_frac) * panda.tau_max
-        tasks = [torque_limit_rows(panda)] + acceleration_rows(
+        tasks = [torque_limit_rows(panda)] + family_rows(
             st, params, panda, families)
         u = acceleration_witness(
             u_prev, st, acceleration_box(st, params, panda, families))
@@ -352,7 +407,7 @@ class TestAccelerationWitness:
         if acc_frac is not None and np.all(np.isfinite(box.hi - box.lo)):
             u_prev = st.M @ (box.lo + np.array(acc_frac) * (box.hi - box.lo)) \
                 - drift_torque(st, tau_ext)
-        rows = acceleration_rows(st, params, panda, [
+        rows = family_rows(st, params, panda, [
             f for f in families if f != "torque"], tau_ext)
         u = acceleration_witness(u_prev, st, box, (a, beta))
 
@@ -410,7 +465,8 @@ class TestForwardInvariance:
 
         hist = filtered_rollout(
             twolink, [0.2, -0.3], [0.0, 0.0], u_des,
-            lambda st: velocity_limit_rows(st, params, twolink), steps=1500)
+            lambda st: acceleration_rows(st, acceleration_box(
+                st, params, twolink, ("velocity",))), steps=1500)
         peak = max(np.max(np.abs(st.qd)) for st in hist)
         assert peak <= twolink.v_max[0] + 1e-3
         assert peak > 0.5 * twolink.v_max[0]  # the input actually pushed
@@ -425,7 +481,8 @@ class TestForwardInvariance:
 
         hist = filtered_rollout(
             twolink, [0.0, 0.0], [0.0, 0.0], u_des,
-            lambda st: position_limit_rows(st, params, twolink), steps=3000)
+            lambda st: acceleration_rows(st, acceleration_box(
+                st, params, twolink, ("position",))), steps=3000)
         q_hi = max(np.max(st.q - twolink.q_max) for st in hist)
         q_lo = max(np.max(twolink.q_min - st.q) for st in hist)
         assert q_hi <= 1e-3 and q_lo <= 1e-3
