@@ -122,6 +122,16 @@ class ImpedanceParams:
         return np.diag(np.concatenate([self.k_trans, self.k_rot]).astype(float))
 
 
+def check_strict_families(families: tuple[str, ...]) -> None:
+    """Raise ValueError unless each family is one of STRICT_FAMILIES and
+    is named once."""
+    for i, fam in enumerate(families):
+        if fam not in STRICT_FAMILIES:
+            raise ValueError(f"unknown strict family '{fam}'")
+        if fam in families[:i]:
+            raise ValueError(f"strict family '{fam}' is named twice")
+
+
 @dataclass
 class ControllerState:
     """Mutable per-simulation controller memory.
@@ -149,9 +159,7 @@ class ControllerState:
             raise ValueError(f"mode must be one of {MODES}")
         if self.delta_prev < 0.0:
             raise ValueError("delta_prev must be >= 0")
-        for fam in self.strict_families:
-            if fam not in STRICT_FAMILIES:
-                raise ValueError(f"unknown strict family '{fam}'")
+        check_strict_families(self.strict_families)
 
 
 @dataclass

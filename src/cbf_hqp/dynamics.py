@@ -14,16 +14,32 @@ The mass matrix is assembled from per-link center-of-mass Jacobians,
 
     M(q) = sum_i  m_i Jv_i^T Jv_i  +  Jw_i^T (R_i I_i R_i^T) Jw_i,
 
-with I_i the rotational inertia about the COM in link axes. The Coriolis
-matrix uses Christoffel symbols of the first kind,
+with I_i the rotational inertia about the COM in link axes.
+
+The control loop needs the Coriolis/centrifugal terms only as the bias
+torque h = C(q, qd) qd. By the Jacobian form of Newton-Euler (Siciliano
+et al. 2009, ch. 7; Featherstone 2008) it is
+
+    h = sum_i  Jv_i^T m_i Jvdot_i qd
+             + Jw_i^T (I_w,i Jwdot_i qd + w_i x I_w,i w_i),
+
+with w_i = Jw_i qd and I_w,i = R_i I_i R_i^T. compute_state evaluates
+the chain once on the complex pair Q = [q, q + i eps qd]: the whole
+chain is analytic in q, so the imaginary part of any quantity X at the
+second row, divided by eps, is its rate dX/dt along qd with no
+subtractive cancellation (complex step). That gives Jvdot_i qd, and
+d/dt (I_w,i w_i) = I_w,i Jwdot_i qd + w_i x I_w,i w_i in one product,
+while the first row gives M, g, J and the pose.
+
+The full Coriolis matrix is built only when RobotState.C is read, from
+Christoffel symbols of the first kind,
 
     C[k, j] = 1/2 sum_i (dM[i][k, j] + dM[j][k, i] - dM[k][i, j]) qd[i],
 
 which makes dM/dt - 2C exactly skew-symmetric provided the partials
-dM[i] = dM/dq_i are exact. The partials are obtained by complex-step
-differentiation of the mass-matrix assembly (the whole chain is analytic
-in q), which is accurate to machine precision, unlike real finite
-differences. Gravity is g(q) = -sum_i m_i Jv_i^T g_vec, the exact
+dM[i] = dM/dq_i are exact. The partials come from n complex-step
+evaluations of the mass-matrix assembly, one per joint, and C qd equals
+h to roundoff. Gravity is g(q) = -sum_i m_i Jv_i^T g_vec, the exact
 gradient of the potential for the same model.
 
 All public entry points accept plain array-likes and return float64
@@ -34,6 +50,7 @@ controller needs and marks its arrays read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +58,9 @@ import yaml
 
 Array = np.ndarray
 
-# Step for complex-step partials of M. There is no subtractive
-# cancellation, so the step can sit far below sqrt(eps).
+# Step of the complex-step derivatives (the rates along qd and the
+# partials of M). There is no subtractive cancellation, so the step can
+# sit far below sqrt(eps).
 _CSTEP = 1e-100
 
 
@@ -85,7 +103,7 @@ class RobotModel:
         self._inertia_chol = np.linalg.cholesky(self.inertia)
         self._sqrt_mass = np.sqrt(self.mass)
         self._com_col = self.com[:, :, None]
-        self._mg = self.mass[:, None] * self.gravity
+        self._mg = (self.mass[:, None] * self.gravity).reshape(-1)
 
 
 def _field(d: dict, key: str, where: str):
@@ -284,7 +302,7 @@ def _mass_matrix_batched(model: RobotModel, T: Array, jac=None) -> Array:
 
 def _gravity_from_jv(model: RobotModel, Jv_real: Array) -> Array:
     # g(q) = -sum_l m_l Jv_l^T g_vec, the exact potential gradient.
-    return -np.tensordot(model._mg, Jv_real, axes=([0, 1], [0, 1]))
+    return -(model._mg @ Jv_real.reshape(-1, model.n_joints))
 
 
 def _ee_terms(model: RobotModel, T: Array):
@@ -350,6 +368,31 @@ def gravity_torque(model: RobotModel, q) -> Array:
     return _gravity_from_jv(model, Jv[0])
 
 
+def jacobian_rate(model: RobotModel, q, qd) -> Array:
+    """Jdot qd of the end-effector Jacobian along qd, shape (6,), from
+    one complex-step evaluation of the chain at q + i eps qd."""
+    qd = np.asarray(qd, dtype=float)
+    Q = (np.asarray(q, dtype=float) + 1j * _CSTEP * qd).reshape(1, -1)
+    _, J = _ee_terms(model, _chain(model, Q))
+    return (J[0].imag @ qd) / _CSTEP
+
+
+def _bias_torque(model: RobotModel, T: Array, Jv: Array, Jw: Array,
+                 qd: Array) -> Array:
+    """h = C qd from the chain over Q = [q, q + i eps qd] (module
+    docstring). Row 1's imaginary parts over eps are rates along qd:
+    m Jv qd gives m Jvdot qd, and I_w Jw qd gives d/dt (I_w w)
+    = I_w Jwdot qd + w x I_w w, since dI_w/dt = [w]x I_w - I_w [w]x."""
+    n = model.n_joints
+    R = T[1, :, :3, :3]
+    w = (Jw[1] @ qd)[..., None]
+    Iw = R @ (model.inertia @ (np.swapaxes(R, -1, -2) @ w))
+    lin = (Jv[1] @ qd).imag * (model.mass[:, None] / _CSTEP)
+    ang = Iw[..., 0].imag / _CSTEP
+    return (Jv[0].real.reshape(-1, n).T @ lin.reshape(-1)
+            + Jw[0].real.reshape(-1, n).T @ ang.reshape(-1))
+
+
 def _coriolis_from_partials(dM: Array, qd: Array) -> Array:
     # Christoffel symbols of the first kind, contracted with qd:
     # C[k, j] = 1/2 sum_i (dM[i][k, j] + dM[j][k, i] - dM[k][i, j]) qd[i].
@@ -357,6 +400,14 @@ def _coriolis_from_partials(dM: Array, qd: Array) -> Array:
     t2 = np.tensordot(dM, qd, axes=(2, 0)).T
     t3 = np.tensordot(dM, qd, axes=(1, 0))
     return 0.5 * (t1 + t2 - t3)
+
+
+def _coriolis_matrix(model: RobotModel, q: Array, qd: Array) -> Array:
+    """C(q, qd) from Christoffel symbols over complex-step partials of M,
+    one chain evaluation per joint."""
+    Q = q + 1j * _CSTEP * np.eye(model.n_joints)
+    dM = _mass_matrix_batched(model, _chain(model, Q)).imag / _CSTEP
+    return _coriolis_from_partials(dM, qd)
 
 
 def dynamics_terms(model: RobotModel, q, qd) -> tuple[Array, Array, Array]:
@@ -374,25 +425,36 @@ def kinetic_energy(model: RobotModel, q, qd) -> float:
 class RobotState:
     """Configuration snapshot with the cached terms one control step needs.
 
-    Arrays are read-only; build a new state instead of mutating one.
+    h is the bias torque C(q, qd) qd; with it the dynamics read
+    M qdd + h + g = tau. The Coriolis matrix C itself is built from
+    Christoffel symbols on first read (n more chain evaluations), which
+    the control loop never does. Arrays are read-only; build a new state
+    instead of mutating one.
     """
 
     q: Array
     qd: Array
     M: Array
-    C: Array
+    h: Array
     g: Array
     M_inv: Array
     J: Array
     ee_pos: Array
     ee_quat: Array
     K: float
+    model: RobotModel = field(repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("q", "qd", "M", "C", "g", "M_inv", "J", "ee_pos",
+        for name in ("q", "qd", "M", "h", "g", "M_inv", "J", "ee_pos",
                      "ee_quat"):
             arr = getattr(self, name)
             arr.flags.writeable = False
+
+    @cached_property
+    def C(self) -> Array:
+        C = _coriolis_matrix(self.model, self.q, self.qd)
+        C.flags.writeable = False
+        return C
 
     @property
     def n(self) -> int:
@@ -405,25 +467,23 @@ class RobotState:
 
 
 def compute_state(model: RobotModel, q, qd) -> RobotState:
-    """Evaluate kinematics and dynamics once and cache the results."""
+    """Evaluate kinematics and dynamics once and cache the results: one
+    chain evaluation over Q = [q, q + i eps qd] (module docstring)."""
     q = np.array(q, dtype=float)
     qd = np.array(qd, dtype=float)
     if q.shape != (model.n_joints,) or qd.shape != (model.n_joints,):
         raise ModelError("q and qd must have length n_joints")
 
-    n = model.n_joints
-    Q = np.tile(q.astype(complex), (n + 1, 1))
-    Q[1:] += 1j * _CSTEP * np.eye(n)
+    Q = np.stack([q, q + 1j * _CSTEP * qd])
     T = _chain(model, Q)
-    jac = _link_jacobians(model, T)
-    Mb = _mass_matrix_batched(model, T, jac=jac)
-    M = Mb[0].real
-    dM = Mb[1:].imag / _CSTEP
-    C = _coriolis_from_partials(dM, qd)
-
-    g = _gravity_from_jv(model, jac[0][0].real)
-    T_ee, J = _ee_terms(model, T[:1].real)
+    Jv, Jw = _link_jacobians(model, T)
+    T0 = T[:1].real
+    M = _mass_matrix_batched(model, T0, jac=(Jv[:1].real, Jw[:1].real))[0]
+    g = _gravity_from_jv(model, Jv[0].real)
+    T_ee, J = _ee_terms(model, T0)
     K = 0.5 * float(qd @ M @ qd)
-    return RobotState(q=q, qd=qd, M=M, C=C, g=g, M_inv=np.linalg.inv(M),
-                      J=J[0], ee_pos=T_ee[0, :3, 3].copy(),
-                      ee_quat=_quat_from_rot(T_ee[0, :3, :3]), K=K)
+    return RobotState(q=q, qd=qd, M=M, h=_bias_torque(model, T, Jv, Jw, qd),
+                      g=g, M_inv=np.linalg.inv(M), J=J[0],
+                      ee_pos=T_ee[0, :3, 3].copy(),
+                      ee_quat=_quat_from_rot(T_ee[0, :3, :3]), K=K,
+                      model=model)

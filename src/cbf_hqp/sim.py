@@ -10,7 +10,7 @@ the rollout and keeps the partial log.
 
 The integrator holds torque and wrench constant over each step:
 
-    qdd = M^-1 (u + J^T F_ext - C qd - g)
+    qdd = M^-1 (u + J^T F_ext - h - g),  h = C qd the bias torque
     qd += dt qdd ; q += dt qd
 """
 
@@ -235,6 +235,10 @@ def load_scenario(text: str) -> Scenario:
     if not isinstance(fams, list):
         raise ScenarioError("strict_families must be a list")
     strict_families = tuple(str(f) for f in fams)
+    try:
+        control.check_strict_families(strict_families)
+    except ValueError as exc:
+        raise ScenarioError(f"strict_families: {exc}") from None
 
     wr = _section(raw, "wrench", _field_names(WrenchSchedule), {"kind": "none"})
     wrench = WrenchSchedule(**{
@@ -277,7 +281,7 @@ def integrate_step(model: RobotModel, state: RobotState, u_applied: Array,
     tau = np.asarray(u_applied, dtype=float)
     if wrench is not None:
         tau = tau + state.J.T @ np.asarray(wrench, dtype=float)
-    qdd = state.M_inv @ (tau - state.C @ state.qd - state.g)
+    qdd = state.M_inv @ (tau - state.h - state.g)
     qd_next = state.qd + dt * qdd
     q_next = state.q + dt * qd_next
     if not (np.all(np.isfinite(q_next)) and np.all(np.isfinite(qd_next))):

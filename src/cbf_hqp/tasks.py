@@ -22,7 +22,7 @@ Derivations, in brief:
 
 * Joint velocity, relative degree one. h = v_max_i -+ qd_i, and
   hdot = -+ qdd_i = -+ e_i^T M^{-1} (u + w) with the drift torque
-  w = tau_ext - C qd - g.
+  w = tau_ext - h - g, h = C qd the state's bias torque.
 
 * Joint position, relative degree two. h = (q_max_i - q_i) or
   (q_i - q_min_i); cascading two first-order conditions with rates
@@ -36,7 +36,8 @@ Derivations, in brief:
 
 * Plane clearance for the end effector, also relative degree two, with
   h = n^T p_ee - offset - d_min and hddot = n^T (Jdot qd + J M^{-1}(u+w)).
-  Jdot qd is formed by a central difference of the Jacobian along qd.
+  Jdot qd is the rate of the Jacobian along qd, from one complex-step
+  chain evaluation (`dynamics.jacobian_rate`).
 """
 
 from __future__ import annotations
@@ -45,11 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import RobotModel, RobotState, jacobian
+from .dynamics import RobotModel, RobotState, jacobian_rate
 
 Array = np.ndarray
-
-_JDOT_STEP = 1e-6  # central-difference step of the plane row's Jdot qd
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,7 @@ class Task:
 
 
 def _drift_torque(state: RobotState, tau_ext: Array | None) -> Array:
-    w = -state.C @ state.qd - state.g
+    w = -state.h - state.g
     if tau_ext is not None:
         w = w + tau_ext
     return w
@@ -158,13 +157,22 @@ def energy_cbf_row(state: RobotState, params: CbfParams,
 
 
 def torque_limit_rows(model: RobotModel) -> Task:
-    """Symmetric torque box |u_i| <= tau_max_i as 2n hard rows."""
-    n = model.n_joints
-    A = np.vstack([np.eye(n), -np.eye(n)])
-    b = np.concatenate([-model.tau_max, -model.tau_max])
-    labels = [f"torque_min[{i}]" for i in range(n)] + \
-             [f"torque_max[{i}]" for i in range(n)]
-    return Task(kind="ineq", A=A, b=b, label="torque", row_labels=labels)
+    """Symmetric torque box |u_i| <= tau_max_i as 2n hard rows.
+
+    The task depends on the model only, so it is built on the first call
+    for a model and the same task, with read-only arrays, is returned
+    after that."""
+    task = getattr(model, "_torque_rows", None)
+    if task is None:
+        n = model.n_joints
+        A = np.vstack([np.eye(n), -np.eye(n)])
+        b = np.concatenate([-model.tau_max, -model.tau_max])
+        labels = [f"torque_min[{i}]" for i in range(n)] + \
+                 [f"torque_max[{i}]" for i in range(n)]
+        task = Task(kind="ineq", A=A, b=b, label="torque", row_labels=labels)
+        task.A.flags.writeable = task.b.flags.writeable = False
+        model._torque_rows = task
+    return task
 
 
 @dataclass(frozen=True)
@@ -172,7 +180,7 @@ class AccelerationBox:
     """One period's per-joint bounds lo <= qdd <= hi on the joint
     acceleration qdd = M^-1 (u + w) (+-inf where no family applies),
     each enabled family's own bounds, and the drift torque
-    w = tau_ext - C qd - g with its acceleration M^-1 w. Built once per
+    w = tau_ext - h - g with its acceleration M^-1 w. Built once per
     period and shared by acceleration_rows and the witness. family keeps
     the order the families were named in."""
     lo: Array
@@ -294,10 +302,6 @@ def collision_plane_rows(state: RobotState, params: CbfParams,
                          tau_ext: Array | None = None) -> Task:
     """Keep the end effector on the positive side of the configured
     plane: h = n.p_ee - offset - d_min >= 0, relative degree two.
-
-    The Jacobian rate term is a central difference along the current
-    velocity (second-order accurate; exact kinematic Hessians are not
-    worth their complexity at a 1 kHz control step).
     """
     if params.plane_normal is None:
         raise ValueError("no plane configured in params")
@@ -309,9 +313,7 @@ def collision_plane_rows(state: RobotState, params: CbfParams,
     h = float(n_vec @ state.ee_pos) - params.plane_offset - params.d_min
     hd = float(n_vec @ (Jv @ state.qd))
 
-    Jp = jacobian(model, state.q + _JDOT_STEP * state.qd)[:3]
-    Jm = jacobian(model, state.q - _JDOT_STEP * state.qd)[:3]
-    Jdot_qd = (Jp - Jm) @ state.qd / (2.0 * _JDOT_STEP)
+    Jdot_qd = jacobian_rate(model, state.q, state.qd)[:3]
 
     l1, l2 = params.lambda1, params.lambda2
     row = n_vec @ Jv @ state.M_inv

@@ -384,6 +384,10 @@ class TestStep:
             ControllerState(mode="single_qp", cbf=CbfParams(),
                             impedance=impedance_at(st),
                             strict_families=("gravity",))
+        with pytest.raises(ValueError, match="'torque' is named twice"):
+            ControllerState(mode="single_qp", cbf=CbfParams(),
+                            impedance=impedance_at(st),
+                            strict_families=("torque", "torque", "velocity"))
 
 
 def test_step_lunge_needs_no_phase1(monkeypatch):

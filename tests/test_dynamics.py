@@ -214,6 +214,51 @@ def test_coriolis_vanishes_at_rest(panda, rng):
     assert np.max(np.abs(C)) < 1e-12
 
 
+def test_bias_torque_matches_christoffel(panda, rng):
+    for _ in range(50):
+        q, qd = random_panda_state(panda, rng)
+        st = dyn.compute_state(panda, q, qd)
+        _, C, _ = dyn.dynamics_terms(panda, q, qd)
+        ref = C @ qd
+        assert np.max(np.abs(st.h - ref)) <= 1e-12 * (1.0 + np.linalg.norm(ref))
+
+
+def test_bias_torque_twolink_closed_form(twolink, rng):
+    for _ in range(50):
+        q = rng.uniform(-3.0, 3.0, 2)
+        qd = rng.uniform(-2.0, 2.0, 2)
+        _, C_ref, _ = twolink_closed_form(q, qd)
+        st = dyn.compute_state(twolink, q, qd)
+        assert np.max(np.abs(st.h - C_ref @ qd)) < 1e-10
+
+
+def test_bias_torque_vanishes_at_rest(panda, rng):
+    q, _ = random_panda_state(panda, rng)
+    st = dyn.compute_state(panda, q, np.zeros(7))
+    assert np.all(st.h == 0.0)
+
+
+def test_coriolis_built_on_first_read(panda, rng):
+    q, qd = random_panda_state(panda, rng)
+    st = dyn.compute_state(panda, q, qd)
+    assert "C" not in vars(st)
+    _, C, _ = dyn.dynamics_terms(panda, q, qd)
+    np.testing.assert_array_equal(st.C, C)
+    assert st.C is st.C
+    with pytest.raises(ValueError):
+        st.C[0, 0] = 1.0
+
+
+def test_jacobian_rate_matches_central_difference(twolink, rng):
+    eps = 1e-6
+    for _ in range(20):
+        q = rng.uniform(-3.0, 3.0, 2)
+        qd = rng.uniform(-2.0, 2.0, 2)
+        fd = (dyn.jacobian(twolink, q + eps * qd)
+              - dyn.jacobian(twolink, q - eps * qd)) @ qd / (2 * eps)
+        assert np.max(np.abs(dyn.jacobian_rate(twolink, q, qd) - fd)) <= 1e-6
+
+
 def test_mass_matrix_symmetric_spd(panda, twolink, rng):
     for model in (panda, twolink):
         for _ in range(10):

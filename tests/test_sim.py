@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from oracles import rk4_step
 
+from cbf_hqp import dynamics
 from cbf_hqp.dynamics import compute_state
 from cbf_hqp.sim import (
     EquilibriumSchedule,
@@ -193,6 +194,8 @@ class TestScenarioLoading:
          + "equilibrium: {kind: step, offset: [0.0, 0.0, 0.2], at: [1]}\n"),
         ("duration", HOLD_SCENARIO.replace("duration: 0.3", "duration: [1]")),
         ("strict_families", HOLD_SCENARIO + "strict_families: torque\n"),
+        ("strict_families", HOLD_SCENARIO
+         + "strict_families: [torque, torque, velocity]\n"),
         ("initial_q", HOLD_SCENARIO.replace("[0.0, -0.785", "[a, -0.785")),
         ("wrench.axis", SINE_SCENARIO.replace("axis: 2", "axis: 2.7")),
         ("wrench.axis", SINE_SCENARIO.replace("axis: 2", "axis: '3'")),
@@ -210,7 +213,8 @@ class TestScenarioLoading:
             "amplitude: 30.0", "amplitude: .nan")),
     ], ids=["k_trans_scalar", "offset_scalar", "offset_short",
             "plane_normal_scalar", "lambda2_list", "amplitude_list",
-            "at_list", "duration_list", "families_scalar", "initial_q_text",
+            "at_list", "duration_list", "families_scalar", "families_repeated",
+            "initial_q_text",
             "axis_fraction", "axis_text", "axis_bool", "duration_text",
             "gamma_bool", "gamma_nan", "k_max_inf", "dt_nan", "duration_inf",
             "k_trans_nan", "initial_q_nan", "amplitude_nan"])
@@ -321,6 +325,25 @@ class TestRollout:
         assert res.records[-1].statuses == ("fault",)
         problems = audit(res)
         assert problems and "fault" in problems[0]
+
+    def test_rollout_never_builds_coriolis_matrix(self, monkeypatch):
+        """The controller and the integrator read only the bias torque h;
+        the Christoffel C is built when something reads state.C."""
+        calls = []
+        christoffel = dynamics._coriolis_from_partials
+
+        def counting(*args):
+            calls.append(args)
+            return christoffel(*args)
+
+        monkeypatch.setattr(dynamics, "_coriolis_from_partials", counting)
+        sc = load_scenario_file(bundled_scenario_path("step"))
+        res = run_scenario(sc, mode="single_qp", duration=0.2)
+        assert not res.fault and len(res.records) == 200
+        assert calls == []
+        model = dynamics.load_bundled_model(sc.model_name)
+        compute_state(model, res.records[-1].q, res.records[-1].qd).C
+        assert len(calls) == 1
 
 
 class TestCsv:

@@ -103,6 +103,11 @@ class TestLimitRows:
         resid = task.A @ u - task.b
         # row order: lower bounds then upper bounds
         np.testing.assert_allclose(resid, [99.0, -0.5, 1.0, 100.5])
+        # built once per model, and shared read-only
+        assert torque_limit_rows(twolink) is task
+        for arr in (task.A, task.b):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_velocity_rows_encode_first_order_rate(self, twolink, rng):
         params = CbfParams(gamma_velocity=7.0)
