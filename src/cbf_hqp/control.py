@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,9 +119,11 @@ class ImpedanceParams:
         if q.shape != (4,) or not abs(np.linalg.norm(q) - 1.0) <= 1e-6:
             raise ValueError("eq_quat must be a unit quaternion (w, x, y, z)")
 
-    @property
+    @cached_property
     def stiffness(self) -> Array:
-        return np.diag(np.concatenate([self.k_trans, self.k_rot]).astype(float))
+        K = np.diag(np.concatenate([self.k_trans, self.k_rot]).astype(float))
+        K.flags.writeable = False
+        return K
 
 
 def check_strict_families(families: tuple[str, ...]) -> None:
@@ -183,19 +187,35 @@ class StepInfo:
     solve_time_us: float
 
 
-def task_space_inertia(state: RobotState) -> tuple[Array, bool]:
-    """Task-space inertia Lambda = (J M^-1 J^T)^-1.
+class TaskInertia(NamedTuple):
+    """Task-space inertia lam = (J M^-1 J^T)^-1, its singularity-damping
+    flag, and its square roots half = lam^1/2 and inv_half = lam^-1/2."""
+    lam: Array
+    damped: bool
+    half: Array
+    inv_half: Array
 
-    Near a kinematic singularity the inverse is damped with 1e-6 * I and
-    the flag goes up so logs can mark the step.
+
+def task_space_inertia(state: RobotState) -> TaskInertia:
+    """Task-space inertia Lambda = (J M^-1 J^T)^-1 and its square roots,
+    all from one SVD J L = U S V^T, L L^T = M^-1 (Cholesky), which gives
+    J M^-1 J^T = U diag(w) U^T with w = s^2 (zero past rank J). The SVD
+    of the factor resolves the small w near a singularity to working
+    precision; an eigendecomposition of the formed product would lose
+    them to its roundoff of order eps * w_max.
+
+    Near a kinematic singularity the inverse is damped with 1e-6 * I
+    (w + 1e-6) and the flag goes up so logs can mark the step.
     """
-    A = state.J @ state.M_inv @ state.J.T
-    A = 0.5 * (A + A.T)
-    w = np.linalg.eigvalsh(A)
-    damped = bool(w[0] <= 1e-6 * max(1.0, w[-1]))
+    U, s, _ = np.linalg.svd(state.J @ np.linalg.cholesky(state.M_inv))
+    w = np.zeros(U.shape[0])
+    w[:s.shape[0]] = s * s
+    damped = bool(w[-1] <= 1e-6 * max(1.0, w[0]))
     if damped:
-        A = A + 1e-6 * np.eye(A.shape[0])
-    return np.linalg.inv(A), damped
+        w += 1e-6
+    root = np.sqrt(w)
+    return TaskInertia(lam=(U / w) @ U.T, damped=damped,
+                       half=(U / root) @ U.T, inv_half=(U * root) @ U.T)
 
 
 def pose_error(state: RobotState, impedance: ImpedanceParams) -> Array:
@@ -207,24 +227,22 @@ def pose_error(state: RobotState, impedance: ImpedanceParams) -> Array:
     return np.concatenate([e_pos, e_rot])
 
 
-def critical_damping(lam: Array, stiffness: Array) -> Array:
+def critical_damping(inertia: TaskInertia, stiffness: Array) -> Array:
     """D = 2 sym(sqrt(Lambda K_c)), the symmetrized principal square
-    root, via sqrt(Lambda K) = L^1/2 sqrt(L^1/2 K L^1/2) L^-1/2."""
-    w, V = np.linalg.eigh(0.5 * (lam + lam.T))
-    w = np.clip(w, 1e-12, None)
-    half = (V * np.sqrt(w)) @ V.T
-    inv_half = (V / np.sqrt(w)) @ V.T
-    X = half @ _sqrtm_spd(half @ stiffness @ half) @ inv_half
+    root, via sqrt(Lambda K) = L^1/2 sqrt(L^1/2 K L^1/2) L^-1/2 with the
+    roots of `task_space_inertia`."""
+    half = inertia.half
+    X = half @ _sqrtm_spd(half @ stiffness @ half) @ inertia.inv_half
     return X + X.T
 
 
 def nominal_torque(state: RobotState, impedance: ImpedanceParams,
-                   lam: Array) -> Array:
-    """Impedance law u_nom = J^T (K_c e - D_c J qd) + g, with lam the
-    task-space inertia."""
+                   inertia: TaskInertia) -> Array:
+    """Impedance law u_nom = J^T (K_c e - D_c J qd) + g, with inertia
+    the task-space inertia."""
     state.check_fresh()
     K_c = impedance.stiffness
-    D_c = critical_damping(lam, K_c)
+    D_c = critical_damping(inertia, K_c)
     wrench = K_c @ pose_error(state, impedance) - D_c @ (state.J @ state.qd)
     return state.J.T @ wrench + state.g
 
@@ -235,7 +253,7 @@ def nullspace_basis(state: RobotState, z_prev: Array | None = None) -> Array:
     Raises UnsupportedConfigurationError unless that nullspace is
     exactly one-dimensional (redundant arm away from singularities).
     """
-    _, s, Vt = np.linalg.svd(state.J)
+    _, s, Vt = state.J_svd
     rank = int(np.sum(s > 1e-8 * s[0]))
     if state.n - rank != 1:
         raise UnsupportedConfigurationError(
@@ -249,9 +267,10 @@ def nullspace_basis(state: RobotState, z_prev: Array | None = None) -> Array:
 def task_rows(state: RobotState, lam: Array,
               z: Array | None) -> tuple[Array, Array]:
     """The wrench rows W and the nullspace row V of the module docstring;
-    V has no rows when z is None (no one-dimensional nullspace)."""
-    U, s, _ = np.linalg.svd(state.J, full_matrices=False)
-    W = (s[:, None] * U.T) @ (lam @ (state.J @ state.M_inv))
+    V has no rows when z is None (no one-dimensional nullspace). U S is
+    read from the state's full SVD, U cut to its first len(s) columns."""
+    U, s, _ = state.J_svd
+    W = (s[:, None] * U[:, :s.shape[0]].T) @ (lam @ (state.J @ state.M_inv))
     if z is None:
         return W, np.zeros((0, state.n))
     Mz = state.M @ z
@@ -283,19 +302,22 @@ def build_strict_tasks(model: RobotModel, state: RobotState,
     return tasks
 
 
-def _levels_for_mode(mode: str, u_nom: Array, W: Array, V: Array,
-                     energy: Task) -> list[LevelSpec]:
-    """The mode's levels. With W, V from `task_rows`, ||W x|| = ||P x|| and
-    |V x| = ||N x||, so task_wrench and nullspace minimize P, N (u - u_nom)."""
-    n = u_nom.shape[0]
-    track = Task(kind="eq", A=np.eye(n), b=u_nom, label="torque_tracking")
-    cartesian = Task(kind="eq", A=W, b=W @ u_nom, label="task_wrench")
-    nullspace = Task(kind="eq", A=V, b=V @ u_nom, label="nullspace")
+def _levels_for_mode(mode: str, u_nom: Array, energy: Task,
+                     state: RobotState, lam: Array,
+                     z: Array | None) -> list[LevelSpec]:
+    """The mode's levels. The hqp modes track W, V from `task_rows`:
+    ||W x|| = ||P x|| and |V x| = ||N x||, so task_wrench and nullspace
+    minimize P, N (u - u_nom). single_qp tracks u_nom itself."""
     if mode == "single_qp":
+        track = Task(kind="eq", A=np.eye(u_nom.shape[0]), b=u_nom,
+                     label="torque_tracking")
         hard_energy = Task(kind="ineq", A=energy.A, b=energy.b,
                            label=energy.label, slack=None,
                            row_labels=list(energy.row_labels))
         return [LevelSpec(equality=track, inequality=hard_energy)]
+    W, V = task_rows(state, lam, z)
+    cartesian = Task(kind="eq", A=W, b=W @ u_nom, label="task_wrench")
+    nullspace = Task(kind="eq", A=V, b=V @ u_nom, label="nullspace")
     if mode == "hqp_performance":
         return [LevelSpec(equality=cartesian),
                 LevelSpec(inequality=energy),
@@ -325,22 +347,22 @@ def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
     """
     t0 = time.perf_counter()
     state.check_fresh()
-    lam, damped = task_space_inertia(state)
-    u_nom = nominal_torque(state, ctrl.impedance, lam=lam)
+    inertia = task_space_inertia(state)
+    lam = inertia.lam
+    u_nom = nominal_torque(state, ctrl.impedance, inertia)
 
     z = None
     try:
         z = nullspace_basis(state, ctrl.z_prev)
     except UnsupportedConfigurationError:
         pass
-    W, V = task_rows(state, lam, z)
 
     energy = energy_cbf_row(state, ctrl.cbf, tau_ext=tau_ext,
                             delta_prev=ctrl.delta_prev)
     box = acceleration_box(state, ctrl.cbf, model, ctrl.strict_families,
                            tau_ext)
     strict = build_strict_tasks(model, state, ctrl, tau_ext, box)
-    levels = _levels_for_mode(ctrl.mode, u_nom, W, V, energy)
+    levels = _levels_for_mode(ctrl.mode, u_nom, energy, state, lam, z)
 
     x0 = ctrl.u_prev
     if x0 is not None:
@@ -383,7 +405,7 @@ def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
         k_max_eff=ctrl.cbf.k_max + delta, delta=delta,
         dW=wrench_deviation(state, u, u_nom, lam),
         alpha_dev=alpha_dev, statuses=statuses, active_strict=active,
-        eq_residual=eq_residual, iterations=iterations, damped=damped,
+        eq_residual=eq_residual, iterations=iterations, damped=inertia.damped,
         phase1_used=phase1_used, fault=fault, fault_reason=reason,
         solve_time_us=(time.perf_counter() - t0) * 1e6)
     return u, info

@@ -428,8 +428,9 @@ class RobotState:
     h is the bias torque C(q, qd) qd; with it the dynamics read
     M qdd + h + g = tau. The Coriolis matrix C itself is built from
     Christoffel symbols on first read (n more chain evaluations), which
-    the control loop never does. Arrays are read-only; build a new state
-    instead of mutating one.
+    the control loop never does. J_svd, the full SVD (U, s, Vt) of J, is
+    computed on first read and shared by everything that factors J.
+    Arrays are read-only; build a new state instead of mutating one.
     """
 
     q: Array
@@ -455,6 +456,13 @@ class RobotState:
         C = _coriolis_matrix(self.model, self.q, self.qd)
         C.flags.writeable = False
         return C
+
+    @cached_property
+    def J_svd(self) -> tuple[Array, Array, Array]:
+        U, s, Vt = np.linalg.svd(self.J)
+        for arr in (U, s, Vt):
+            arr.flags.writeable = False
+        return U, s, Vt
 
     @property
     def n(self) -> int:

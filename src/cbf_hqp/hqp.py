@@ -166,9 +166,11 @@ class StageLedger:
     are the non-negotiable ones; everything after them was frozen in by
     some solved level. Row counts never shrink. Z is an orthonormal
     basis of the kernel of A_eq, and witness satisfies every row, so
-    witness + Z y keeps every frozen equality for any y. eq_tasks and
-    in_tasks hold the (level, task) pairs behind the rows, level 0 for
-    stage 0; the row labels are built from them on demand.
+    witness + Z y keeps every frozen equality for any y. An equality
+    level leaves its A Z behind, and Z ker(A Z) is formed on the next
+    read of Z, so the last level's kernel is never computed. eq_tasks
+    and in_tasks hold the (level, task) pairs behind the rows, level 0
+    for stage 0; the row labels are built from them on demand.
     """
     n: int
     A_eq: Array
@@ -178,11 +180,19 @@ class StageLedger:
     n_strict: int
     witness: Array
     phase1_used: bool
-    Z: Array
+    _Z: Array = field(repr=False)
     eq_tasks: list[tuple[int, Task]] = field(default_factory=list)
     in_tasks: list[tuple[int, Task]] = field(default_factory=list)
     level: int = 0
     records: list[LevelRecord] = field(default_factory=list)
+    _Z_kernel_of: Array | None = field(default=None, repr=False)
+
+    @property
+    def Z(self) -> Array:
+        if self._Z_kernel_of is not None:
+            self._Z = self._Z @ _kernel(self._Z_kernel_of)
+            self._Z_kernel_of = None
+        return self._Z
 
     @property
     def eq_labels(self) -> list[str]:
@@ -305,7 +315,7 @@ def init_stage0(strict_tasks: list[Task], witness: Array | None = None,
     ledger = StageLedger(n=n, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
                          n_strict=A_in.shape[0],
                          witness=np.zeros(n), phase1_used=False,
-                         Z=_kernel(A_eq) if eq else np.eye(n),
+                         _Z=_kernel(A_eq) if eq else np.eye(n),
                          eq_tasks=[(0, t) for t in eq],
                          in_tasks=[(0, t) for t in ineq])
 
@@ -438,7 +448,7 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
         ledger.b_eq = np.concatenate([ledger.b_eq, equality_task.A @ u_star])
         ledger.eq_tasks.append((level, equality_task))
         if k:
-            ledger.Z = Z @ _kernel(AZ)
+            ledger._Z_kernel_of = AZ
     if inequality_task is not None:
         ledger.A_in = C
         ledger.b_in = d if slack_coef is None else np.concatenate(

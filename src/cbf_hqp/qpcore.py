@@ -158,21 +158,20 @@ def _kkt_step(H: Array, grad: Array, A_act: Array, resid: Array):
     curvature here spans many orders of magnitude (regularization-only
     directions against penalty-weighted ones), and factoring the full
     KKT matrix smears that conditioning into the constraint block. The
-    returned multipliers satisfy grad + H p = A_act^T nu.
+    returned multipliers are the least-squares solution of
+    A_act^T nu = grad + H p, read off the same SVD, so they are the
+    multipliers at z + p. full_rank says A_act has full row rank, in
+    which case z + p lies on every working row.
     """
-    m = A_act.shape[0]
-    if m == 0:
-        return _newton_step(H, grad), np.zeros(0)
     U, sig, Vt = np.linalg.svd(A_act)
     r = numerical_rank(sig)
-    p0 = Vt[:r].T @ ((U[:, :r].T @ resid) / sig[:r]) if r else np.zeros(H.shape[0])
+    U_r, V_r, sig_r = U[:, :r], Vt[:r].T, sig[:r]
+    p = V_r @ ((U_r.T @ resid) / sig_r)
     N = Vt[r:].T
     if N.shape[1]:
-        p = p0 + N @ _newton_step(N.T @ H @ N, N.T @ (grad + H @ p0))
-    else:
-        p = p0
-    nu, *_ = np.linalg.lstsq(A_act.T, grad + H @ p, rcond=None)
-    return p, nu
+        p = p + N @ _newton_step(N.T @ H @ N, N.T @ (grad + H @ p))
+    nu = U_r @ ((V_r.T @ (grad + H @ p)) / sig_r)
+    return p, nu, r == A_act.shape[0]
 
 
 def _active_set_core(H: Array, f: Array, A_eq: Array, b_eq: Array,
@@ -183,26 +182,40 @@ def _active_set_core(H: Array, f: Array, A_eq: Array, b_eq: Array,
     bound is clamped to the start's value. Pulling the iterate back onto
     such a row could be blocked for good by a tight row on its other
     side, when no point meets both exactly.
+
+    A full step (alpha = 1) over working rows of full row rank lands on
+    the minimizer of its face, and the step's multipliers are that
+    point's: the iteration ends there (optimal) or drops the row with
+    the most negative multiplier, without a further solve to confirm
+    the point. The working-row matrix is rebuilt only when the working
+    set changes, and the slack A_in z - b_in is carried along with the
+    ratio test's d = A_in p.
     """
     m_e = A_eq.shape[0]
-    m_i = A_in.shape[0]
     z = z0.astype(float).copy()
-    if m_i:
-        b_in = np.minimum(b_in, A_in @ z)
+    slack = A_in @ z
+    b_in = np.minimum(b_in, slack)
+    slack -= b_in
     work: list[int] = []
     nu = np.zeros(m_e)
+    changed = True
 
     for it in range(1, MAX_ITER + 1):
         grad = H @ z + f
-        if m_e or work:
-            A_act = np.vstack([A_eq, A_in[work]])
-            b_act = np.concatenate([b_eq, b_in[work]])
-            resid = b_act - A_act @ z
-            p, nu = _kkt_step(H, grad, A_act, resid)
-            on_face = (np.abs(resid).max()
-                       <= 1e-11 * (1.0 + np.abs(b_act).max()))
+        if changed:
+            A_act = np.vstack([A_eq, A_in[work]]) if work else A_eq
+            face_tol = 1e-11 * (1.0 + max(np.abs(b_eq).max(initial=0.0),
+                                          np.abs(b_in[work]).max(initial=0.0)))
+            changed = False
+        if A_act.shape[0]:
+            resid = -slack[work]
+            if m_e:
+                resid = np.concatenate([b_eq - A_eq @ z, resid])
+            p, nu, full_rank = _kkt_step(H, grad, A_act, resid)
+            on_face = np.abs(resid).max() <= face_tol
         else:
-            p, nu, on_face = _newton_step(H, grad), np.zeros(0), True
+            p, nu, full_rank, on_face = (_newton_step(H, grad), np.zeros(0),
+                                         True, True)
 
         # Stationary when the step is negligible or cannot improve the
         # objective beyond roundoff. The second test matters for nearly
@@ -217,28 +230,35 @@ def _active_set_core(H: Array, f: Array, A_eq: Array, b_eq: Array,
             or -(grad @ p + 0.5 * p @ H @ p)
             <= 1e-17 * (1.0 + abs(0.5 * z @ grad + 0.5 * f @ z))
         )
-        if stationary:
-            mu_w = nu[m_e:]
-            if mu_w.size == 0 or mu_w.min() >= -1e-9:
-                return z, "optimal", it, work, nu
-            drop = int(np.argmin(mu_w))
-            work.pop(drop)
-            continue
-
-        # Longest feasible step along p; inactive rows with a^T p < 0 block.
-        alpha = 1.0
-        d = A_in @ p
-        blocking = d < -1e-12
-        blocking[work] = False
-        if blocking.any():
-            ratio = np.full(m_i, np.inf)
-            ratio[blocking] = (np.maximum(A_in[blocking] @ z - b_in[blocking],
-                                          0.0) / -d[blocking])
-            blocker = int(np.argmin(ratio))
-            if ratio[blocker] < alpha - 1e-14:
-                alpha = ratio[blocker]
+        if not stationary:
+            # Longest feasible step along p; inactive rows with
+            # a^T p < 0 block.
+            alpha = 1.0
+            blocker = None
+            d = A_in @ p
+            blocking = d < -1e-12
+            blocking[work] = False
+            if blocking.any():
+                ratio = np.full(d.shape[0], np.inf)
+                ratio[blocking] = (np.maximum(slack[blocking], 0.0)
+                                   / -d[blocking])
+                i = int(np.argmin(ratio))
+                if ratio[i] < alpha - 1e-14:
+                    alpha, blocker = ratio[i], i
+            z = z + alpha * p
+            slack += alpha * d
+            if blocker is not None:
                 work.append(blocker)
-        z = z + alpha * p
+                changed = True
+                continue
+            if not full_rank:
+                continue
+
+        mu_w = nu[m_e:]
+        if mu_w.size == 0 or mu_w.min() >= -1e-9:
+            return z, "optimal", it, work, nu
+        work.pop(int(np.argmin(mu_w)))
+        changed = True
 
     return z, "max_iterations", MAX_ITER, work, nu
 

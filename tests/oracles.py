@@ -94,6 +94,27 @@ def projections(state: RobotState,
     acceleration); Lambda is the controller's task-space inertia unless
     lam is given."""
     if lam is None:
-        lam, _ = task_space_inertia(state)
+        lam = task_space_inertia(state).lam
     P = state.J.T @ lam @ (state.J @ state.M_inv)
     return P, np.eye(state.n) - P
+
+
+def two_eigh_damping(state: RobotState,
+                     stiffness: Array) -> tuple[Array, bool, Array]:
+    """(Lambda, damped, D) computed the long way: eigvalsh and inv of
+    J M^-1 J^T for the damping flag and Lambda, then an eigh of Lambda
+    for its square roots in D = 2 sym(sqrt(Lambda K))."""
+    A = state.J @ state.M_inv @ state.J.T
+    A = 0.5 * (A + A.T)
+    w = np.linalg.eigvalsh(A)
+    damped = bool(w[0] <= 1e-6 * max(1.0, w[-1]))
+    if damped:
+        A = A + 1e-6 * np.eye(A.shape[0])
+    lam = np.linalg.inv(A)
+    w, V = np.linalg.eigh(0.5 * (lam + lam.T))
+    w = np.clip(w, 1e-12, None)
+    half = (V * np.sqrt(w)) @ V.T
+    inv_half = (V / np.sqrt(w)) @ V.T
+    s, U = np.linalg.eigh(half @ stiffness @ half)
+    X = half @ ((U * np.sqrt(np.clip(s, 0.0, None))) @ U.T) @ inv_half
+    return lam, damped, X + X.T

@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from oracles import projections
+from oracles import projections, two_eigh_damping
 
 from cbf_hqp import control, hqp, qpcore, sim
 from cbf_hqp.control import (
     ControllerState,
     ImpedanceParams,
+    TaskInertia,
     UnsupportedConfigurationError,
     build_strict_tasks,
     critical_damping,
@@ -36,6 +37,22 @@ def impedance_at(state, dz=0.0):
     return ImpedanceParams(eq_position=tuple(pos), eq_quat=tuple(state.ee_quat))
 
 
+def factor_state(panda, twolink, k, rng):
+    """State k of the factorization checks: 0-9 random Panda states,
+    10-19 Panda states within 1e-5 rad of the elbow singularity
+    (q4 = -0.467, other joints at home), which damp Lambda, and 20-29
+    twolink states, damped on every step."""
+    if k < 10:
+        return compute_state(panda, HOME + rng.uniform(-0.6, 0.6, 7),
+                             rng.uniform(-1.0, 1.0, 7))
+    if k < 20:
+        q = HOME.copy()
+        q[3] = -0.467 + rng.uniform(-1e-5, 1e-5)
+        return compute_state(panda, q, rng.uniform(-1.0, 1.0, 7))
+    return compute_state(twolink, rng.uniform(-2.0, 2.0, 2),
+                         rng.uniform(-1.0, 1.0, 2))
+
+
 def rollout(model, ctrl, q0, steps, dt=1e-3, tau_ext_fn=None):
     """Closed-loop semi-implicit Euler using the controller under test."""
     q, qd = np.asarray(q0, float).copy(), np.zeros(model.n_joints)
@@ -56,7 +73,7 @@ def rollout(model, ctrl, q0, steps, dt=1e-3, tau_ext_fn=None):
 class TestNominalLaw:
     def test_gravity_compensation_at_equilibrium(self, panda):
         st = compute_state(panda, HOME, np.zeros(7))
-        u = nominal_torque(st, impedance_at(st), task_space_inertia(st)[0])
+        u = nominal_torque(st, impedance_at(st), task_space_inertia(st))
         np.testing.assert_allclose(u, st.g, atol=1e-9)
 
     def test_step_offset_pulls_with_stiffness_times_error(self, panda):
@@ -65,7 +82,7 @@ class TestNominalLaw:
         imp = impedance_at(st, dz=0.2)
         e = pose_error(st, imp)
         np.testing.assert_allclose(e, [0, 0, 0.2, 0, 0, 0], atol=1e-12)
-        u = nominal_torque(st, imp, task_space_inertia(st)[0])
+        u = nominal_torque(st, imp, task_space_inertia(st))
         np.testing.assert_allclose(u - st.g, st.J.T @ np.array([0, 0, 40.0, 0, 0, 0]),
                                    atol=1e-9)
 
@@ -75,19 +92,48 @@ class TestNominalLaw:
             qd = rng.uniform(-0.5, 0.5, 7)
             st = compute_state(panda, q, qd)
             imp = impedance_at(st, dz=0.1)
-            u = nominal_torque(st, imp, task_space_inertia(st)[0]) - st.g
+            u = nominal_torque(st, imp, task_space_inertia(st)) - st.g
             coef, *_ = np.linalg.lstsq(st.J.T, u, rcond=None)
             np.testing.assert_allclose(st.J.T @ coef, u, atol=1e-8)
 
     def test_damping_is_spd_and_critical_for_isotropic_case(self, panda):
         st = compute_state(panda, HOME, np.zeros(7))
-        lam, _ = task_space_inertia(st)
-        D = critical_damping(lam, np.diag([200.0] * 3 + [50.0] * 3))
+        D = critical_damping(task_space_inertia(st),
+                             np.diag([200.0] * 3 + [50.0] * 3))
         assert np.max(np.abs(D - D.T)) <= 1e-10
         assert np.min(np.linalg.eigvalsh(D)) > 0.0
         # scalar sanity: Lambda = 2 I, K = 8 I gives D = 2 sqrt(16) I
-        D1 = critical_damping(2.0 * np.eye(2), 8.0 * np.eye(2))
+        root = np.sqrt(2.0)
+        lam2 = TaskInertia(lam=2.0 * np.eye(2), damped=False,
+                           half=root * np.eye(2), inv_half=np.eye(2) / root)
+        D1 = critical_damping(lam2, 8.0 * np.eye(2))
         np.testing.assert_allclose(D1, 8.0 * np.eye(2), atol=1e-12)
+
+    def test_one_factorization_matches_the_two_eigh_damping(
+            self, panda, twolink, rng):
+        # Lambda, its roots and the damping flag come from one SVD of
+        # J L (L L^T = M^-1); D agrees with eigvalsh + inv + eigh of
+        # Lambda on random, near-singular (damped) and twolink (always
+        # damped) states
+        K = np.diag([200.0] * 3 + [50.0] * 3)
+        damped_seen = {7: 0, 2: 0}
+        for k in range(30):
+            st = factor_state(panda, twolink, k, rng)
+            inertia = task_space_inertia(st)
+            lam, damped, D_ref = two_eigh_damping(st, K)
+            assert inertia.damped == damped
+            damped_seen[st.n] += damped
+            D = critical_damping(inertia, K)
+            rel = np.max(np.abs(D - D_ref)) / np.max(np.abs(D_ref))
+            assert rel <= 1e-10, f"state {k}: {rel:.2e}"
+            np.testing.assert_allclose(
+                inertia.lam, lam, rtol=0.0, atol=1e-9 * np.max(np.abs(lam)))
+            np.testing.assert_allclose(inertia.half @ inertia.half,
+                                       inertia.lam, rtol=0.0,
+                                       atol=1e-9 * np.max(np.abs(lam)))
+            np.testing.assert_allclose(inertia.half @ inertia.inv_half,
+                                       np.eye(6), atol=1e-8)
+        assert damped_seen[7] >= 1 and damped_seen[2] == 10
 
     def test_validation(self):
         with pytest.raises(ValueError, match="stiffness"):
@@ -117,9 +163,10 @@ class TestProjections:
 
     def test_wrench_deviation_blind_to_nullspace(self, panda, rng):
         st = compute_state(panda, HOME, np.zeros(7))
-        lam, _ = task_space_inertia(st)
+        inertia = task_space_inertia(st)
+        lam = inertia.lam
         _, N = projections(st, lam)
-        u_nom = nominal_torque(st, impedance_at(st), lam)
+        u_nom = nominal_torque(st, impedance_at(st), inertia)
         w = rng.normal(size=7)
         dW = wrench_deviation(st, u_nom + N @ w, u_nom, lam)
         assert np.max(np.abs(dW)) <= 1e-8
@@ -154,7 +201,7 @@ class TestTaskRows:
         for _ in range(50):
             st = compute_state(panda, HOME + rng.uniform(-0.6, 0.6, 7),
                                rng.uniform(-1, 1, 7))
-            lam, damped = task_space_inertia(st)
+            lam, damped, *_ = task_space_inertia(st)
             assert not damped
             z = nullspace_basis(st)
             W, V = task_rows(st, lam, z)
@@ -172,7 +219,7 @@ class TestTaskRows:
             q = np.array([rng.uniform(-3.0, 3.0),
                           rng.choice([-1, 1]) * rng.uniform(0.3, 2.8)])
             st = compute_state(twolink, q, rng.uniform(-1, 1, 2))
-            lam, _ = task_space_inertia(st)
+            lam = task_space_inertia(st).lam
             W, V = task_rows(st, lam, None)
             P, _ = projections(st, lam)
             assert W.shape == (2, 2) and V.shape == (0, 2)
@@ -180,6 +227,29 @@ class TestTaskRows:
             for x in rng.normal(size=(5, 2)):
                 assert np.linalg.norm(W @ x) == pytest.approx(
                     np.linalg.norm(P @ x), rel=1e-9, abs=1e-9)
+
+    def test_cached_svd_matches_a_fresh_one(self, panda, twolink, rng):
+        # nullspace_basis and task_rows read the state's one SVD of J;
+        # a fresh SVD gives the same z and W up to the signs of the
+        # singular vectors
+        states = [factor_state(panda, twolink, k, rng) for k in range(30)]
+        for st in states:
+            U, s, Vt = np.linalg.svd(st.J, full_matrices=False)
+            lam = task_space_inertia(st).lam
+            W_ref = (s[:, None] * U.T) @ (lam @ (st.J @ st.M_inv))
+            z = None
+            if st.n == 7:
+                z = nullspace_basis(st)
+                _, _, Vt_full = np.linalg.svd(st.J)
+                assert abs(float(z @ Vt_full[-1])) == pytest.approx(
+                    1.0, abs=1e-12)
+            W, _ = task_rows(st, lam, z)
+            assert W.shape == W_ref.shape
+            for row, ref in zip(W, W_ref):
+                sign = 1.0 if float(row @ ref) >= 0.0 else -1.0
+                np.testing.assert_allclose(
+                    sign * row, ref, rtol=0.0,
+                    atol=1e-10 * np.max(np.abs(W_ref)))
 
     def test_step_hands_the_cascade_full_rank_rows(self, panda, monkeypatch):
         # an hqp period on the Panda freezes 7 independent equality rows
@@ -263,12 +333,12 @@ class TestStep:
         from cbf_hqp.hqp import run_cascade
         from cbf_hqp.control import _levels_for_mode
         from cbf_hqp.tasks import Task, energy_cbf_row
-        lam, _ = task_space_inertia(st)
-        W, V = task_rows(st, lam, nullspace_basis(st))
+        lam = task_space_inertia(st).lam
         energy = energy_cbf_row(st, ctrl.cbf)
         pinned = Task(kind="ineq", A=energy.A, b=energy.b, label="energy",
                       slack=None)
-        levels = _levels_for_mode("hqp_performance", info.u_nom, W, V, energy)
+        levels = _levels_for_mode("hqp_performance", info.u_nom, energy, st,
+                                  lam, nullspace_basis(st))
         levels[1] = type(levels[1])(inequality=pinned)
         box = acceleration_box(st, ctrl.cbf, panda, ctrl.strict_families)
         res = run_cascade(build_strict_tasks(panda, st, ctrl, None, box),

@@ -19,7 +19,9 @@ def kkt_residual(problem, sol):
     return np.max(np.abs(r), initial=0.0)
 
 
-def random_problem(rng, feasible=True):
+def random_problem(rng, feasible=True, with_start=False):
+    """A random QP; with_start (feasible only) also returns the feasible
+    point the rows were built around, as a warm start."""
     n = int(rng.integers(1, 6))
     m_e = int(rng.integers(0, 3)) if n > 1 else 0
     m_i = int(rng.integers(0, 9))
@@ -40,7 +42,18 @@ def random_problem(rng, feasible=True):
     else:
         b_eq = rng.normal(size=m_e) if m_e else None
         b_in = rng.normal(size=m_i) if m_i else None
-    return QpProblem(H=H, f=f, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
+    p = QpProblem(H=H, f=f, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
+    return (p, z0) if with_start else p
+
+
+def assert_kkt(problem, sol, k):
+    """Stationarity, multiplier signs and complementarity at sol."""
+    scale = 1.0 + float(np.max(np.abs(problem.f), initial=0.0))
+    assert kkt_residual(problem, sol) <= 1e-6 * scale, f"instance {k}"
+    if sol.mu_in.size:
+        assert np.min(sol.mu_in) >= -1e-8, f"instance {k}"
+        gaps = sol.mu_in * (problem.A_in @ sol.z_star - problem.b_in)
+        assert np.max(np.abs(gaps)) <= 1e-6 * scale, f"instance {k}"
 
 
 class TestHandCases:
@@ -133,6 +146,62 @@ class TestHandCases:
         assert sol.z_star[0] == 0.0
         assert list(sol.active_set) == [0, 1]
 
+    def test_feasible_unconstrained_minimizer_takes_one_iteration(self):
+        # the full Newton step from a feasible start lands on the
+        # minimizer, and its (empty) multipliers end the solve there
+        c = np.array([0.3, -0.2, 0.5])
+        p = QpProblem(H=2 * np.eye(3), f=-2 * c,
+                      A_in=np.vstack([np.eye(3), -np.eye(3)]),
+                      b_in=-np.ones(6))
+        sol = solve_qp(p, x0=np.zeros(3))
+        assert sol.status == "optimal" and not sol.phase1_used
+        assert sol.iterations == 1
+        np.testing.assert_allclose(sol.z_star, c, atol=1e-8)
+        # the same with a full-rank equality row: one step onto its face
+        a = np.array([1.0, 2.0, 2.0])
+        q = QpProblem(H=2 * np.eye(3), f=-2 * c, A_eq=[a], b_eq=[0.0])
+        sol = solve_qp(q, x0=np.zeros(3))
+        assert sol.status == "optimal" and sol.iterations == 1
+        np.testing.assert_allclose(sol.z_star, c - a * (a @ c) / (a @ a),
+                                   atol=1e-8)
+
+    def test_full_step_with_negative_multiplier_drops_the_row(self):
+        # From x0 the step toward c is blocked by z1 + z3 <= 1, then by
+        # z3 <= 1. The full step along their common line lands on
+        # (0, 1, 1), where z1 + z3 <= 1 has multiplier -0.1: it is
+        # dropped there (iteration 3), and the full step on z3 = 1 alone
+        # reaches the optimum (-0.1, 1, 1) (iteration 4), with no solve
+        # spent confirming either point.
+        c = np.array([-0.1, 1.0, 5.0])
+        p = QpProblem(H=np.eye(3), f=-c,
+                      A_in=[[-1.0, 0.0, -1.0], [0.0, 0.0, -1.0]],
+                      b_in=[-1.0, -1.0])
+        sol = solve_qp(p, x0=np.array([0.5, 0.0, 0.0]))
+        z_ref, obj_ref = oracle_solve(p)
+        assert sol.status == "optimal" and sol.iterations == 4
+        np.testing.assert_allclose(sol.z_star, z_ref, atol=1e-8)
+        np.testing.assert_allclose(sol.z_star, [-0.1, 1.0, 1.0], atol=1e-8)
+        assert sol.work == [1]
+        np.testing.assert_allclose(sol.mu_in, [0.0, 4.0], atol=1e-6)
+        assert kkt_residual(p, sol) <= 1e-8
+
+    def test_rank_deficient_working_set_confirms_its_point(self):
+        # Redundant rows have rank 1 < 2: the full step onto them is not
+        # taken as the face's minimizer, and a second iteration finds
+        # the point stationary. A single row of full rank ends in one.
+        x0 = np.array([1.0, 5.0])
+        p = QpProblem(H=2 * np.eye(2), f=[0.0, 0.0],
+                      A_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[1.0, 1.0])
+        sol = solve_qp(p, x0=x0)
+        assert sol.status == "optimal" and sol.iterations == 2
+        np.testing.assert_allclose(sol.z_star, [1.0, 0.0], atol=1e-8)
+        assert kkt_residual(p, sol) <= 1e-8
+        single = QpProblem(H=2 * np.eye(2), f=[0.0, 0.0],
+                           A_eq=[[1.0, 0.0]], b_eq=[1.0])
+        sol = solve_qp(single, x0=x0)
+        assert sol.status == "optimal" and sol.iterations == 1
+        np.testing.assert_allclose(sol.z_star, [1.0, 0.0], atol=1e-8)
+
     def test_equality_only_inconsistent(self):
         p = QpProblem(H=2 * np.eye(2), f=[0.0, 0.0],
                       A_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[0.0, 1.0])
@@ -182,12 +251,23 @@ class TestAgainstOracle:
             p = random_problem(rng, feasible=True)
             sol = solve_qp(p)
             assert sol.status == "optimal"
-            scale = 1.0 + float(np.max(np.abs(p.f), initial=0.0))
-            assert kkt_residual(p, sol) <= 1e-6 * scale, f"instance {k}"
-            if sol.mu_in.size:
-                assert np.min(sol.mu_in) >= -1e-8
-                gaps = sol.mu_in * (p.A_in @ sol.z_star - p.b_in)
-                assert np.max(np.abs(gaps)) <= 1e-6 * scale
+            assert_kkt(p, sol, k)
+
+    def test_warm_started_instances_agree(self):
+        # a feasible x0, as solve_level passes one: no phase-1, the
+        # oracle's optimum, and a KKT point with signed multipliers
+        rng = np.random.default_rng(2024)
+        for k in range(300):
+            p, x0 = random_problem(rng, feasible=True, with_start=True)
+            sol = solve_qp(p, x0=x0)
+            assert sol.status == "optimal" and not sol.phase1_used, (
+                f"instance {k}")
+            z_ref, obj_ref = oracle_solve(p)
+            scale = 1.0 + abs(obj_ref)
+            assert abs(sol.objective_value - obj_ref) <= 1e-6 * scale, (
+                f"instance {k}: {sol.objective_value} vs {obj_ref}")
+            assert p.max_violation(sol.z_star) <= 1e-8
+            assert_kkt(p, sol, k)
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
