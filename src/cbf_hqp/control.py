@@ -35,15 +35,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import RobotModel, RobotState
-from .hqp import (CascadeInfeasibleError, LevelSpec, S0EmptyError, _slack_of,
-                  run_cascade)
+from .hqp import CascadeInfeasibleError, LevelSpec, S0EmptyError, run_cascade
 from .tasks import (
     AccelerationBox,
     CbfParams,
     Task,
     acceleration_box,
     acceleration_rows,
-    acceleration_witness,
     collision_plane_rows,
     energy_cbf_row,
     torque_limit_rows,
@@ -142,11 +140,9 @@ class ControllerState:
 
     delta_prev is the previous step's optimal energy slack (the discrete
     slack-rate term of the energy row); z_prev keeps the nullspace basis
-    sign-continuous; u_prev is the fallback torque on a fault and, once
-    repaired into the period's acceleration box and, when level 1 has a
-    single hard inequality row (single_qp's energy row), into that row
-    (acceleration_witness), stage 0's feasibility witness and level 1's
-    start.
+    sign-continuous; u_prev, the last torque the filter returned, is the
+    fallback torque on a fault. The cascade needs no start from it:
+    stage 0 checks u_nom itself.
     """
     mode: str
     cbf: CbfParams
@@ -327,16 +323,6 @@ def _levels_for_mode(mode: str, u_nom: Array, energy: Task,
             LevelSpec(equality=nullspace)]
 
 
-def _hard_row(levels: list[LevelSpec]) -> tuple[Array, float] | None:
-    """Level 1's inequality row (a, beta) of a^T u >= beta when it is a
-    single row without slack (single_qp's energy row): its QP starts at
-    the stage-0 witness, which must then satisfy it as well."""
-    task = levels[0].inequality
-    if task is None or task.m != 1 or _slack_of(task) is not None:
-        return None
-    return task.A[0], float(task.b[0])
-
-
 def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
          tau_ext: Array | None = None) -> tuple[Array, StepInfo]:
     """Run one control period: nominal law, safety filter, bookkeeping.
@@ -364,14 +350,10 @@ def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
     strict = build_strict_tasks(model, state, ctrl, tau_ext, box)
     levels = _levels_for_mode(ctrl.mode, u_nom, energy, state, lam, z)
 
-    x0 = ctrl.u_prev
-    if x0 is not None:
-        x0 = acceleration_witness(x0, state, box, _hard_row(levels))
-
     fault = False
     reason = ""
     try:
-        res = run_cascade(strict, levels, u_nom, x0=x0)
+        res = run_cascade(strict, levels, u_nom)
         u = res.u_final
         delta = max((r.delta for r in res.records), default=0.0)
         statuses = tuple(r.status for r in res.records)

@@ -6,7 +6,8 @@ solved, its achieved equality values and its relaxed inequality bounds
 are appended to the ledger as literal rows, so later levels can never
 degrade what earlier levels attained. Stage 0 installs the rows that are
 never negotiable (actuation box, barrier rows marked hard) and proves
-that set nonempty before any level runs.
+that set nonempty before any level runs: u_nom itself when it meets
+them, else its projection onto them.
 
 A level may carry one equality task, one inequality task, or both:
 
@@ -33,7 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qpcore import FEAS_TOL, REG, QpProblem, numerical_rank, solve_qp
+from .qpcore import (ADD_TOL, FEAS_TOL, REG, QpProblem, numerical_rank,
+                     solve_qp)
 from .tasks import Task
 
 Array = np.ndarray
@@ -106,9 +108,9 @@ class _LevelRows(NamedTuple):
 
 @dataclass
 class LevelRecord:
-    """What one priority level did: its optimum u, its slack delta, the
-    active-set iterations (0 for a level solved in closed form), and
-    whether its QP had to search for a feasible start (phase1_used).
+    """What one priority level did: its optimum u, its slack delta and
+    the active-set iterations (0 for a level solved in closed form or
+    whose unconstrained minimizer meets every row).
 
     objective (1/2 ||A u - b||^2 + rho/2 delta^2), eq_residual (the
     largest residual of the equality rows inherited from earlier levels)
@@ -124,7 +126,6 @@ class LevelRecord:
     u: Array
     delta: float
     iterations: int
-    phase1_used: bool
     spec: LevelSpec = field(repr=False, compare=False)
     rows: _LevelRows = field(repr=False, compare=False)
     eq_b: Array | None = field(default=None, repr=False, compare=False)
@@ -171,6 +172,8 @@ class StageLedger:
     read of Z, so the last level's kernel is never computed. eq_tasks
     and in_tasks hold the (level, task) pairs behind the rows, level 0
     for stage 0; the row labels are built from them on demand.
+    phase1_used says stage 0 had to project its witness onto the strict
+    rows.
     """
     n: int
     A_eq: Array
@@ -247,8 +250,8 @@ class HqpResult:
 
     feasible means u_final satisfies every row the ledger ever
     accumulated within 1e-8 and every level reported an optimum.
-    phase1_used reports stage 0's feasibility search; each level's own
-    is in its record.
+    phase1_used says stage 0 had to project u_nom onto the strict rows
+    because u_nom broke one of them.
     """
     u_final: Array
     records: list[LevelRecord]
@@ -265,33 +268,57 @@ def _kernel(A: Array) -> Array:
     return Vt[numerical_rank(sig):].T
 
 
-def _interval_minimizer(a: Array, b: Array, y_unc: float) -> float:
+def _interval_minimizer(a: Array, b: Array, y_unc: float) -> float | None:
     """Minimizer over {y : a y >= b} of a strictly convex scalar QP whose
-    unconstrained minimizer is y_unc, from a start y = 0 that meets
-    every row within FEAS_TOL, taken as the active-set method takes it:
-    one step toward y_unc, cut short by the first row that blocks it
-    (a_i y_unc < -1e-12). A row the start breaks blocks where it stands,
-    i.e. its bound b_i is clamped to min(b_i, 0), as `solve_qp` clamps
-    it to the start's value.
+    unconstrained minimizer is y_unc: y_unc clipped into the rows'
+    interval, or None when the interval is empty. As in `solve_qp`, a
+    row y_unc breaks by no more than ADD_TOL (1 + |b|) does not move it,
+    and a row the clipped point breaks by no more than FEAS_TOL (1 + |b|)
+    does not empty the interval.
     """
-    p = y_unc
-    d = a * p
-    block = d < -1e-12
-    if block.any():
-        ratio = float((np.maximum(-b[block], 0.0) / -d[block]).min())
-        if ratio < 1.0 - 1e-14:
-            p *= ratio
-    return p
+    scale = 1.0 + np.abs(b)
+    viol = a * y_unc - b < -ADD_TOL * scale
+    if not viol.any():
+        return y_unc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = b / a
+    lo = bound[viol & (a > 0.0)].max(initial=-np.inf)
+    hi = bound[viol & (a < 0.0)].min(initial=np.inf)
+    y = min(max(y_unc, lo), hi)
+    if not np.isfinite(y) or np.any(a * y - b < -FEAS_TOL * scale):
+        return None
+    return y
+
+
+def _least_infeasible(ledger: StageLedger, anchor: Array) -> Array:
+    """The torque of min 1/2 ||s||^2 over A_eq u + s_eq = b_eq and
+    A_in u + s_in >= b_in, the stage-0 rows; s_in >= 0 holds at the
+    optimum without being imposed. Used only to name the violated rows
+    of an empty strict set."""
+    n = ledger.n
+    m_e, m_i = ledger.A_eq.shape[0], ledger.A_in.shape[0]
+    m = m_e + m_i
+    H = np.zeros((n + m, n + m))
+    H[n:, n:] = np.eye(m)
+    E = np.eye(m)
+    sol = solve_qp(QpProblem(
+        H=H, f=np.zeros(n + m),
+        A_eq=np.hstack([ledger.A_eq, E[:m_e]]), b_eq=ledger.b_eq,
+        A_in=np.hstack([ledger.A_in, E[m_e:]]), b_in=ledger.b_in),
+        anchor=np.concatenate([anchor, np.zeros(m)]))
+    return sol.z_star[:n]
 
 
 def init_stage0(strict_tasks: list[Task], witness: Array | None = None,
                 n: int | None = None) -> StageLedger:
     """Install the non-negotiable rows and prove them satisfiable.
 
-    If a witness torque is supplied and already satisfies every row, the
-    feasibility QP is skipped entirely (the common case inside a control
-    loop, where the previous torque is such a witness). Raises
-    S0EmptyError when no torque satisfies the rows.
+    A witness torque (the origin when None) that meets every row within
+    FEAS_TOL becomes the ledger's witness as it is; inside a control
+    loop that witness is u_nom. Otherwise the witness is projected onto
+    the rows with `solve_qp`, and phase1_used is set. Raises
+    S0EmptyError, naming the rows violated at the least-infeasible
+    torque, when no torque satisfies the rows.
     """
     tasks = list(strict_tasks)
     for t in tasks:
@@ -312,24 +339,20 @@ def init_stage0(strict_tasks: list[Task], witness: Array | None = None,
     if any(t.A.shape[1] != n for t in tasks):
         raise ValueError("strict tasks disagree on torque dimension")
 
+    w = np.zeros(n) if witness is None else np.asarray(witness, dtype=float)
     ledger = StageLedger(n=n, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
-                         n_strict=A_in.shape[0],
-                         witness=np.zeros(n), phase1_used=False,
+                         n_strict=A_in.shape[0], witness=w.copy(),
+                         phase1_used=False,
                          _Z=_kernel(A_eq) if eq else np.eye(n),
                          eq_tasks=[(0, t) for t in eq],
                          in_tasks=[(0, t) for t in ineq])
+    if ledger.max_violation(w) <= FEAS_TOL:
+        return ledger
 
-    if witness is not None:
-        w = np.asarray(witness, dtype=float)
-        if ledger.max_violation(w) <= FEAS_TOL:
-            ledger.witness = w.copy()
-            return ledger
-
-    feas = QpProblem(H=np.zeros((n, n)), f=np.zeros(n),
-                     A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
-    sol = solve_qp(feas, anchor=witness)
+    sol = solve_qp(QpProblem(H=np.zeros((n, n)), f=np.zeros(n), A_eq=A_eq,
+                             b_eq=b_eq, A_in=A_in, b_in=b_in), anchor=w)
     if sol.status == "infeasible":
-        z = sol.z_star
+        z = _least_infeasible(ledger, w)
         viol = [(lab, abs(float(A_eq[i] @ z - b_eq[i])))
                 for i, lab in enumerate(ledger.eq_labels)]
         viol += [(lab, float(b_in[i] - A_in[i] @ z))
@@ -357,11 +380,11 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
     construction. Returns (u_star, delta_star, ledger). The ledger is
     mutated in place: the equality task contributes rows A u = A u_star
     and shrinks Z, the inequality task adds rows C u >= d - c delta_star.
-    A level with one free direction, no slack and a witness that meets
-    every row is a scalar QP over an interval and is minimized in closed
-    form, without `solve_qp`; its record reports 0 iterations. Raises
-    CascadeInfeasibleError if the level cannot be solved, which can only
-    happen through hard (c = 0) inequality rows.
+    A level with one free direction and no slack is a scalar QP over an
+    interval and is minimized in closed form, without `solve_qp`; its
+    record reports 0 iterations. Raises CascadeInfeasibleError if the
+    level cannot be solved, which can only happen through hard (c = 0)
+    inequality rows.
     """
     spec = LevelSpec(equality_task, inequality_task, rho)  # validates it
     n = ledger.n
@@ -383,21 +406,23 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
         C = np.vstack([C, inequality_task.A])
         d = np.concatenate([d, inequality_task.b])
 
-    # The same rows on the search space: A_in y >= b_in.
+    # The same rows on the search space: A_in y >= b_in. The witness
+    # meets every ledger row within FEAS_TOL, and a ledger row it misses
+    # by less holds where the witness has it, so the ledger alone never
+    # empties the level.
     A_in, b_in = C @ Z, d - C @ w
+    m = ledger.b_in.shape[0]
+    b_in[:m] = np.minimum(b_in[:m], 0.0)
 
     level = ledger.level + 1
-    phase1_used = False
     if dim == 0:
         # No free direction is left: the witness is the only candidate.
         if b_in.max(initial=0.0) > FEAS_TOL:
             raise CascadeInfeasibleError(level, "infeasible")
         u_star, delta, status, iterations = w.copy(), 0.0, "optimal", 0
-    elif dim == 1 and slack_coef is None \
-            and b_in.max(initial=0.0) <= FEAS_TOL:
-        # One free direction, no slack and a feasible witness: the level
-        # is a scalar QP over an interval, minimized in closed form with
-        # its Tikhonov term. A witness breaking a row goes to solve_qp.
+    elif dim == 1 and slack_coef is None:
+        # One free direction and no slack: the level is a scalar QP over
+        # an interval, minimized in closed form with its Tikhonov term.
         H = f = 0.0
         if AZ is not None:
             H = float((AZ.T @ AZ)[0, 0])
@@ -405,6 +430,8 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
         anchor = float((Z.T @ (ref - w))[0])
         y = _interval_minimizer(A_in[:, 0], b_in,
                                 -(f - 2.0 * REG * anchor) / (H + 2.0 * REG))
+        if y is None:
+            raise CascadeInfeasibleError(level, "infeasible")
         u_star = w + Z @ np.array([y])
         delta, status, iterations = 0.0, "optimal", 0
     else:
@@ -413,16 +440,12 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
         if AZ is not None:
             H[:k, :k] = AZ.T @ AZ
             f[:k] = -AZ.T @ (equality_task.b - equality_task.A @ w)
-        start = np.zeros(dim)
         if slack_coef is not None:
             H[k, k] = rho
             c = np.concatenate([np.zeros(ledger.A_in.shape[0]), slack_coef])
             A_in = np.vstack([np.hstack([A_in, c[:, None]]),
                               np.eye(1, dim, k)])
             b_in = np.append(b_in, 0.0)
-            need = inequality_task.b - inequality_task.A @ w
-            pos = slack_coef > 0.0
-            start[k] = max(0.0, float(np.max(need[pos] / slack_coef[pos])))
         H = 0.5 * (H + H.T)
 
         # The Tikhonov term eps ||u - anchor||^2 restricted to the search
@@ -431,13 +454,12 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
         anchor[:k] = Z.T @ (ref - w)
 
         sol = solve_qp(QpProblem(H=H, f=f, A_in=A_in, b_in=b_in),
-                       anchor=anchor, x0=start)
+                       anchor=anchor)
         if sol.status != "optimal":
             raise CascadeInfeasibleError(level, sol.status)
         u_star = w + Z @ sol.z_star[:k]
         delta = float(sol.z_star[k]) if slack_coef is not None else 0.0
         status, iterations = sol.status, sol.iterations
-        phase1_used = sol.phase1_used
 
     if inequality_task is not None:
         ledger.in_tasks.append((level, inequality_task))
@@ -458,24 +480,22 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
     ledger.witness = u_star
     ledger.records.append(LevelRecord(
         level=level, status=status, u=u_star, delta=delta,
-        iterations=iterations, phase1_used=phase1_used, spec=spec,
+        iterations=iterations, spec=spec,
         rows=rows,
         eq_b=None if equality_task is None else equality_task.b.copy()))
     return u_star, delta, ledger
 
 
 def run_cascade(strict_tasks: list[Task], levels: list[LevelSpec],
-                u_nom: Array, x0: Array | None = None) -> HqpResult:
+                u_nom: Array) -> HqpResult:
     """Run the full priority cascade and report the final torque.
 
-    u_nom doubles as the regularization anchor of every level and as the
-    default feasibility witness for stage 0; x0, when given (typically
-    the previous control step's torque), takes over the witness role.
-    Every level starts from the witness its predecessor left behind.
+    u_nom is stage 0's witness and the regularization anchor of every
+    level. Each level searches around the witness its predecessor left
+    behind, so when u_nom meets every row, every level returns it.
     """
     u_nom = np.asarray(u_nom, dtype=float)
-    witness = x0 if x0 is not None else u_nom
-    ledger = init_stage0(strict_tasks, witness=witness, n=u_nom.shape[0])
+    ledger = init_stage0(strict_tasks, witness=u_nom, n=u_nom.shape[0])
     u = ledger.witness
     for spec in levels:
         u, _, ledger = solve_level(

@@ -30,9 +30,8 @@ Derivations, in brief:
 
   Both families are per-joint bounds on qdd = M^-1 (u + w), so they
   are one task: `acceleration_box` intersects them once per period,
-  together with w and M^-1 w, `acceleration_rows` encodes the box, and
-  `acceleration_witness` repairs a torque into it and, when given one,
-  into a hard halfspace such as single_qp's energy row.
+  together with the drift acceleration M^-1 w, and `acceleration_rows`
+  encodes the box as 2n rows.
 
 * Plane clearance for the end effector, also relative degree two, with
   h = n^T p_ee - offset - d_min and hddot = n^T (Jdot qd + J M^{-1}(u+w)).
@@ -179,14 +178,12 @@ def torque_limit_rows(model: RobotModel) -> Task:
 class AccelerationBox:
     """One period's per-joint bounds lo <= qdd <= hi on the joint
     acceleration qdd = M^-1 (u + w) (+-inf where no family applies),
-    each enabled family's own bounds, and the drift torque
-    w = tau_ext - h - g with its acceleration M^-1 w. Built once per
-    period and shared by acceleration_rows and the witness. family keeps
-    the order the families were named in."""
+    each enabled family's own bounds, and the acceleration M^-1 w of the
+    drift torque w = tau_ext - h - g. Built once per period. family
+    keeps the order the families were named in."""
     lo: Array
     hi: Array
     family: dict[str, tuple[Array, Array]]
-    drift: Array
     drift_acc: Array
 
 
@@ -217,7 +214,7 @@ def acceleration_box(state: RobotState, params: CbfParams,
     for f_lo, f_hi in family.values():
         lo, hi = np.maximum(lo, f_lo), np.minimum(hi, f_hi)
     w = _drift_torque(state, tau_ext)
-    return AccelerationBox(lo=lo, hi=hi, family=family, drift=w,
+    return AccelerationBox(lo=lo, hi=hi, family=family,
                            drift_acc=state.M_inv @ w)
 
 
@@ -237,64 +234,6 @@ def acceleration_rows(state: RobotState, box: AccelerationBox) -> Task:
     return Task(kind="ineq", A=np.vstack([-state.M_inv, state.M_inv]),
                 b=np.concatenate([a - box.hi, box.lo - a]),
                 label="acceleration", row_labels=labels)
-
-
-def _halfspace_step(x: Array, c: Array, gamma: float, lo: Array,
-                    hi: Array) -> float:
-    """Smallest lam >= 0 with c^T clip(x + lam c, lo, hi) >= gamma, for x
-    inside [lo, hi]; 0 when no lam reaches gamma (box and halfspace do
-    not meet).
-
-    g(lam) = c^T x + sum_i c_i^2 min(lam, t_i), with t_i >= 0 the step at
-    which joint i reaches the bound c_i points to (inf when unbounded), is
-    nondecreasing and piecewise linear. It is evaluated at every finite
-    t_i at once, and the segment that brackets gamma is interpolated.
-    """
-    g0 = float(c @ x)
-    if g0 >= gamma:
-        return 0.0
-    t = np.zeros_like(x)
-    np.divide(np.where(c > 0.0, hi, lo) - x, c, out=t, where=c != 0.0)
-    order = np.argsort(t)
-    t, s = t[order], (c * c)[order]
-    m = int(np.count_nonzero(np.isfinite(t)))
-    t_fin, s_fin = t[:m], s[:m]
-    g = g0 + np.cumsum(s_fin * t_fin) + t_fin * (s.sum() - np.cumsum(s_fin))
-    j = int(np.searchsorted(g, gamma))
-    t_lo, g_lo = (t_fin[j - 1], g[j - 1]) if j else (0.0, g0)
-    if j < m:
-        return t_lo + (t_fin[j] - t_lo) * (gamma - g_lo) / (g[j] - g_lo)
-    slope = s[m:].sum()  # past the last breakpoint only unbounded joints move
-    return t_lo + (gamma - g_lo) / slope if slope > 0.0 else 0.0
-
-
-def acceleration_witness(u_prev: Array, state: RobotState,
-                         box: AccelerationBox,
-                         row: tuple[Array, float] | None = None) -> Array:
-    """The previous torque repaired into this period's acceleration box
-    and, when row = (a, beta) is given, into the halfspace a^T u >= beta.
-
-    The velocity and position rows only bound qdd = M^-1 (u + w), so
-    the acceleration u_prev causes, clipped into the box and mapped back
-    with u = M qdd - w, satisfies all of them. In acceleration terms the
-    row reads c^T qdd >= beta + a^T w with c = M a; the clipped
-    acceleration then moves along c, clipped again, until it reaches
-    the halfspace (`_halfspace_step`). When the box misses the halfspace
-    the row is left broken. u_prev is returned as it is when nothing
-    needed repair. The torque box and the plane row are not considered;
-    stage 0 checks the result against every strict row.
-    """
-    lo, hi, w = box.lo, box.hi, box.drift
-    acc = state.M_inv @ (u_prev + w)
-    x = acc if ((lo <= acc) & (acc <= hi)).all() else np.clip(acc, lo, hi)
-    if row is not None:
-        a, beta = row
-        if x is not acc or a @ u_prev < beta:
-            c = state.M @ a
-            lam = _halfspace_step(x, c, beta + a @ w, lo, hi)
-            if lam > 0.0:
-                x = np.clip(x + lam * c, lo, hi)
-    return u_prev if x is acc else state.M @ x - w
 
 
 def collision_plane_rows(state: RobotState, params: CbfParams,

@@ -233,7 +233,7 @@ def test_criterion_6_cascades_match_stacked_oracle():
         n = int(rng.integers(2, 7))
         strict, w = _random_strict(rng, n)
         levels = _random_levels(rng, n)
-        res = run_cascade([strict], levels, rng.normal(size=n), x0=w)
+        res = run_cascade([strict], levels, rng.normal(size=n))
         assert res.feasible
         worst_con = max(worst_con,
                         np.max(strict.b - strict.A @ res.u_final))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import projections, two_eigh_damping
 
-from cbf_hqp import control, hqp, qpcore, sim
+from cbf_hqp import control, hqp, sim
 from cbf_hqp.control import (
     ControllerState,
     ImpedanceParams,
@@ -25,6 +25,7 @@ from cbf_hqp.control import (
     wrench_deviation,
 )
 from cbf_hqp.dynamics import compute_state
+from cbf_hqp.qpcore import FEAS_TOL
 from cbf_hqp.tasks import CbfParams, Task, acceleration_box
 
 HOME = np.array([0.0, -np.pi / 4, 0.0, -2.3562, 0.0, 1.5708, np.pi / 4])
@@ -256,9 +257,9 @@ class TestTaskRows:
         seen = []
         real = control.run_cascade
 
-        def capture(strict, levels, u_nom, x0=None):
+        def capture(strict, levels, u_nom):
             seen.append(levels)
-            return real(strict, levels, u_nom, x0=x0)
+            return real(strict, levels, u_nom)
 
         monkeypatch.setattr(control, "run_cascade", capture)
         st = compute_state(panda, HOME, 0.05 * np.ones(7))
@@ -278,9 +279,9 @@ class TestTaskRows:
         seen = []
         real = control.run_cascade
 
-        def capture(strict, levels, u_nom, x0=None):
+        def capture(strict, levels, u_nom):
             seen.append(strict)
-            return real(strict, levels, u_nom, x0=x0)
+            return real(strict, levels, u_nom)
 
         monkeypatch.setattr(control, "run_cascade", capture)
         st = compute_state(panda, HOME, 0.05 * np.ones(7))
@@ -321,6 +322,22 @@ class TestStep:
             assert not info.fault
             assert all(s == "optimal" for s in info.statuses)
             assert info.active_strict == ()
+
+    def test_phase1_used_reports_a_projected_nominal_torque(self, panda):
+        # at rest with the equilibrium raised by dz, u_nom breaks the
+        # velocity rows for dz > 0: stage 0 projects it, and the applied
+        # torque meets every strict row
+        st = compute_state(panda, HOME, np.zeros(7))
+        for dz, projected in ((0.0, False), (0.1, True), (0.5, True)):
+            ctrl = self.make_ctrl(st, "hqp_safety", dz=dz)
+            u, info = step(panda, st, ctrl)
+            box = acceleration_box(st, ctrl.cbf, panda, ctrl.strict_families)
+            strict = build_strict_tasks(panda, st, ctrl, None, box)
+            broken = max(float(np.max(t.b - t.A @ info.u_nom)) for t in strict)
+            assert info.phase1_used == projected == (broken > FEAS_TOL)
+            assert max(float(np.max(t.b - t.A @ u)) for t in strict) \
+                <= FEAS_TOL
+            assert not info.fault
 
     def test_delta_stays_zero_while_energy_row_slack(self, panda):
         # gentle motion far below the cap: the relaxed solve must agree
@@ -429,8 +446,8 @@ class TestStep:
 
         real = hqp.solve_qp
 
-        def infeasible(problem, anchor=None, x0=None):
-            return dataclasses.replace(real(problem, anchor=anchor, x0=x0),
+        def infeasible(problem, anchor=None):
+            return dataclasses.replace(real(problem, anchor=anchor),
                                        status="infeasible")
 
         monkeypatch.setattr(hqp, "solve_qp", infeasible)
@@ -461,28 +478,29 @@ class TestStep:
 
 
 def test_step_lunge_needs_no_phase1(monkeypatch):
-    """After the step at t = 1 s the previous torque breaks the velocity
-    and position rows and the hard energy row; repaired into the
-    acceleration box and that row it proves stage 0 feasible and is a
-    feasible start for level 1, so no QP of any period runs phase-1."""
-    used = []
-    phase1_calls = []
-    real_cascade, real_phase1 = control.run_cascade, qpcore._phase1
+    """After the step at t = 1 s u_nom breaks the velocity and position
+    rows and the hard energy row. Stage 0 projects it onto the strict
+    rows and level 1 adds the energy row from its unconstrained
+    minimizer; no period needs the least-infeasible search, which only
+    names the rows of an empty strict set."""
+    projected = []
+    searches = []
+    real_cascade, real_search = control.run_cascade, hqp._least_infeasible
 
-    def counting(*args, **kwargs):
+    def cascade(*args, **kwargs):
         res = real_cascade(*args, **kwargs)
-        used.append(res.phase1_used)
+        projected.append(res.phase1_used)
         return res
 
-    def counting_phase1(*args, **kwargs):
-        phase1_calls.append(len(used))
-        return real_phase1(*args, **kwargs)
+    def search(*args, **kwargs):
+        searches.append(len(projected))
+        return real_search(*args, **kwargs)
 
-    monkeypatch.setattr(control, "run_cascade", counting)
-    monkeypatch.setattr(qpcore, "_phase1", counting_phase1)
+    monkeypatch.setattr(control, "run_cascade", cascade)
+    monkeypatch.setattr(hqp, "_least_infeasible", search)
     scenario = sim.load_scenario_file(sim.bundled_scenario_path("step"))
     result = sim.run_scenario(scenario, mode="single_qp", duration=1.1)
     assert not result.fault
-    assert len(used) == 1100
-    assert not any(used)
-    assert phase1_calls == []
+    assert len(projected) == 1100
+    assert any(projected)  # the lunge makes stage 0 project u_nom
+    assert searches == []

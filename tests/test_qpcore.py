@@ -19,9 +19,9 @@ def kkt_residual(problem, sol):
     return np.max(np.abs(r), initial=0.0)
 
 
-def random_problem(rng, feasible=True, with_start=False):
-    """A random QP; with_start (feasible only) also returns the feasible
-    point the rows were built around, as a warm start."""
+def random_problem(rng, feasible=True):
+    """A random QP; a feasible one has its rows built around a random
+    point."""
     n = int(rng.integers(1, 6))
     m_e = int(rng.integers(0, 3)) if n > 1 else 0
     m_i = int(rng.integers(0, 9))
@@ -42,8 +42,7 @@ def random_problem(rng, feasible=True, with_start=False):
     else:
         b_eq = rng.normal(size=m_e) if m_e else None
         b_in = rng.normal(size=m_i) if m_i else None
-    p = QpProblem(H=H, f=f, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
-    return (p, z0) if with_start else p
+    return QpProblem(H=H, f=f, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
 
 
 def assert_kkt(problem, sol, k):
@@ -99,8 +98,6 @@ class TestHandCases:
         sol = solve_qp(p)
         assert sol.status == "infeasible"
         assert np.isfinite(sol.z_star).all()
-        # phase 1 splits the violation between the two rows
-        assert p.max_violation(sol.z_star) < 1.0
 
     def test_redundant_equality_rows(self):
         p = QpProblem(H=2 * np.eye(2), f=[0.0, 0.0],
@@ -117,90 +114,89 @@ class TestHandCases:
         assert abs(sol.z_star[0] - 5.0) < 1e-6
 
     def test_warm_start_matches_cold(self):
+        # there is no start to warm: the solve begins at the regularized
+        # minimizer, and centering the Tikhonov term on the optimum
+        # leaves the optimum where it is
         rng = np.random.default_rng(7)
         p = random_problem(rng, feasible=True)
         cold = solve_qp(p)
-        z0 = cold.z_star + 0.0
-        warm = solve_qp(p, x0=z0)
+        warm = solve_qp(p, anchor=cold.z_star + 0.0)
         assert warm.status == "optimal"
         np.testing.assert_allclose(warm.z_star, cold.z_star, atol=1e-8)
 
-    def test_phase1_use_is_reported(self):
-        p = QpProblem(H=np.eye(1), f=[0.0], A_in=[[1.0]], b_in=[1.0])
-        assert solve_qp(p).phase1_used
-        assert solve_qp(p, x0=np.array([0.0])).phase1_used  # breaks the row
-        warm = solve_qp(p, x0=np.array([2.0]))
-        assert not warm.phase1_used and warm.status == "optimal"
-        clash = QpProblem(H=np.eye(1), f=[0.0], A_in=[[1.0], [-1.0]],
-                          b_in=[1.0, 0.0])
-        assert solve_qp(clash).phase1_used
-
-    def test_start_breaking_a_blocking_row_holds_it(self):
-        # x0 = 0 breaks x >= 1e-9 by less than FEAS_TOL, and x <= 0 is
-        # tight. No point meets both rows exactly, so the step toward
-        # x = -5 stops at once and the broken row holds where x0 has it.
-        p = QpProblem(H=np.eye(1), f=[5.0], A_in=[[1.0], [-1.0]],
-                      b_in=[1e-9, 0.0])
-        sol = solve_qp(p, x0=np.array([0.0]))
-        assert sol.status == "optimal" and not sol.phase1_used
-        assert sol.z_star[0] == 0.0
-        assert list(sol.active_set) == [0, 1]
-
-    def test_feasible_unconstrained_minimizer_takes_one_iteration(self):
-        # the full Newton step from a feasible start lands on the
-        # minimizer, and its (empty) multipliers end the solve there
+    def test_feasible_unconstrained_minimizer_takes_no_iteration(self):
+        # the regularized minimizer meets every row: it is returned as it
+        # is, after 0 iterations and with no row active
         c = np.array([0.3, -0.2, 0.5])
         p = QpProblem(H=2 * np.eye(3), f=-2 * c,
                       A_in=np.vstack([np.eye(3), -np.eye(3)]),
                       b_in=-np.ones(6))
-        sol = solve_qp(p, x0=np.zeros(3))
-        assert sol.status == "optimal" and not sol.phase1_used
-        assert sol.iterations == 1
+        sol = solve_qp(p)
+        assert sol.status == "optimal" and sol.iterations == 0
+        assert sol.working == [] and not sol.mu_in.any()
         np.testing.assert_allclose(sol.z_star, c, atol=1e-8)
-        # the same with a full-rank equality row: one step onto its face
+        # an equality row always goes in: one step onto its face
         a = np.array([1.0, 2.0, 2.0])
         q = QpProblem(H=2 * np.eye(3), f=-2 * c, A_eq=[a], b_eq=[0.0])
-        sol = solve_qp(q, x0=np.zeros(3))
+        sol = solve_qp(q)
         assert sol.status == "optimal" and sol.iterations == 1
         np.testing.assert_allclose(sol.z_star, c - a * (a @ c) / (a @ a),
                                    atol=1e-8)
 
     def test_full_step_with_negative_multiplier_drops_the_row(self):
-        # From x0 the step toward c is blocked by z1 + z3 <= 1, then by
-        # z3 <= 1. The full step along their common line lands on
-        # (0, 1, 1), where z1 + z3 <= 1 has multiplier -0.1: it is
-        # dropped there (iteration 3), and the full step on z3 = 1 alone
-        # reaches the optimum (-0.1, 1, 1) (iteration 4), with no solve
-        # spent confirming either point.
-        c = np.array([-0.1, 1.0, 5.0])
-        p = QpProblem(H=np.eye(3), f=-c,
-                      A_in=[[-1.0, 0.0, -1.0], [0.0, 0.0, -1.0]],
-                      b_in=[-1.0, -1.0])
-        sol = solve_qp(p, x0=np.array([0.5, 0.0, 0.0]))
-        z_ref, obj_ref = oracle_solve(p)
-        assert sol.status == "optimal" and sol.iterations == 4
+        # min 1/2 ||z - (0, 3)||^2 over z2 <= 1 (row 0) and
+        # z1 / 4 - z2 / 2 >= 0 (row 1). Row 0 is the more violated at the
+        # start and goes in first (iteration 1), landing on (0, 1) with
+        # multiplier 2. The full step onto row 1 would drive that
+        # multiplier negative, so the step stops at (1, 1), where it
+        # reaches 0, and row 0 leaves (iteration 2); the full step onto
+        # row 1 alone reaches the optimum (1.2, 0.6) (iteration 3).
+        p = QpProblem(H=np.eye(2), f=[0.0, -3.0],
+                      A_in=[[0.0, -1.0], [0.25, -0.5]], b_in=[-1.0, 0.0])
+        sol = solve_qp(p)
+        z_ref, _ = oracle_solve(p)
+        assert sol.status == "optimal" and sol.iterations == 3
         np.testing.assert_allclose(sol.z_star, z_ref, atol=1e-8)
-        np.testing.assert_allclose(sol.z_star, [-0.1, 1.0, 1.0], atol=1e-8)
-        assert sol.work == [1]
-        np.testing.assert_allclose(sol.mu_in, [0.0, 4.0], atol=1e-6)
+        np.testing.assert_allclose(sol.z_star, [1.2, 0.6], atol=1e-8)
+        assert sol.working == [1]
+        np.testing.assert_allclose(sol.mu_in, [0.0, 4.8], atol=1e-6)
         assert kkt_residual(p, sol) <= 1e-8
 
     def test_rank_deficient_working_set_confirms_its_point(self):
-        # Redundant rows have rank 1 < 2: the full step onto them is not
-        # taken as the face's minimizer, and a second iteration finds
-        # the point stationary. A single row of full rank ends in one.
-        x0 = np.array([1.0, 5.0])
+        # The second of two redundant rows depends on the first: its step
+        # finds no direction and no multiplier to trade, and since the
+        # point already meets it, it is skipped (2 iterations). A single
+        # row of full rank ends in one.
         p = QpProblem(H=2 * np.eye(2), f=[0.0, 0.0],
                       A_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[1.0, 1.0])
-        sol = solve_qp(p, x0=x0)
+        sol = solve_qp(p)
         assert sol.status == "optimal" and sol.iterations == 2
         np.testing.assert_allclose(sol.z_star, [1.0, 0.0], atol=1e-8)
         assert kkt_residual(p, sol) <= 1e-8
         single = QpProblem(H=2 * np.eye(2), f=[0.0, 0.0],
                            A_eq=[[1.0, 0.0]], b_eq=[1.0])
-        sol = solve_qp(single, x0=x0)
+        sol = solve_qp(single)
         assert sol.status == "optimal" and sol.iterations == 1
         np.testing.assert_allclose(sol.z_star, [1.0, 0.0], atol=1e-8)
+
+    def test_pinned_row_within_the_band_is_met(self):
+        # At z = 1 on z >= 1, the row z <= 1 - e depends on the active
+        # row and no multiplier can trade against it. Broken by
+        # e <= FEAS_TOL (1 + |b|) it is accepted as met; broken by more,
+        # the rows are inconsistent.
+        for e, status in ((5e-9, "optimal"), (5e-8, "infeasible")):
+            p = QpProblem(H=np.eye(1), f=[0.0], A_in=[[1.0], [-1.0]],
+                          b_in=[1.0, -1.0 + e])
+            sol = solve_qp(p)
+            assert sol.status == status and sol.iterations == 2
+            assert sol.z_star[0] == pytest.approx(1.0, abs=1e-12)
+        # broken by less than ADD_TOL (1 + |b|) at the minimizer, a row
+        # is not added at all
+        c = 1.0 + 1e-10
+        p = QpProblem(H=np.eye(1), f=[-c], A_in=[[-1.0]], b_in=[-1.0])
+        sol = solve_qp(p, anchor=np.array([c]))
+        assert sol.status == "optimal" and sol.iterations == 0
+        assert sol.z_star[0] == pytest.approx(c, abs=1e-15)
 
     def test_equality_only_inconsistent(self):
         p = QpProblem(H=2 * np.eye(2), f=[0.0, 0.0],
@@ -254,14 +250,13 @@ class TestAgainstOracle:
             assert_kkt(p, sol, k)
 
     def test_warm_started_instances_agree(self):
-        # a feasible x0, as solve_level passes one: no phase-1, the
-        # oracle's optimum, and a KKT point with signed multipliers
+        # feasible instances, as solve_level poses them: the oracle's
+        # optimum, and a KKT point with signed multipliers
         rng = np.random.default_rng(2024)
         for k in range(300):
-            p, x0 = random_problem(rng, feasible=True, with_start=True)
-            sol = solve_qp(p, x0=x0)
-            assert sol.status == "optimal" and not sol.phase1_used, (
-                f"instance {k}")
+            p = random_problem(rng, feasible=True)
+            sol = solve_qp(p)
+            assert sol.status == "optimal", f"instance {k}"
             z_ref, obj_ref = oracle_solve(p)
             scale = 1.0 + abs(obj_ref)
             assert abs(sol.objective_value - obj_ref) <= 1e-6 * scale, (

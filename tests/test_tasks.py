@@ -10,7 +10,7 @@ inside its safe set.
 import numpy as np
 import pytest
 from conftest import random_panda_state
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from cbf_hqp.dynamics import StaleStateError, compute_state
@@ -22,7 +22,6 @@ from cbf_hqp.tasks import (
     Task,
     acceleration_box,
     acceleration_rows,
-    acceleration_witness,
     collision_plane_rows,
     energy_cbf_row,
     torque_limit_rows,
@@ -219,10 +218,6 @@ def family_rows(st, params, model, families, tau_ext=None):
         for f in families]
 
 
-def worst_violation(tasks, u):
-    return max(float(np.max(t.b - t.A @ u)) for t in tasks)
-
-
 def stage0_outcome(tasks, witness):
     try:
         ledger = init_stage0(tasks, witness=witness)
@@ -273,7 +268,7 @@ class TestAccelerationTask:
             box = AccelerationBox(
                 lo=bounds[0], hi=bounds[1],
                 family={f: bounds for f in families},
-                drift=np.zeros(7), drift_acc=np.zeros(7))
+                drift_acc=np.zeros(7))
             prefix = families[0][:3]
             assert acceleration_rows(st, box).row_labels == \
                 [f"{prefix}_max[{i}]" for i in range(7)] + \
@@ -316,131 +311,11 @@ class TestAccelerationWitness:
             assert np.array_equal(shared.hi,
                                   np.minimum(boxes[0][1], boxes[1][1]))
 
-    @pytest.mark.parametrize("families", FAMILY_SETS)
-    def test_repairs_a_previous_torque_that_breaks_the_rows(
-            self, panda, rng, families):
-        params = CbfParams()
-        in_torque_box = 0
-        for _ in range(40):
-            st = compute_state(panda, *random_panda_state(panda, rng))
-            tau_ext = rng.uniform(-5.0, 5.0, 7) if rng.random() < 0.5 else None
-            box = acceleration_box(st, params, panda, families, tau_ext)
-            lo, hi = box.lo, box.hi
-            acc = np.clip(rng.normal(scale=2.0, size=7), lo, hi)
-            out = rng.random(7) < 0.3
-            out[rng.integers(7)] = True
-            push = rng.uniform(0.1, 5.0, 7)
-            above = rng.random(7) < 0.5
-            acc = np.where(out, np.where(above, hi + push, lo - push), acc)
-            u_prev = st.M @ acc - drift_torque(st, tau_ext)
-            rows = family_rows(st, params, panda, families, tau_ext)
-            assert worst_violation(rows, u_prev) > FEAS_TOL
-
-            u = acceleration_witness(u_prev, st, box)
-            assert worst_violation(rows, u) <= FEAS_TOL
-            if np.all(np.abs(u) <= panda.tau_max):
-                in_torque_box += 1
-                ledger = init_stage0([torque_limit_rows(panda)] + rows,
-                                     witness=u)
-                assert not ledger.phase1_used
-                assert np.array_equal(ledger.witness, u)
-        assert in_torque_box >= 5
-
-    def test_torque_inside_the_box_comes_back_unchanged(self, panda, rng):
-        params = CbfParams()
-        families = ("velocity", "position")
-        for _ in range(20):
-            st = compute_state(panda, *random_panda_state(panda, rng))
-            box = acceleration_box(st, params, panda, families)
-            acc = box.lo + rng.uniform(0.05, 0.95, 7) * (box.hi - box.lo)
-            u_prev = st.M @ acc - drift_torque(st)
-            u = acceleration_witness(u_prev, st, box)
-            assert np.array_equal(u, u_prev)
-        # no acceleration family enabled: nothing to repair
-        u_prev = 10.0 * panda.tau_max
-        u = acceleration_witness(
-            u_prev, st, acceleration_box(st, params, panda, ("torque",)))
-        assert np.array_equal(u, u_prev)
-
-    @settings(max_examples=60, deadline=None, derandomize=True,
-              database=None)
-    @given(q_frac=hst.lists(hst.floats(0.0, 1.0), min_size=7, max_size=7),
-           qd_frac=hst.lists(hst.floats(-2.0, 2.0), min_size=7, max_size=7),
-           u_frac=hst.lists(hst.floats(-1.5, 1.5), min_size=7, max_size=7),
-           families=hst.sampled_from(FAMILY_SETS))
-    def test_witness_and_previous_torque_agree_on_emptiness(
-            self, panda, q_frac, qd_frac, u_frac, families):
-        q = panda.q_min + np.array(q_frac) * (panda.q_max - panda.q_min)
-        st = compute_state(panda, q, np.array(qd_frac) * panda.v_max)
-        params = CbfParams()
-        u_prev = np.array(u_frac) * panda.tau_max
-        tasks = [torque_limit_rows(panda)] + family_rows(
-            st, params, panda, families)
-        u = acceleration_witness(
-            u_prev, st, acceleration_box(st, params, panda, families))
-        assert stage0_outcome(tasks, u) == stage0_outcome(tasks, u_prev)
-
-    @settings(max_examples=80, deadline=None, derandomize=True,
-              database=None)
-    @given(q_frac=hst.lists(hst.floats(0.0, 1.0), min_size=7, max_size=7),
-           qd_frac=hst.lists(hst.floats(-2.0, 2.0), min_size=7, max_size=7),
-           u_frac=hst.lists(hst.floats(-1.5, 1.5), min_size=7, max_size=7),
-           ext_frac=hst.lists(hst.floats(-0.1, 0.1), min_size=7, max_size=7),
-           acc_frac=hst.none() | hst.lists(hst.floats(0.05, 0.95),
-                                           min_size=7, max_size=7),
-           k_max=hst.floats(0.01, 2.0),
-           gamma=hst.sampled_from([1.0, 5.0, 50.0, 1e3, 1e4]),
-           families=hst.sampled_from(FAMILY_SETS + [("torque",)]))
-    def test_energy_repaired_witness_meets_the_row_and_the_box(
-            self, panda, q_frac, qd_frac, u_frac, ext_frac, acc_frac, k_max,
-            gamma, families):
-        """With single_qp's hard energy row a^T u >= beta passed along,
-        the witness satisfies it and every velocity/position row whenever
-        the acceleration box meets the row's halfspace; when they do not
-        meet, it is the box-only witness; a torque that already satisfies
-        both comes back unchanged. acc_frac, when drawn, places the
-        previous torque's acceleration inside a bounded box."""
-        q = panda.q_min + np.array(q_frac) * (panda.q_max - panda.q_min)
-        st = compute_state(panda, q, np.array(qd_frac) * panda.v_max)
-        params = CbfParams(k_max=k_max, gamma=gamma)
-        tau_ext = np.array(ext_frac) * panda.tau_max
-        u_prev = np.array(u_frac) * panda.tau_max
-        energy = energy_cbf_row(st, params, tau_ext)
-        a, beta = energy.A[0], float(energy.b[0])
-        box = acceleration_box(st, params, panda, families, tau_ext)
-        assume(np.all(box.lo <= box.hi))
-        if acc_frac is not None and np.all(np.isfinite(box.hi - box.lo)):
-            u_prev = st.M @ (box.lo + np.array(acc_frac) * (box.hi - box.lo)) \
-                - drift_torque(st, tau_ext)
-        rows = family_rows(st, params, panda, [
-            f for f in families if f != "torque"], tau_ext)
-        u = acceleration_witness(u_prev, st, box, (a, beta))
-
-        acc = st.M_inv @ (u_prev + drift_torque(st, tau_ext))
-        if (np.all((box.lo <= acc) & (acc <= box.hi))
-                and a @ u_prev >= beta):
-            assert u is u_prev
-            return
-        # sup of c^T qdd over the box, c = M a, against beta + a^T w
-        c = st.M @ a
-        top = np.where(c > 0.0, box.hi, box.lo)
-        with np.errstate(invalid="ignore"):
-            reach = float(np.sum(np.where(c != 0.0, c * top, 0.0)))
-        gap = reach - (beta + a @ drift_torque(st, tau_ext))
-        if gap > 1e-9:
-            assert beta - a @ u <= FEAS_TOL
-        elif gap < -1e-9:
-            np.testing.assert_array_equal(
-                u, acceleration_witness(u_prev, st, box))
-        if rows:
-            assert worst_violation(rows, u) <= FEAS_TOL
-
 
 def filtered_rollout(model, q0, qd0, u_des_fn, rows_fn, steps, dt=DT):
     """Semi-implicit Euler under a QP that projects u_des onto the rows."""
     q, qd = np.asarray(q0, float).copy(), np.asarray(qd0, float).copy()
     box = torque_limit_rows(model)
-    u_prev = None
     history = []
     for k in range(steps):
         st = compute_state(model, q, qd)
@@ -450,10 +325,9 @@ def filtered_rollout(model, q0, qd0, u_des_fn, rows_fn, steps, dt=DT):
         u_des = u_des_fn(k * dt, st)
         prob = QpProblem(H=2 * np.eye(model.n_joints), f=-2 * u_des,
                          A_in=A, b_in=b)
-        sol = solve_qp(prob, anchor=u_des, x0=u_prev)
+        sol = solve_qp(prob, anchor=u_des)
         assert sol.status == "optimal", f"step {k}: {sol.status}"
         u = sol.z_star
-        u_prev = u
         qdd = st.M_inv @ (u - st.C @ qd - st.g)
         qd = qd + dt * qdd
         q = q + dt * qd
