@@ -36,10 +36,7 @@ from .hqp import (
     LevelRecord,
     LevelSpec,
     S0EmptyError,
-    StageLedger,
-    init_stage0,
     run_cascade,
-    solve_level,
 )
 from .qpcore import QpProblem, QpSolution, solve_qp
 from .sim import (
@@ -79,7 +76,6 @@ __all__ = [
     "ScenarioError",
     "SimResult",
     "SimulationFault",
-    "StageLedger",
     "StaleStateError",
     "StepInfo",
     "Task",
@@ -90,7 +86,6 @@ __all__ = [
     "dynamics_terms",
     "energy_cbf_row",
     "forward_kinematics",
-    "init_stage0",
     "jacobian",
     "kinetic_energy",
     "load_bundled_model",
@@ -102,7 +97,6 @@ __all__ = [
     "nullspace_basis",
     "run_cascade",
     "run_scenario",
-    "solve_level",
     "solve_qp",
     "step",
     "torque_limit_rows",

@@ -180,7 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="roll scenarios over a parameter grid")
     run.add_argument("--scenario", required=True,
-                     help="scenario YAML path or bundled name (step, sine)")
+                     help="scenario YAML path or bundled name "
+                          "(step, sine, push)")
     run.add_argument("--mode", default=None,
                      help="comma-separated controller modes "
                           "(default: the scenario's own)")

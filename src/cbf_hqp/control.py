@@ -141,8 +141,8 @@ class ControllerState:
     delta_prev is the previous step's optimal energy slack (the discrete
     slack-rate term of the energy row); z_prev keeps the nullspace basis
     sign-continuous; u_prev, the last torque the filter returned, is the
-    fallback torque on a fault. The cascade needs no start from it:
-    stage 0 checks u_nom itself.
+    fallback torque on a fault. The cascade needs no start from it: its
+    first level starts at u_nom.
     """
     mode: str
     cbf: CbfParams
@@ -164,7 +164,11 @@ class ControllerState:
 
 @dataclass
 class StepInfo:
-    """Everything one control step reports to the logger."""
+    """Everything one control step reports to the logger.
+
+    phase1_used says u_nom broke a strict row by more than FEAS_TOL, so
+    the cascade's first level projected it onto the strict rows.
+    """
     u_nom: Array
     u_applied: Array
     K: float

@@ -5,9 +5,10 @@ objective subject to every constraint row accumulated so far; once it is
 solved, its achieved equality values and its relaxed inequality bounds
 are appended to the ledger as literal rows, so later levels can never
 degrade what earlier levels attained. Stage 0 installs the rows that are
-never negotiable (actuation box, barrier rows marked hard) and proves
-that set nonempty before any level runs: u_nom itself when it meets
-them, else its projection onto them.
+never negotiable (actuation box, barrier rows marked hard) and runs no
+QP: the first level's solve meets them. When that level fails, the
+cascade checks whether the strict rows alone admit a torque, and names
+the violated rows when they do not.
 
 A level may carry one equality task, one inequality task, or both:
 
@@ -165,15 +166,16 @@ class StageLedger:
 
     Inequality rows installed at stage 0 (the first n_strict of A_in)
     are the non-negotiable ones; everything after them was frozen in by
-    some solved level. Row counts never shrink. Z is an orthonormal
-    basis of the kernel of A_eq, and witness satisfies every row, so
-    witness + Z y keeps every frozen equality for any y. An equality
+    some solved level, and every equality row was. Row counts never
+    shrink. Z is an orthonormal basis of the kernel of A_eq, and witness
+    satisfies every row, so witness + Z y keeps every frozen equality
+    for any y. The one exception is stage 0's witness (u_nom inside the
+    cascade), kept as given: phase1_used says it breaks a strict row by
+    more than FEAS_TOL, and then the first level projects it. An equality
     level leaves its A Z behind, and Z ker(A Z) is formed on the next
     read of Z, so the last level's kernel is never computed. eq_tasks
     and in_tasks hold the (level, task) pairs behind the rows, level 0
     for stage 0; the row labels are built from them on demand.
-    phase1_used says stage 0 had to project its witness onto the strict
-    rows.
     """
     n: int
     A_eq: Array
@@ -198,10 +200,6 @@ class StageLedger:
         return self._Z
 
     @property
-    def eq_labels(self) -> list[str]:
-        return _labels(self.eq_tasks)
-
-    @property
     def in_labels(self) -> list[str]:
         return _labels(self.in_tasks)
 
@@ -214,9 +212,6 @@ class StageLedger:
         if not self.A_in.shape[0]:
             return 0.0
         return float((self.b_in - self.A_in @ u).max(initial=0.0))
-
-    def max_violation(self, u: Array) -> float:
-        return max(self.eq_violation(u), self.in_violation(u))
 
     def strict_tight_rows(self, u: Array) -> tuple[str, ...]:
         """Labels of stage-0 inequality rows active at u."""
@@ -250,8 +245,8 @@ class HqpResult:
 
     feasible means u_final satisfies every row the ledger ever
     accumulated within 1e-8 and every level reported an optimum.
-    phase1_used says stage 0 had to project u_nom onto the strict rows
-    because u_nom broke one of them.
+    phase1_used says u_nom broke a strict row by more than FEAS_TOL, so
+    the first level projected it onto the strict rows.
     """
     u_final: Array
     records: list[LevelRecord]
@@ -290,38 +285,40 @@ def _interval_minimizer(a: Array, b: Array, y_unc: float) -> float | None:
     return y
 
 
-def _least_infeasible(ledger: StageLedger, anchor: Array) -> Array:
-    """The torque of min 1/2 ||s||^2 over A_eq u + s_eq = b_eq and
-    A_in u + s_in >= b_in, the stage-0 rows; s_in >= 0 holds at the
-    optimum without being imposed. Used only to name the violated rows
-    of an empty strict set."""
-    n = ledger.n
-    m_e, m_i = ledger.A_eq.shape[0], ledger.A_in.shape[0]
-    m = m_e + m_i
+def _least_infeasible(ledger: StageLedger, anchor: Array
+                      ) -> list[tuple[str, float]]:
+    """The strict rows violated by more than FEAS_TOL at the torque of
+    min 1/2 ||s||^2 over A u + s >= b, the stage-0 rows (s >= 0 holds at
+    the optimum without being imposed), worst first: empty when the rows
+    admit a torque. Used only to name the rows of an empty strict set."""
+    n, m = ledger.n, ledger.n_strict
+    A, b = ledger.A_in[:m], ledger.b_in[:m]
     H = np.zeros((n + m, n + m))
     H[n:, n:] = np.eye(m)
-    E = np.eye(m)
-    sol = solve_qp(QpProblem(
-        H=H, f=np.zeros(n + m),
-        A_eq=np.hstack([ledger.A_eq, E[:m_e]]), b_eq=ledger.b_eq,
-        A_in=np.hstack([ledger.A_in, E[m_e:]]), b_in=ledger.b_in),
-        anchor=np.concatenate([anchor, np.zeros(m)]))
-    return sol.z_star[:n]
+    sol = solve_qp(QpProblem(H=H, f=np.zeros(n + m),
+                             A_in=np.hstack([A, np.eye(m)]), b_in=b),
+                   anchor=np.concatenate([anchor, np.zeros(m)]))
+    gap = b - A @ sol.z_star[:n]
+    viol = [(lab, float(g)) for lab, g in zip(ledger.in_labels, gap)
+            if g > FEAS_TOL]
+    return sorted(viol, key=lambda item: -item[1])
 
 
 def init_stage0(strict_tasks: list[Task], witness: Array | None = None,
                 n: int | None = None) -> StageLedger:
-    """Install the non-negotiable rows and prove them satisfiable.
+    """Install the non-negotiable rows: hard inequality tasks only, so
+    an equality task or a task with slack is refused.
 
-    A witness torque (the origin when None) that meets every row within
-    FEAS_TOL becomes the ledger's witness as it is; inside a control
-    loop that witness is u_nom. Otherwise the witness is projected onto
-    the rows with `solve_qp`, and phase1_used is set. Raises
-    S0EmptyError, naming the rows violated at the least-infeasible
-    torque, when no torque satisfies the rows.
+    The witness torque (the origin when None; inside a control loop,
+    u_nom) becomes the ledger's witness as it is, and phase1_used
+    records that it breaks a strict row by more than FEAS_TOL. No QP
+    runs here: the first level's solve meets the strict rows, and
+    `run_cascade` names the violated rows when they admit no torque.
     """
     tasks = list(strict_tasks)
     for t in tasks:
+        if t.kind != "ineq":
+            raise ValueError(f"strict task '{t.label}' is an equality task")
         if _slack_of(t) is not None:
             raise ValueError(
                 f"strict task '{t.label}' carries slack coefficients")
@@ -329,43 +326,17 @@ def init_stage0(strict_tasks: list[Task], witness: Array | None = None,
         n = tasks[0].A.shape[1]
     elif n is None:
         raise ValueError("n is required when there are no strict tasks")
-
-    eq = [t for t in tasks if t.kind == "eq"]
-    ineq = [t for t in tasks if t.kind == "ineq"]
-    A_eq = np.vstack([t.A for t in eq]) if eq else np.zeros((0, n))
-    b_eq = np.concatenate([t.b for t in eq]) if eq else np.zeros(0)
-    A_in = np.vstack([t.A for t in ineq]) if ineq else np.zeros((0, n))
-    b_in = np.concatenate([t.b for t in ineq]) if ineq else np.zeros(0)
     if any(t.A.shape[1] != n for t in tasks):
         raise ValueError("strict tasks disagree on torque dimension")
 
+    A_in = np.vstack([t.A for t in tasks]) if tasks else np.zeros((0, n))
+    b_in = np.concatenate([t.b for t in tasks]) if tasks else np.zeros(0)
     w = np.zeros(n) if witness is None else np.asarray(witness, dtype=float)
-    ledger = StageLedger(n=n, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
-                         n_strict=A_in.shape[0], witness=w.copy(),
-                         phase1_used=False,
-                         _Z=_kernel(A_eq) if eq else np.eye(n),
-                         eq_tasks=[(0, t) for t in eq],
-                         in_tasks=[(0, t) for t in ineq])
-    if ledger.max_violation(w) <= FEAS_TOL:
-        return ledger
-
-    sol = solve_qp(QpProblem(H=np.zeros((n, n)), f=np.zeros(n), A_eq=A_eq,
-                             b_eq=b_eq, A_in=A_in, b_in=b_in), anchor=w)
-    if sol.status == "infeasible":
-        z = _least_infeasible(ledger, w)
-        viol = [(lab, abs(float(A_eq[i] @ z - b_eq[i])))
-                for i, lab in enumerate(ledger.eq_labels)]
-        viol += [(lab, float(b_in[i] - A_in[i] @ z))
-                 for i, lab in enumerate(ledger.in_labels)]
-        viol = [(lab, v) for lab, v in viol if v > FEAS_TOL]
-        viol.sort(key=lambda item: -item[1])
-        if not viol:
-            viol = [("unknown", float("nan"))]
-        raise S0EmptyError(viol)
-    if sol.status != "optimal":
-        raise CascadeInfeasibleError(0, sol.status)
-    ledger.witness = sol.z_star
-    ledger.phase1_used = True
+    ledger = StageLedger(n=n, A_eq=np.zeros((0, n)), b_eq=np.zeros(0),
+                         A_in=A_in, b_in=b_in, n_strict=A_in.shape[0],
+                         witness=w.copy(), phase1_used=False, _Z=np.eye(n),
+                         in_tasks=[(0, t) for t in tasks])
+    ledger.phase1_used = ledger.in_violation(w) > FEAS_TOL
     return ledger
 
 
@@ -409,10 +380,12 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
     # The same rows on the search space: A_in y >= b_in. The witness
     # meets every ledger row within FEAS_TOL, and a ledger row it misses
     # by less holds where the witness has it, so the ledger alone never
-    # empties the level.
+    # empties the level. Stage 0's witness may break the strict rows by
+    # more; the first level then meets them as they are.
     A_in, b_in = C @ Z, d - C @ w
-    m = ledger.b_in.shape[0]
-    b_in[:m] = np.minimum(b_in[:m], 0.0)
+    if ledger.level or not ledger.phase1_used:
+        m = ledger.b_in.shape[0]
+        b_in[:m] = np.minimum(b_in[:m], 0.0)
 
     level = ledger.level + 1
     if dim == 0:
@@ -492,15 +465,24 @@ def run_cascade(strict_tasks: list[Task], levels: list[LevelSpec],
 
     u_nom is stage 0's witness and the regularization anchor of every
     level. Each level searches around the witness its predecessor left
-    behind, so when u_nom meets every row, every level returns it.
+    behind, so when u_nom meets every row, every level returns it. When
+    the first level fails, S0EmptyError names the strict rows violated
+    at the least-infeasible torque if the strict rows admit no torque;
+    otherwise the level's CascadeInfeasibleError stands.
     """
     u_nom = np.asarray(u_nom, dtype=float)
     ledger = init_stage0(strict_tasks, witness=u_nom, n=u_nom.shape[0])
     u = ledger.witness
     for spec in levels:
-        u, _, ledger = solve_level(
-            ledger, spec.equality, spec.inequality, rho=spec.rho,
-            regularization_anchor=u_nom)
+        try:
+            u, _, ledger = solve_level(
+                ledger, spec.equality, spec.inequality, rho=spec.rho,
+                regularization_anchor=u_nom)
+        except CascadeInfeasibleError:
+            viol = [] if ledger.level else _least_infeasible(ledger, u_nom)
+            if viol:
+                raise S0EmptyError(viol) from None
+            raise
     eq_residual = ledger.eq_violation(u)
     max_violation = max(eq_residual, ledger.in_violation(u))
     feasible = (max_violation <= 1e-8

@@ -176,16 +176,22 @@ def _scalar(value, where: str, kind=float):
     return kind(out)
 
 
-def _vector(value, length: int, where: str) -> tuple[float, ...]:
-    """value as `length` finite floats, or a ScenarioError naming the
-    field."""
+def _vector(value, length: int | None, where: str) -> tuple[float, ...]:
+    """value as `length` finite floats (any number of them when length
+    is None), or a ScenarioError naming the field; as in `_scalar`, bool
+    and string elements are refused, not converted."""
     try:
-        out = None if isinstance(value, str) else tuple(float(v) for v in value)
-    except (TypeError, ValueError):
+        if isinstance(value, str) or any(isinstance(v, (bool, str))
+                                         for v in value):
+            raise TypeError
+        out = tuple(float(v) for v in value)
+    except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or len(out) != length or not np.all(np.isfinite(out)):
+    if out is None or (length is not None and len(out) != length) or \
+            not np.all(np.isfinite(out)):
+        count = "" if length is None else f"{length} "
         raise ScenarioError(
-            f"{where} must be a list of {length} finite numbers, "
+            f"{where} must be a list of {count}finite numbers, "
             f"got {value!r}")
     return out
 
@@ -209,10 +215,7 @@ def load_scenario(text: str) -> Scenario:
 
     name = str(need("name"))
     model_name = str(need("model"))
-    try:
-        q0 = np.asarray(need("initial_q"), dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        raise ScenarioError("initial_q must be a list of numbers") from None
+    q0 = np.array(_vector(need("initial_q"), None, "initial_q"))
     duration = _scalar(need("duration"), "duration")
     dt = _scalar(raw.get("dt", 1e-3), "dt")
     mode = str(raw.get("mode", "single_qp"))

@@ -325,8 +325,8 @@ class TestStep:
 
     def test_phase1_used_reports_a_projected_nominal_torque(self, panda):
         # at rest with the equilibrium raised by dz, u_nom breaks the
-        # velocity rows for dz > 0: stage 0 projects it, and the applied
-        # torque meets every strict row
+        # velocity rows for dz > 0: the first level projects it, and the
+        # applied torque meets every strict row
         st = compute_state(panda, HOME, np.zeros(7))
         for dz, projected in ((0.0, False), (0.1, True), (0.5, True)):
             ctrl = self.make_ctrl(st, "hqp_safety", dz=dz)
@@ -479,10 +479,10 @@ class TestStep:
 
 def test_step_lunge_needs_no_phase1(monkeypatch):
     """After the step at t = 1 s u_nom breaks the velocity and position
-    rows and the hard energy row. Stage 0 projects it onto the strict
-    rows and level 1 adds the energy row from its unconstrained
-    minimizer; no period needs the least-infeasible search, which only
-    names the rows of an empty strict set."""
+    rows and the hard energy row. Level 1 adds those rows one at a time
+    from u_nom, its unconstrained minimizer; no period needs the
+    least-infeasible search, which only names the rows of an empty
+    strict set."""
     projected = []
     searches = []
     real_cascade, real_search = control.run_cascade, hqp._least_infeasible
@@ -502,5 +502,5 @@ def test_step_lunge_needs_no_phase1(monkeypatch):
     result = sim.run_scenario(scenario, mode="single_qp", duration=1.1)
     assert not result.fault
     assert len(projected) == 1100
-    assert any(projected)  # the lunge makes stage 0 project u_nom
+    assert any(projected)  # the lunge makes level 1 project u_nom
     assert searches == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import oracle_solve
 
+from cbf_hqp import hqp
 from cbf_hqp.hqp import (
     CascadeInfeasibleError,
     LevelSpec,
@@ -155,17 +156,28 @@ class TestHandCascades:
 
 class TestStageZero:
     def test_contradictory_rows_named(self):
+        # stage 0 installs the rows; the first level finds them empty
         lo = Task(kind="ineq", A=[[1.0, 0.0]], b=[1.0], label="lo")
         hi = Task(kind="ineq", A=[[-1.0, 0.0]], b=[0.0], label="hi")
+        track = Task(kind="eq", A=np.eye(2), b=np.zeros(2), label="track")
         with pytest.raises(S0EmptyError) as exc:
-            init_stage0([lo, hi])
+            run_cascade([lo, hi], [LevelSpec(equality=track)], np.zeros(2))
         assert "lo[0]" in str(exc.value) and "hi[0]" in str(exc.value)
         assert exc.value.most_violated in ("lo[0]", "hi[0]")
+        for _, magnitude in exc.value.violations:
+            assert magnitude == pytest.approx(0.5, abs=1e-6)
+
+    def test_first_level_clash_with_nonempty_strict_rows_is_its_own(self):
+        # the strict rows admit u = 0; the level's hard row u >= 2 does not
+        cap = Task(kind="ineq", A=[[-1.0]], b=[-1.0], label="cap")
+        push = Task(kind="ineq", A=[[1.0]], b=[2.0], label="push")
+        with pytest.raises(CascadeInfeasibleError, match="level 1"):
+            run_cascade([cap], [LevelSpec(inequality=push)], np.array([5.0]))
 
     def test_box_alone_is_feasible(self):
         ledger = init_stage0([box_task(3, 20.0)])
         assert ledger.n_strict == 6
-        assert ledger.max_violation(ledger.witness) <= 1e-8
+        assert ledger.in_violation(ledger.witness) <= 1e-8
 
     def test_witness_skips_feasibility_solve(self):
         t = box_task(2, 10.0)
@@ -173,19 +185,28 @@ class TestStageZero:
         assert not with_witness.phase1_used
         without = init_stage0([t], witness=np.array([50.0, 0.0]))
         assert without.phase1_used
-        # the witness is projected: the nearest point of the box
-        np.testing.assert_allclose(without.witness, [10.0, 0.0], atol=1e-8)
+        # stage 0 keeps the witness; the first level projects it onto
+        # the box: the nearest point
+        np.testing.assert_array_equal(without.witness, [50.0, 0.0])
+        track = Task(kind="eq", A=np.eye(2), b=np.array([50.0, 0.0]),
+                     label="track")
+        res = run_cascade([t], [LevelSpec(equality=track)],
+                          np.array([50.0, 0.0]))
+        assert res.phase1_used and res.feasible
+        np.testing.assert_allclose(res.u_final, [10.0, 0.0], atol=1e-8)
 
-    def test_inconsistent_equality_rows_named(self):
-        # the least-infeasible torque splits the clash between the rows
-        a = Task(kind="eq", A=[[1.0, 0.0]], b=[0.0], label="a")
-        b = Task(kind="eq", A=[[1.0, 0.0]], b=[1.0], label="b")
-        with pytest.raises(S0EmptyError) as exc:
-            init_stage0([a, b, box_task(2, 10.0)])
-        names = sorted(lab for lab, _ in exc.value.violations)
-        assert names == ["a[0]", "b[0]"]
-        for _, magnitude in exc.value.violations:
-            assert magnitude == pytest.approx(0.5, abs=1e-6)
+    def test_stage0_runs_no_qp(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hqp, "solve_qp", lambda *a, **k: (
+            calls.append(a) or solve_qp(*a, **k)))
+        ledger = init_stage0([box_task(2, 10.0)],
+                             witness=np.array([50.0, 0.0]))
+        assert ledger.phase1_used and calls == []
+
+    def test_strict_equality_task_rejected(self):
+        pin = Task(kind="eq", A=[[1.0, 0.0]], b=[0.0], label="pin")
+        with pytest.raises(ValueError, match="'pin' is an equality task"):
+            init_stage0([pin, box_task(2, 10.0)])
 
     def test_slack_bearing_task_rejected(self):
         t = Task(kind="ineq", A=[[1.0]], b=[0.0], label="soft", slack=[1.0])
@@ -408,24 +429,23 @@ class TestCascadeProperties:
 
     def test_rows_the_witness_breaks_within_the_band_never_empty_a_level(
             self, rng):
-        # Stage 0 accepts a witness that breaks strict rows by up to
-        # FEAS_TOL, and such rows can clash at that scale (a lower and an
-        # upper bound a few 1e-9 apart on the free direction). A level
-        # searches around the witness, so it must still solve, and it
-        # leaves each of those rows no more broken than the witness did.
+        # A witness may break strict rows by up to FEAS_TOL (stage 0
+        # keeps u_nom then, and levels leave rows within that band), and
+        # such rows can clash at that scale (a lower and an upper bound a
+        # few 1e-9 apart on the free direction). A level searches around
+        # the witness, so it must still solve, and it leaves each of
+        # those rows no more broken than the witness did.
         for k in range(300):
             n = int(rng.integers(2, 6))
             w = rng.normal(size=n)
             free = int(rng.integers(1, n + 1))
-            tasks = []
-            if free < n:
-                E = rng.normal(size=(n - free, n))
-                tasks.append(Task(kind="eq", A=E, b=E @ w, label="pin"))
             A = rng.normal(size=(int(rng.integers(2, 9)), n))
             b = A @ w + rng.uniform(0.0, FEAS_TOL, size=A.shape[0])
-            tasks.append(Task(kind="ineq", A=A, b=b, label="strict"))
-            ledger = init_stage0(tasks, witness=w)
+            ledger = init_stage0(
+                [Task(kind="ineq", A=A, b=b, label="strict")], witness=w)
             assert not ledger.phase1_used
+            if free < n:
+                ledger = pin_level(ledger, rng.normal(size=(n - free, n)))
             E = rng.normal(size=(int(rng.integers(1, n + 1)), n))
             u, _, _ = solve_level(
                 ledger, equality_task=Task(kind="eq", A=E,
@@ -472,9 +492,21 @@ class TestCascadeProperties:
             assert all(r.delta == 0.0 for r in res.records)
 
 
+def pin_level(ledger, E):
+    """The ledger after a level that pins E u = E w at its witness w:
+    the level returns w itself and leaves Z = ker(E)."""
+    w = ledger.witness.copy()
+    u, _, ledger = solve_level(
+        ledger, equality_task=Task(kind="eq", A=E, b=E @ w, label="pin"),
+        regularization_anchor=w)
+    assert np.array_equal(u, w)
+    return ledger
+
+
 def one_variable_level(rng):
-    """A ledger with one free direction z left, and a slack-free level on
-    it: an equality task, a hard inequality task, or both.
+    """A ledger with one free direction z left (a pinning level 1), and
+    a slack-free level 2 on it: an equality task, a hard inequality
+    task, or both.
 
     The ledger's inequality rows are slack, tight or broken by at most
     FEAS_TOL at the witness, as an earlier level leaves them. The
@@ -493,9 +525,8 @@ def one_variable_level(rng):
         return A, b
 
     A_s, b_s = rows(int(rng.integers(1, 8)), FEAS_TOL)
-    ledger = init_stage0([Task(kind="eq", A=E, b=E @ w, label="pin"),
-                          Task(kind="ineq", A=A_s, b=b_s, label="strict")],
-                         witness=w)
+    ledger = pin_level(init_stage0(
+        [Task(kind="ineq", A=A_s, b=b_s, label="strict")], witness=w), E)
     assert ledger.Z.shape == (n, 1)
     pick = int(rng.integers(0, 3))
     eq = ineq = None
@@ -532,7 +563,7 @@ class TestClosedFormLevel:
             ref = solve_qp(QpProblem(H=H, f=f, A_in=C @ Z, b_in=b),
                            anchor=anchor)
             if ref.status == "infeasible":
-                with pytest.raises(CascadeInfeasibleError, match="level 1"):
+                with pytest.raises(CascadeInfeasibleError, match="level 2"):
                     solve_level(ledger, eq, ineq, regularization_anchor=u_nom)
                 empty += 1
                 continue

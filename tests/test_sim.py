@@ -211,13 +211,21 @@ class TestScenarioLoading:
         ("initial_q", HOLD_SCENARIO.replace("[0.0, -0.785", "[.nan, -0.785")),
         ("wrench.amplitude", SINE_SCENARIO.replace(
             "amplitude: 30.0", "amplitude: .nan")),
+        ("initial_q", HOLD_SCENARIO.replace("[0.0, -0.785", "[true, -0.785")),
+        ("initial_q", HOLD_SCENARIO.replace("[0.0, -0.785", '["0.0", -0.785')),
+        ("controller.k_trans", HOLD_SCENARIO
+         + 'controller: {k_trans: ["200", true, 200.0]}\n'),
+        ("equilibrium.offset", HOLD_SCENARIO
+         + 'equilibrium: {kind: step, offset: [false, "0", 0.2], at: 1.0}\n'),
     ], ids=["k_trans_scalar", "offset_scalar", "offset_short",
             "plane_normal_scalar", "lambda2_list", "amplitude_list",
             "at_list", "duration_list", "families_scalar", "families_repeated",
             "initial_q_text",
             "axis_fraction", "axis_text", "axis_bool", "duration_text",
             "gamma_bool", "gamma_nan", "k_max_inf", "dt_nan", "duration_inf",
-            "k_trans_nan", "initial_q_nan", "amplitude_nan"])
+            "k_trans_nan", "initial_q_nan", "amplitude_nan",
+            "initial_q_bool", "initial_q_string_number", "k_trans_mixed",
+            "offset_mixed"])
     def test_mistyped_field_named(self, field, text):
         with pytest.raises(ScenarioError, match=field):
             load_scenario(text)
@@ -250,6 +258,35 @@ class TestScenarioLoading:
         assert sine.wrench.amplitude == 25.0
         assert sine.wrench.frequency == 0.6
         assert sine.equilibrium.kind == "hold"
+
+        push = load_scenario_file(bundled_scenario_path("push"))
+        assert push.duration == 10.0
+        assert push.wrench.amplitude == 45.0
+        assert push.wrench.frequency == 0.6
+
+
+@pytest.mark.parametrize(
+    "path", sorted(bundled_scenario_path("step").parent.glob("*.yaml")),
+    ids=lambda path: path.stem)
+def test_bundled_experiment_runs_clean_in_every_mode(path):
+    scenario = load_scenario_file(path)
+    for mode in ("single_qp", "hqp_performance", "hqp_safety"):
+        result = run_scenario(scenario, mode=mode, duration=0.05)
+        assert len(result.records) == 50, mode
+        assert audit(result) == [], mode
+
+
+@pytest.mark.parametrize("mode", ["single_qp", "hqp_safety"])
+def test_push_experiment_engages_the_filter(mode):
+    """Under the 45 N push the energy barrier acts: the filter changes
+    the nominal torque on most periods, and K stays within k_max."""
+    scenario = load_scenario_file(bundled_scenario_path("push"))
+    result = run_scenario(scenario, mode=mode, duration=3.0)
+    assert not result.fault and audit(result) == []
+    changed = sum(float(np.max(np.abs(r.u_applied - r.u_nom))) > 1e-9
+                  for r in result.records)
+    assert changed >= 0.3 * len(result.records), changed
+    assert max(r.K for r in result.records) <= scenario.cbf.k_max + 1e-6
 
 
 @pytest.fixture(scope="module")
