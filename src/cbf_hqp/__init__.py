@@ -20,7 +20,6 @@ from .dynamics import (
     ModelError,
     RobotModel,
     RobotState,
-    StaleStateError,
     compute_state,
     dynamics_terms,
     forward_kinematics,
@@ -76,7 +75,6 @@ __all__ = [
     "ScenarioError",
     "SimResult",
     "SimulationFault",
-    "StaleStateError",
     "StepInfo",
     "Task",
     "UnsupportedConfigurationError",

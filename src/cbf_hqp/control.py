@@ -37,10 +37,8 @@ import numpy as np
 from .dynamics import RobotModel, RobotState
 from .hqp import CascadeInfeasibleError, LevelSpec, S0EmptyError, run_cascade
 from .tasks import (
-    AccelerationBox,
     CbfParams,
     Task,
-    acceleration_box,
     acceleration_rows,
     collision_plane_rows,
     energy_cbf_row,
@@ -240,7 +238,6 @@ def nominal_torque(state: RobotState, impedance: ImpedanceParams,
                    inertia: TaskInertia) -> Array:
     """Impedance law u_nom = J^T (K_c e - D_c J qd) + g, with inertia
     the task-space inertia."""
-    state.check_fresh()
     K_c = impedance.stiffness
     D_c = critical_damping(inertia, K_c)
     wrench = K_c @ pose_error(state, impedance) - D_c @ (state.J @ state.qd)
@@ -285,12 +282,12 @@ def wrench_deviation(state: RobotState, u: Array, u_nom: Array,
 
 
 def build_strict_tasks(model: RobotModel, state: RobotState,
-                       ctrl: ControllerState, tau_ext: Array | None,
-                       box: AccelerationBox) -> list[Task]:
+                       ctrl: ControllerState,
+                       tau_ext: Array | None) -> list[Task]:
     """The hard rows the controller enforces at every priority level, in
-    the order ctrl.strict_families names them; box is this period's
-    acceleration_box over those families, and its one acceleration task
-    stands where the first of velocity/position is named."""
+    the order ctrl.strict_families names them; the one acceleration task
+    of the velocity and position families stands where the first of them
+    is named."""
     tasks = []
     for fam in ctrl.strict_families:
         if fam == "torque":
@@ -298,7 +295,8 @@ def build_strict_tasks(model: RobotModel, state: RobotState,
         elif fam == "plane":
             tasks.append(collision_plane_rows(state, ctrl.cbf, model, tau_ext))
         elif not any(t.label == "acceleration" for t in tasks):
-            tasks.append(acceleration_rows(state, box))
+            tasks.append(acceleration_rows(state, ctrl.cbf, model,
+                                           ctrl.strict_families, tau_ext))
     return tasks
 
 
@@ -336,7 +334,6 @@ def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
     yet); delta_prev is left untouched in that case.
     """
     t0 = time.perf_counter()
-    state.check_fresh()
     inertia = task_space_inertia(state)
     lam = inertia.lam
     u_nom = nominal_torque(state, ctrl.impedance, inertia)
@@ -349,9 +346,7 @@ def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
 
     energy = energy_cbf_row(state, ctrl.cbf, tau_ext=tau_ext,
                             delta_prev=ctrl.delta_prev)
-    box = acceleration_box(state, ctrl.cbf, model, ctrl.strict_families,
-                           tau_ext)
-    strict = build_strict_tasks(model, state, ctrl, tau_ext, box)
+    strict = build_strict_tasks(model, state, ctrl, tau_ext)
     levels = _levels_for_mode(ctrl.mode, u_nom, energy, state, lam, z)
 
     fault = False

@@ -68,10 +68,6 @@ class ModelError(ValueError):
     """Raised when a model description fails validation."""
 
 
-class StaleStateError(RuntimeError):
-    """Raised when a RobotState's cached fields disagree with q, qd."""
-
-
 @dataclass
 class RobotModel:
     """Parameters of a fixed-base serial chain with revolute joints."""
@@ -106,16 +102,57 @@ class RobotModel:
         self._mg = (self.mass[:, None] * self.gravity).reshape(-1)
 
 
-def _field(d: dict, key: str, where: str):
+def _scalar(value, where: str, kind=float, error=ModelError):
+    """value as a `kind`, or `error` naming the field; bools, strings,
+    nan, inf and, for an int field, fractions are refused, not
+    converted."""
+    try:
+        out = None if isinstance(value, (bool, str)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or not np.isfinite(out) or (
+            kind is int and not out.is_integer()):
+        noun = "an integer" if kind is int else "a finite number"
+        raise error(f"{where} must be {noun}, got {value!r}")
+    return kind(out)
+
+
+def _vector(value, length: int | None, where: str,
+            error=ModelError) -> tuple[float, ...]:
+    """value as `length` finite floats (any number of them when length
+    is None), or `error` naming the field; as in `_scalar`, bool and
+    string elements are refused, not converted."""
+    try:
+        if isinstance(value, str) or any(isinstance(v, (bool, str))
+                                         for v in value):
+            raise TypeError
+        out = tuple(float(v) for v in value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (length is not None and len(out) != length) or \
+            not np.all(np.isfinite(out)):
+        count = "" if length is None else f"{length} "
+        raise error(f"{where} must be a list of {count}finite numbers, "
+                    f"got {value!r}")
+    return out
+
+
+def _field(d, key: str, where: str):
+    if not isinstance(d, dict):
+        raise ModelError(f"{where} must be a mapping")
     if key not in d:
         raise ModelError(f"{where}.{key} is missing")
     return d[key]
 
 
-def load_model(text: str) -> RobotModel:
-    """Parse a YAML model description and validate it.
+def _number(d, key: str, where: str) -> float:
+    return _scalar(_field(d, key, where), f"{where}.{key}")
 
-    Raises ModelError naming the offending field on invalid input.
+
+def load_model(text: str) -> RobotModel:
+    """Parse a YAML model description and validate it with the number
+    rules of `_scalar`. Raises ModelError naming the offending field on
+    invalid input.
     """
     try:
         raw = yaml.safe_load(text)
@@ -145,46 +182,48 @@ def load_model(text: str) -> RobotModel:
     for i, link in enumerate(links):
         where = f"links[{i}]"
         dh = _field(link, "dh", where)
-        a[i] = float(_field(dh, "a", where + ".dh"))
-        d[i] = float(_field(dh, "d", where + ".dh"))
-        alpha[i] = float(_field(dh, "alpha", where + ".dh"))
-        theta_off[i] = float(dh.get("theta_offset", 0.0))
-        mass[i] = float(_field(link, "mass", where))
+        a[i] = _number(dh, "a", where + ".dh")
+        d[i] = _number(dh, "d", where + ".dh")
+        alpha[i] = _number(dh, "alpha", where + ".dh")
+        theta_off[i] = _scalar(dh.get("theta_offset", 0.0),
+                               where + ".dh.theta_offset")
+        mass[i] = _number(link, "mass", where)
         if not mass[i] > 0.0:
             raise ModelError(f"{where}.mass must be > 0")
-        com[i] = np.asarray(_field(link, "com", where), dtype=float)
-        I = np.asarray(_field(link, "inertia", where), dtype=float)
-        if I.shape != (3, 3):
+        com[i] = _vector(_field(link, "com", where), 3, where + ".com")
+        rows = _field(link, "inertia", where)
+        I = np.array([_vector(r, 3, where + ".inertia") for r in rows]) \
+            if isinstance(rows, list) else None
+        if I is None or I.shape != (3, 3):
             raise ModelError(f"{where}.inertia must be a 3x3 matrix")
         if np.max(np.abs(I - I.T)) > 1e-9:
             raise ModelError(f"{where}.inertia must be symmetric")
         if np.min(np.linalg.eigvalsh(0.5 * (I + I.T))) <= 0.0:
             raise ModelError(f"{where}.inertia must be positive definite")
         inertia[i] = I
-        q_min[i] = float(_field(link, "q_min", where))
-        q_max[i] = float(_field(link, "q_max", where))
+        q_min[i] = _number(link, "q_min", where)
+        q_max[i] = _number(link, "q_max", where)
         if not q_min[i] < q_max[i]:
             raise ModelError(f"{where}.q_min must be < {where}.q_max")
-        v_max[i] = float(_field(link, "v_max", where))
+        v_max[i] = _number(link, "v_max", where)
         if not v_max[i] > 0.0:
             raise ModelError(f"{where}.v_max must be > 0")
-        tau_max[i] = float(_field(link, "tau_max", where))
+        tau_max[i] = _number(link, "tau_max", where)
         if not tau_max[i] > 0.0:
             raise ModelError(f"{where}.tau_max must be > 0")
 
-    gravity = np.asarray(raw.get("gravity", [0.0, 0.0, -9.81]), dtype=float)
-    if gravity.shape != (3,):
-        raise ModelError("model.gravity must be a 3-vector")
+    gravity = np.array(_vector(raw.get("gravity", (0.0, 0.0, -9.81)), 3,
+                               "model.gravity"))
 
     ee = np.eye(4)
     if "ee_transform" in raw:
         spec = raw["ee_transform"]
-        trans = np.asarray(spec.get("translation", [0, 0, 0]), dtype=float)
-        if trans.shape != (3,):
-            raise ModelError("ee_transform.translation must be a 3-vector")
-        ee[:3, 3] = trans
+        if not isinstance(spec, dict):
+            raise ModelError("model.ee_transform must be a mapping")
+        ee[:3, 3] = _vector(spec.get("translation", (0.0, 0.0, 0.0)), 3,
+                            "ee_transform.translation")
         if "rpy" in spec:
-            r, p, y = (float(v) for v in spec["rpy"])
+            r, p, y = _vector(spec["rpy"], 3, "ee_transform.rpy")
             ee[:3, :3] = _rotz(y) @ _roty(p) @ _rotx(r)
 
     return RobotModel(name=name, n_joints=n, dh_a=a, dh_d=d, dh_alpha=alpha,
@@ -421,16 +460,18 @@ def kinetic_energy(model: RobotModel, q, qd) -> float:
     return float(0.5 * qd @ mass_matrix(model, q) @ qd)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RobotState:
     """Configuration snapshot with the cached terms one control step needs.
 
     h is the bias torque C(q, qd) qd; with it the dynamics read
-    M qdd + h + g = tau. The Coriolis matrix C itself is built from
-    Christoffel symbols on first read (n more chain evaluations), which
-    the control loop never does. J_svd, the full SVD (U, s, Vt) of J, is
-    computed on first read and shared by everything that factors J.
-    Arrays are read-only; build a new state instead of mutating one.
+    M qdd + h + g = tau. K = 1/2 qd^T M qd is derived from qd and M when
+    the state is built, so it cannot disagree with them. The Coriolis
+    matrix C itself is built from Christoffel symbols on first read (n
+    more chain evaluations), which the control loop never does. J_svd,
+    the full SVD (U, s, Vt) of J, is computed on first read and shared by
+    everything that factors J. The state is frozen and its arrays are
+    read-only; build a new state instead of mutating one.
     """
 
     q: Array
@@ -442,14 +483,14 @@ class RobotState:
     J: Array
     ee_pos: Array
     ee_quat: Array
-    K: float
     model: RobotModel = field(repr=False, compare=False)
+    K: float = field(init=False)
 
     def __post_init__(self):
         for name in ("q", "qd", "M", "h", "g", "M_inv", "J", "ee_pos",
                      "ee_quat"):
-            arr = getattr(self, name)
-            arr.flags.writeable = False
+            getattr(self, name).flags.writeable = False
+        object.__setattr__(self, "K", 0.5 * float(self.qd @ self.M @ self.qd))
 
     @cached_property
     def C(self) -> Array:
@@ -468,11 +509,6 @@ class RobotState:
     def n(self) -> int:
         return self.q.shape[0]
 
-    def check_fresh(self) -> None:
-        k = 0.5 * float(self.qd @ self.M @ self.qd)
-        if abs(k - self.K) > 1e-9 * max(1.0, abs(k)):
-            raise StaleStateError("cached kinetic energy disagrees with q, qd")
-
 
 def compute_state(model: RobotModel, q, qd) -> RobotState:
     """Evaluate kinematics and dynamics once and cache the results: one
@@ -489,9 +525,7 @@ def compute_state(model: RobotModel, q, qd) -> RobotState:
     M = _mass_matrix_batched(model, T0, jac=(Jv[:1].real, Jw[:1].real))[0]
     g = _gravity_from_jv(model, Jv[0].real)
     T_ee, J = _ee_terms(model, T0)
-    K = 0.5 * float(qd @ M @ qd)
     return RobotState(q=q, qd=qd, M=M, h=_bias_torque(model, T, Jv, Jw, qd),
                       g=g, M_inv=np.linalg.inv(M), J=J[0],
                       ee_pos=T_ee[0, :3, 3].copy(),
-                      ee_quat=_quat_from_rot(T_ee[0, :3, :3]), K=K,
-                      model=model)
+                      ee_quat=_quat_from_rot(T_ee[0, :3, :3]), model=model)

@@ -72,7 +72,7 @@ class CascadeInfeasibleError(RuntimeError):
 def _slack_of(task: Task | None) -> Array | None:
     """The task's slack coefficients when it has a slack variable, i.e.
     when some coefficient is positive; None for a hard task."""
-    if task is not None and task.slack is not None and np.any(task.slack > 0.0):
+    if task is not None and task.slack is not None and (task.slack > 0.0).any():
         return task.slack
     return None
 
@@ -173,9 +173,9 @@ class StageLedger:
     cascade), kept as given: phase1_used says it breaks a strict row by
     more than FEAS_TOL, and then the first level projects it. An equality
     level leaves its A Z behind, and Z ker(A Z) is formed on the next
-    read of Z, so the last level's kernel is never computed. eq_tasks
-    and in_tasks hold the (level, task) pairs behind the rows, level 0
-    for stage 0; the row labels are built from them on demand.
+    read of Z, so the last level's kernel is never computed. in_tasks
+    holds the (level, task) pairs behind the inequality rows, level 0
+    for stage 0; their labels are built from them on demand.
     """
     n: int
     A_eq: Array
@@ -186,7 +186,6 @@ class StageLedger:
     witness: Array
     phase1_used: bool
     _Z: Array = field(repr=False)
-    eq_tasks: list[tuple[int, Task]] = field(default_factory=list)
     in_tasks: list[tuple[int, Task]] = field(default_factory=list)
     level: int = 0
     records: list[LevelRecord] = field(default_factory=list)
@@ -244,7 +243,7 @@ class HqpResult:
     """Outcome of a full cascade run.
 
     feasible means u_final satisfies every row the ledger ever
-    accumulated within 1e-8 and every level reported an optimum.
+    accumulated within 1e-8 (a level that finds no optimum raises).
     phase1_used says u_nom broke a strict row by more than FEAS_TOL, so
     the first level projected it onto the strict rows.
     """
@@ -280,7 +279,7 @@ def _interval_minimizer(a: Array, b: Array, y_unc: float) -> float | None:
     lo = bound[viol & (a > 0.0)].max(initial=-np.inf)
     hi = bound[viol & (a < 0.0)].min(initial=np.inf)
     y = min(max(y_unc, lo), hi)
-    if not np.isfinite(y) or np.any(a * y - b < -FEAS_TOL * scale):
+    if not np.isfinite(y) or (a * y - b < -FEAS_TOL * scale).any():
         return None
     return y
 
@@ -387,52 +386,46 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
         m = ledger.b_in.shape[0]
         b_in[:m] = np.minimum(b_in[:m], 0.0)
 
+    # The level's QP in y (and delta): 1/2 ||A Z y - (b - A w)||^2 and
+    # rho/2 delta^2; anchor centers the Tikhonov term on the search space.
+    H = np.zeros((dim, dim))
+    f = np.zeros(dim)
+    if AZ is not None:
+        H[:k, :k] = AZ.T @ AZ
+        f[:k] = -AZ.T @ (equality_task.b - equality_task.A @ w)
+    if slack_coef is not None:
+        H[k, k] = rho
+        c = np.concatenate([np.zeros(ledger.A_in.shape[0]), slack_coef])
+        A_in = np.vstack([np.hstack([A_in, c[:, None]]), np.eye(1, dim, k)])
+        b_in = np.append(b_in, 0.0)
+    H = 0.5 * (H + H.T)
+    anchor = np.zeros(dim)
+    anchor[:k] = Z.T @ (ref - w)
+
     level = ledger.level + 1
+    iterations = 0
     if dim == 0:
         # No free direction is left: the witness is the only candidate.
         if b_in.max(initial=0.0) > FEAS_TOL:
             raise CascadeInfeasibleError(level, "infeasible")
-        u_star, delta, status, iterations = w.copy(), 0.0, "optimal", 0
+        y = np.zeros(0)
     elif dim == 1 and slack_coef is None:
-        # One free direction and no slack: the level is a scalar QP over
-        # an interval, minimized in closed form with its Tikhonov term.
-        H = f = 0.0
-        if AZ is not None:
-            H = float((AZ.T @ AZ)[0, 0])
-            f = -float((AZ.T @ (equality_task.b - equality_task.A @ w))[0])
-        anchor = float((Z.T @ (ref - w))[0])
-        y = _interval_minimizer(A_in[:, 0], b_in,
-                                -(f - 2.0 * REG * anchor) / (H + 2.0 * REG))
+        # One free direction and no slack: a scalar QP over an interval,
+        # minimized in closed form.
+        y = _interval_minimizer(
+            A_in[:, 0], b_in,
+            -(f[0] - 2.0 * REG * anchor[0]) / (H[0, 0] + 2.0 * REG))
         if y is None:
             raise CascadeInfeasibleError(level, "infeasible")
-        u_star = w + Z @ np.array([y])
-        delta, status, iterations = 0.0, "optimal", 0
+        y = np.array([y])
     else:
-        H = np.zeros((dim, dim))
-        f = np.zeros(dim)
-        if AZ is not None:
-            H[:k, :k] = AZ.T @ AZ
-            f[:k] = -AZ.T @ (equality_task.b - equality_task.A @ w)
-        if slack_coef is not None:
-            H[k, k] = rho
-            c = np.concatenate([np.zeros(ledger.A_in.shape[0]), slack_coef])
-            A_in = np.vstack([np.hstack([A_in, c[:, None]]),
-                              np.eye(1, dim, k)])
-            b_in = np.append(b_in, 0.0)
-        H = 0.5 * (H + H.T)
-
-        # The Tikhonov term eps ||u - anchor||^2 restricted to the search
-        # space, up to a constant.
-        anchor = np.zeros(dim)
-        anchor[:k] = Z.T @ (ref - w)
-
         sol = solve_qp(QpProblem(H=H, f=f, A_in=A_in, b_in=b_in),
                        anchor=anchor)
         if sol.status != "optimal":
             raise CascadeInfeasibleError(level, sol.status)
-        u_star = w + Z @ sol.z_star[:k]
-        delta = float(sol.z_star[k]) if slack_coef is not None else 0.0
-        status, iterations = sol.status, sol.iterations
+        y, iterations = sol.z_star, sol.iterations
+    u_star = w + Z @ y[:k]
+    delta = float(y[k]) if slack_coef is not None else 0.0
 
     if inequality_task is not None:
         ledger.in_tasks.append((level, inequality_task))
@@ -441,7 +434,6 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
     if equality_task is not None:
         ledger.A_eq = np.vstack([ledger.A_eq, equality_task.A])
         ledger.b_eq = np.concatenate([ledger.b_eq, equality_task.A @ u_star])
-        ledger.eq_tasks.append((level, equality_task))
         if k:
             ledger._Z_kernel_of = AZ
     if inequality_task is not None:
@@ -452,9 +444,8 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
     ledger.level = level
     ledger.witness = u_star
     ledger.records.append(LevelRecord(
-        level=level, status=status, u=u_star, delta=delta,
-        iterations=iterations, spec=spec,
-        rows=rows,
+        level=level, status="optimal", u=u_star, delta=delta,
+        iterations=iterations, spec=spec, rows=rows,
         eq_b=None if equality_task is None else equality_task.b.copy()))
     return u_star, delta, ledger
 
@@ -485,9 +476,8 @@ def run_cascade(strict_tasks: list[Task], levels: list[LevelSpec],
             raise
     eq_residual = ledger.eq_violation(u)
     max_violation = max(eq_residual, ledger.in_violation(u))
-    feasible = (max_violation <= 1e-8
-                and all(r.status == "optimal" for r in ledger.records))
-    return HqpResult(u_final=u, records=ledger.records, feasible=feasible,
+    return HqpResult(u_final=u, records=ledger.records,
+                     feasible=max_violation <= 1e-8,
                      eq_residual=eq_residual, max_violation=max_violation,
                      active_strict_rows=ledger.strict_tight_rows(u),
                      phase1_used=ledger.phase1_used)

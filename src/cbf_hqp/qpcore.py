@@ -59,8 +59,6 @@ class QpProblem:
         n = self.f.shape[0]
         if self.H.shape != (n, n):
             raise ValueError("H and f dimensions disagree")
-        if np.max(np.abs(self.H - self.H.T), initial=0.0) > 1e-12:
-            raise ValueError("H must be symmetric")
         if self.A_eq is None:
             self.A_eq = np.zeros((0, n))
             self.b_eq = np.zeros(0)
@@ -77,6 +75,15 @@ class QpProblem:
             raise ValueError("A_eq and b_eq row counts disagree")
         if self.A_in.shape[0] != self.b_in.shape[0]:
             raise ValueError("A_in and b_in row counts disagree")
+        for name, arr in (("H", self.H), ("f", self.f), ("A_eq", self.A_eq),
+                          ("b_eq", self.b_eq), ("A_in", self.A_in)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} holds a nan or an infinity")
+        # b_in = -inf is a row that binds nothing
+        if not (self.b_in < np.inf).all():
+            raise ValueError("b_in holds a nan or +inf")
+        if np.abs(self.H - self.H.T).max(initial=0.0) > 1e-12:
+            raise ValueError("H must be symmetric")
 
     @property
     def n(self) -> int:

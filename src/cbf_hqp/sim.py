@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from . import control
+from . import control, dynamics
 from .dynamics import RobotModel, RobotState, compute_state, load_bundled_model, load_model_file
 from .tasks import CbfParams
 
@@ -36,6 +37,11 @@ class ScenarioError(ValueError):
 
 class SimulationFault(RuntimeError):
     """The state stopped being finite."""
+
+
+# The model loader's number rules, raising ScenarioError.
+_scalar = partial(dynamics._scalar, error=ScenarioError)
+_vector = partial(dynamics._vector, error=ScenarioError)
 
 
 @dataclass(frozen=True)
@@ -117,23 +123,12 @@ class Scenario:
 
 
 @dataclass
-class LogRecord:
-    """One control step of a rollout; field order matches the CSV."""
+class LogRecord(control.StepInfo):
+    """One control step of a rollout: the step's StepInfo, the time t and
+    the read-only q and qd of the state it acted on."""
     t: float
     q: Array
     qd: Array
-    u_nom: Array
-    u_applied: Array
-    K: float
-    k_max_eff: float
-    delta: float
-    dW: Array
-    alpha_dev: float
-    eq_residual: float
-    solve_time_us: float
-    damped: bool
-    statuses: tuple[str, ...]
-    active_strict: tuple[str, ...]
 
 
 @dataclass
@@ -161,41 +156,6 @@ def _section(raw: dict, name: str, allowed, default: dict) -> dict:
     return dict(sec)
 
 
-def _scalar(value, where: str, kind=float):
-    """value as a `kind`, or a ScenarioError naming the field; bools,
-    strings, nan, inf and, for an int field, fractions are refused, not
-    converted."""
-    try:
-        out = None if isinstance(value, (bool, str)) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or not np.isfinite(out) or (
-            kind is int and not out.is_integer()):
-        noun = "an integer" if kind is int else "a finite number"
-        raise ScenarioError(f"{where} must be {noun}, got {value!r}")
-    return kind(out)
-
-
-def _vector(value, length: int | None, where: str) -> tuple[float, ...]:
-    """value as `length` finite floats (any number of them when length
-    is None), or a ScenarioError naming the field; as in `_scalar`, bool
-    and string elements are refused, not converted."""
-    try:
-        if isinstance(value, str) or any(isinstance(v, (bool, str))
-                                         for v in value):
-            raise TypeError
-        out = tuple(float(v) for v in value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or (length is not None and len(out) != length) or \
-            not np.all(np.isfinite(out)):
-        count = "" if length is None else f"{length} "
-        raise ScenarioError(
-            f"{where} must be a list of {count}finite numbers, "
-            f"got {value!r}")
-    return out
-
-
 def _field_names(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}
 
@@ -213,7 +173,12 @@ def load_scenario(text: str) -> Scenario:
             raise ScenarioError(f"scenario is missing '{key}'")
         return raw[key]
 
-    name = str(need("name"))
+    name = need("name")
+    # the name starts the CSV file name, so it must not leave --out
+    if not isinstance(name, str) or name in ("", ".", "..") or \
+            "/" in name or "\\" in name:
+        raise ScenarioError(f"name must be a non-empty string with no path "
+                            f"separator, other than '.' and '..', got {name!r}")
     model_name = str(need("model"))
     q0 = np.array(_vector(need("initial_q"), None, "initial_q"))
     duration = _scalar(need("duration"), "duration")
@@ -287,7 +252,7 @@ def integrate_step(model: RobotModel, state: RobotState, u_applied: Array,
     qdd = state.M_inv @ (tau - state.h - state.g)
     qd_next = state.qd + dt * qdd
     q_next = state.q + dt * qd_next
-    if not (np.all(np.isfinite(q_next)) and np.all(np.isfinite(qd_next))):
+    if not (np.isfinite(q_next).all() and np.isfinite(qd_next).all()):
         raise SimulationFault("state became non-finite")
     return compute_state(model, q_next, qd_next)
 
@@ -345,13 +310,7 @@ def run_scenario(scenario: Scenario, model: RobotModel | None = None,
         wrench = scenario.wrench.at(t)
         tau_ext = state.J.T @ wrench if wrench is not None else None
         u, info = control.step(model, state, ctrl, tau_ext)
-        records.append(LogRecord(
-            t=t, q=state.q.copy(), qd=state.qd.copy(), u_nom=info.u_nom,
-            u_applied=info.u_applied, K=info.K, k_max_eff=info.k_max_eff,
-            delta=info.delta, dW=info.dW, alpha_dev=info.alpha_dev,
-            eq_residual=info.eq_residual, solve_time_us=info.solve_time_us,
-            damped=info.damped, statuses=info.statuses,
-            active_strict=info.active_strict))
+        records.append(LogRecord(**vars(info), t=t, q=state.q, qd=state.qd))
         if info.fault:
             fault = True
             reason = info.fault_reason

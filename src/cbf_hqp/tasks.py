@@ -29,8 +29,7 @@ Derivations, in brief:
   lambda1, lambda2 gives hddot + (l1+l2) hdot + l1 l2 h >= 0.
 
   Both families are per-joint bounds on qdd = M^-1 (u + w), so they
-  are one task: `acceleration_box` intersects them once per period,
-  together with the drift acceleration M^-1 w, and `acceleration_rows`
+  are one task: `acceleration_rows` intersects them once per period and
   encodes the box as 2n rows.
 
 * Plane clearance for the end effector, also relative degree two, with
@@ -112,7 +111,7 @@ class Task:
             self.slack = np.asarray(self.slack, dtype=float).reshape(-1)
             if self.slack.shape[0] != self.b.shape[0]:
                 raise ValueError("slack and b row counts disagree")
-            if np.any(self.slack < 0.0):
+            if (self.slack < 0.0).any():
                 raise ValueError("slack coefficients must be >= 0")
         if not self.row_labels:
             self.row_labels = [f"{self.label}[{i}]" for i in range(self.b.shape[0])]
@@ -141,7 +140,6 @@ def energy_cbf_row(state: RobotState, params: CbfParams,
     """
     if delta_prev < 0.0:
         raise ValueError("delta_prev must be >= 0")
-    state.check_fresh()
     qd = state.qd
     te = np.zeros(state.n) if tau_ext is None else np.asarray(tau_ext, float)
     A = -qd[None, :]
@@ -174,19 +172,6 @@ def torque_limit_rows(model: RobotModel) -> Task:
     return task
 
 
-@dataclass(frozen=True)
-class AccelerationBox:
-    """One period's per-joint bounds lo <= qdd <= hi on the joint
-    acceleration qdd = M^-1 (u + w) (+-inf where no family applies),
-    each enabled family's own bounds, and the acceleration M^-1 w of the
-    drift torque w = tau_ext - h - g. Built once per period. family
-    keeps the order the families were named in."""
-    lo: Array
-    hi: Array
-    family: dict[str, tuple[Array, Array]]
-    drift_acc: Array
-
-
 def _family_bounds(state: RobotState, params: CbfParams,
                    model: RobotModel, family: str) -> tuple[Array, Array]:
     if family == "velocity":
@@ -198,41 +183,34 @@ def _family_bounds(state: RobotState, params: CbfParams,
             p * (model.q_max - state.q) - s * state.qd)
 
 
-def acceleration_box(state: RobotState, params: CbfParams,
-                     model: RobotModel, families,
-                     tau_ext: Array | None = None) -> AccelerationBox:
-    """The bounds the named barrier families put on this period's joint
-    acceleration.
+def acceleration_rows(state: RobotState, params: CbfParams,
+                      model: RobotModel, families,
+                      tau_ext: Array | None = None) -> Task:
+    """The bounds lo <= qdd <= hi the named barrier families put on this
+    period's joint acceleration qdd = M^-1 (u + w), w = tau_ext - h - g,
+    intersected and encoded as 2n rows A u >= b, upper bounds first.
 
     The velocity barrier gives -g (v_max + qd) <= qdd <= g (v_max - qd);
     the position barrier gives -s qd - p (q - q_min) <= qdd
-    <= p (q_max - q) - s qd with s = l1 + l2 and p = l1 l2.
+    <= p (q_max - q) - s qd with s = l1 + l2 and p = l1 l2. Each row
+    carries the label of the family whose bound sets it (vel_max/pos_max,
+    vel_min/pos_min); on a tie, the family named first wins. families
+    must name velocity or position.
     """
-    family = {f: _family_bounds(state, params, model, f)
-              for f in families if f in ("velocity", "position")}
-    lo, hi = np.full(state.n, -np.inf), np.full(state.n, np.inf)
-    for f_lo, f_hi in family.values():
+    named = [f for f in families if f in ("velocity", "position")]
+    bounds = [_family_bounds(state, params, model, f) for f in named]
+    lo0, hi0 = lo, hi = bounds[0]
+    for f_lo, f_hi in bounds[1:]:
         lo, hi = np.maximum(lo, f_lo), np.minimum(hi, f_hi)
-    w = _drift_torque(state, tau_ext)
-    return AccelerationBox(lo=lo, hi=hi, family=family,
-                           drift_acc=state.M_inv @ w)
-
-
-def acceleration_rows(state: RobotState, box: AccelerationBox) -> Task:
-    """The period's box lo <= M^-1 (u + w) <= hi as 2n rows A u >= b,
-    upper bounds first. Each row carries the label of the family whose
-    bound sets it (vel_max/pos_max, vel_min/pos_min); on a tie, the
-    family named first in the box wins. box must enable a family."""
-    prefix = [f[:3] for f in box.family]  # vel, pos
-    lo0, hi0 = next(iter(box.family.values()))
     # the first family's bound where it binds, else the other family's
+    prefix = [f[:3] for f in named]  # vel, pos
     labels = [f"{prefix[k]}_max[{i}]"
-              for i, k in enumerate((hi0 > box.hi).tolist())] + \
+              for i, k in enumerate((hi0 > hi).tolist())] + \
              [f"{prefix[k]}_min[{i}]"
-              for i, k in enumerate((lo0 < box.lo).tolist())]
-    a = box.drift_acc
+              for i, k in enumerate((lo0 < lo).tolist())]
+    a = state.M_inv @ _drift_torque(state, tau_ext)
     return Task(kind="ineq", A=np.vstack([-state.M_inv, state.M_inv]),
-                b=np.concatenate([a - box.hi, box.lo - a]),
+                b=np.concatenate([a - hi, lo - a]),
                 label="acceleration", row_labels=labels)
 
 

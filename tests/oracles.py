@@ -1,6 +1,8 @@
 """Test oracles kept out of the package: a brute-force QP solver, an
-RK4 step of the simulator's vector field, and the n x n task and
-nullspace projectors the controller's full-rank rows stand in for."""
+RK4 step of the simulator's vector field, the n x n task and nullspace
+projectors the controller's full-rank rows stand in for, and the
+seeded random QPs and cascades, with the flat per-level replay, that
+the solver and cascade suites share."""
 
 from __future__ import annotations
 
@@ -10,7 +12,9 @@ import numpy as np
 
 from cbf_hqp.control import task_space_inertia
 from cbf_hqp.dynamics import RobotModel, RobotState, compute_state
+from cbf_hqp.hqp import LevelSpec
 from cbf_hqp.qpcore import FEAS_TOL, REG, QpProblem
+from cbf_hqp.tasks import Task
 
 Array = np.ndarray
 
@@ -118,3 +122,107 @@ def two_eigh_damping(state: RobotState,
     s, U = np.linalg.eigh(half @ stiffness @ half)
     X = half @ ((U * np.sqrt(np.clip(s, 0.0, None))) @ U.T) @ inv_half
     return lam, damped, X + X.T
+
+
+def random_problem(rng, feasible=True):
+    """A random QP; a feasible one has its rows built around a random
+    point."""
+    n = int(rng.integers(1, 6))
+    m_e = int(rng.integers(0, 3)) if n > 1 else 0
+    m_i = int(rng.integers(0, 9))
+    G = rng.normal(size=(n, n))
+    if rng.random() < 0.3:
+        # rank-deficient curvature; the anchor term resolves the flat part
+        G = G[: max(1, n - 1)]
+    H = G.T @ G
+    # least-squares shape: f in range(H), so flatness means ties rather
+    # than an unbounded objective
+    f = -G.T @ rng.normal(size=G.shape[0])
+    A_eq = rng.normal(size=(m_e, n)) if m_e else None
+    A_in = rng.normal(size=(m_i, n)) if m_i else None
+    if feasible:
+        z0 = rng.normal(size=n)
+        b_eq = A_eq @ z0 if m_e else None
+        b_in = A_in @ z0 - np.abs(rng.normal(size=m_i)) if m_i else None
+    else:
+        b_eq = rng.normal(size=m_e) if m_e else None
+        b_in = rng.normal(size=m_i) if m_i else None
+    return QpProblem(H=H, f=f, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
+
+
+def random_strict(rng, n):
+    """A few random halfspaces guaranteed feasible at a witness point."""
+    k = int(rng.integers(2, 4))
+    A = rng.normal(size=(k, n))
+    w = rng.normal(size=n) * 0.5
+    b = A @ w - rng.uniform(0.2, 1.0, size=k)
+    return Task(kind="ineq", A=A, b=b, label="strict"), w
+
+
+def random_levels(rng, n):
+    """One to three levels, each an equality task, an inequality task
+    with slack, or both."""
+    levels = []
+    for _ in range(int(rng.integers(1, 4))):
+        eq = ineq = None
+        pick = rng.integers(0, 3)
+        if pick in (0, 2):
+            r = int(rng.integers(1, n + 1))
+            eq = Task(kind="eq", A=rng.normal(size=(r, n)),
+                      b=rng.normal(size=r), label="track")
+        if pick in (1, 2):
+            r = int(rng.integers(1, 3))
+            ineq = Task(kind="ineq", A=rng.normal(size=(r, n)),
+                        b=rng.normal(size=r), label="soft",
+                        slack=rng.uniform(0.5, 2.0, size=r))
+        levels.append(LevelSpec(equality=eq, inequality=ineq))
+    return levels
+
+
+def replay_level_qp(n, strict, records, levels, k):
+    """Rebuild level k's stacked QP exactly as the cascade poses it,
+    from the strict rows and the recorded outcomes of levels < k."""
+    A_eq = np.zeros((0, n))
+    b_eq = np.zeros(0)
+    A_in, b_in = strict.A.copy(), strict.b.copy()
+    for j in range(k):
+        spec, rec = levels[j], records[j]
+        if spec.equality is not None:
+            A_eq = np.vstack([A_eq, spec.equality.A])
+            b_eq = np.concatenate([b_eq, spec.equality.A @ rec.u])
+        if spec.inequality is not None:
+            A_in = np.vstack([A_in, spec.inequality.A])
+            b_in = np.concatenate(
+                [b_in, spec.inequality.b - spec.inequality.slack * rec.delta])
+    spec = levels[k]
+    slack = spec.inequality is not None
+    dim = n + (1 if slack else 0)
+    H = np.zeros((dim, dim))
+    f = np.zeros(dim)
+    if spec.equality is not None:
+        H[:n, :n] += spec.equality.A.T @ spec.equality.A
+        f[:n] -= spec.equality.A.T @ spec.equality.b
+    rows = [np.hstack([A_in, np.zeros((A_in.shape[0], dim - n))])]
+    rhs = [b_in]
+    if slack:
+        H[n, n] += spec.rho
+        rows.append(np.hstack([spec.inequality.A,
+                               spec.inequality.slack[:, None]]))
+        rhs.append(spec.inequality.b)
+        e = np.zeros((1, dim))
+        e[0, n] = 1.0
+        rows.append(e)
+        rhs.append(np.zeros(1))
+    eqs = np.hstack([A_eq, np.zeros((A_eq.shape[0], dim - n))])
+    return QpProblem(H=0.5 * (H + H.T), f=f, A_eq=eqs, b_eq=b_eq,
+                     A_in=np.vstack(rows), b_in=np.concatenate(rhs))
+
+
+def level_objective(spec, u, delta):
+    obj = 0.0
+    if spec.equality is not None:
+        r = spec.equality.A @ u - spec.equality.b
+        obj += 0.5 * float(r @ r)
+    if spec.inequality is not None:
+        obj += 0.5 * spec.rho * delta * delta
+    return obj

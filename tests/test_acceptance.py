@@ -13,7 +13,16 @@ import time
 
 import numpy as np
 import pytest
-from oracles import oracle_solve, projections, rk4_step
+from oracles import (
+    level_objective,
+    oracle_solve,
+    projections,
+    random_levels,
+    random_problem,
+    random_strict,
+    replay_level_qp,
+    rk4_step,
+)
 
 from cbf_hqp.control import task_space_inertia
 from cbf_hqp.dynamics import compute_state, load_bundled_model, mass_matrix
@@ -148,82 +157,8 @@ def test_criterion_5_nullspace_absorbs_the_intervention(runs):
 
 
 # ---------------------------------------------------------------------------
-# Randomized solver agreement. The generators and the per-level replay
-# are deliberately re-derived here rather than imported from the unit
-# suites, so this gate does not inherit their assumptions.
-
-
-def _random_strict(rng, n):
-    k = int(rng.integers(2, 4))
-    A = rng.normal(size=(k, n))
-    w = rng.normal(size=n) * 0.5
-    b = A @ w - rng.uniform(0.2, 1.0, size=k)
-    return Task(kind="ineq", A=A, b=b, label="strict"), w
-
-
-def _random_levels(rng, n):
-    levels = []
-    for _ in range(int(rng.integers(1, 4))):
-        eq = ineq = None
-        pick = rng.integers(0, 3)
-        if pick in (0, 2):
-            r = int(rng.integers(1, n + 1))
-            eq = Task(kind="eq", A=rng.normal(size=(r, n)),
-                      b=rng.normal(size=r), label="track")
-        if pick in (1, 2):
-            r = int(rng.integers(1, 3))
-            ineq = Task(kind="ineq", A=rng.normal(size=(r, n)),
-                        b=rng.normal(size=r), label="soft",
-                        slack=rng.uniform(0.5, 2.0, size=r))
-        levels.append(LevelSpec(equality=eq, inequality=ineq))
-    return levels
-
-
-def _replay_level_qp(n, strict, records, levels, k):
-    """Level k's problem as one flat QP: strict rows, the outcomes of
-    levels < k frozen, level k's objective and soft rows."""
-    A_eq, b_eq = np.zeros((0, n)), np.zeros(0)
-    A_in, b_in = strict.A.copy(), strict.b.copy()
-    for j in range(k):
-        spec, rec = levels[j], records[j]
-        if spec.equality is not None:
-            A_eq = np.vstack([A_eq, spec.equality.A])
-            b_eq = np.concatenate([b_eq, spec.equality.A @ rec.u])
-        if spec.inequality is not None:
-            A_in = np.vstack([A_in, spec.inequality.A])
-            b_in = np.concatenate(
-                [b_in, spec.inequality.b - spec.inequality.slack * rec.delta])
-    spec = levels[k]
-    slack = spec.inequality is not None
-    dim = n + (1 if slack else 0)
-    H, f = np.zeros((dim, dim)), np.zeros(dim)
-    if spec.equality is not None:
-        H[:n, :n] += spec.equality.A.T @ spec.equality.A
-        f[:n] -= spec.equality.A.T @ spec.equality.b
-    rows = [np.hstack([A_in, np.zeros((A_in.shape[0], dim - n))])]
-    rhs = [b_in]
-    if slack:
-        H[n, n] += spec.rho
-        rows.append(np.hstack([spec.inequality.A,
-                               spec.inequality.slack[:, None]]))
-        rhs.append(spec.inequality.b)
-        e = np.zeros((1, dim))
-        e[0, n] = 1.0
-        rows.append(e)
-        rhs.append(np.zeros(1))
-    eqs = np.hstack([A_eq, np.zeros((A_eq.shape[0], dim - n))])
-    return QpProblem(H=0.5 * (H + H.T), f=f, A_eq=eqs, b_eq=b_eq,
-                     A_in=np.vstack(rows), b_in=np.concatenate(rhs))
-
-
-def _level_objective(spec, u, delta):
-    obj = 0.0
-    if spec.equality is not None:
-        r = spec.equality.A @ u - spec.equality.b
-        obj += 0.5 * float(r @ r)
-    if spec.inequality is not None:
-        obj += 0.5 * spec.rho * delta * delta
-    return obj
+# Randomized solver agreement, on the seeded generators and the flat
+# per-level replay in tests/oracles.py.
 
 
 def test_criterion_6_cascades_match_stacked_oracle():
@@ -231,8 +166,8 @@ def test_criterion_6_cascades_match_stacked_oracle():
     worst_con, worst_obj, compared = 0.0, 0.0, 0
     for _ in range(1000):
         n = int(rng.integers(2, 7))
-        strict, w = _random_strict(rng, n)
-        levels = _random_levels(rng, n)
+        strict, w = random_strict(rng, n)
+        levels = random_levels(rng, n)
         res = run_cascade([strict], levels, rng.normal(size=n))
         assert res.feasible
         worst_con = max(worst_con,
@@ -246,13 +181,13 @@ def test_criterion_6_cascades_match_stacked_oracle():
                 relaxed = spec.inequality.b - spec.inequality.slack * rec.delta
                 worst_con = max(worst_con, np.max(
                     relaxed - spec.inequality.A @ res.u_final))
-            prob = _replay_level_qp(n, strict, res.records, levels, j)
+            prob = replay_level_qp(n, strict, res.records, levels, j)
             if prob.H.shape[0] > 8 or prob.A_in.shape[0] > 12:
                 continue
             z, _ = oracle_solve(prob)
             assert z is not None, "oracle disagrees on level feasibility"
             delta_o = float(z[n]) if spec.inequality is not None else 0.0
-            obj_o = _level_objective(spec, z[:n], delta_o)
+            obj_o = level_objective(spec, z[:n], delta_o)
             gap = abs(rec.objective - obj_o) / (1.0 + abs(obj_o))
             worst_obj = max(worst_obj, gap)
             compared += 1
@@ -315,32 +250,11 @@ def test_criterion_9_single_level_cascade_equals_plain_qp():
     report(9, ok, f"worst torque mismatch {worst:.2e} over 100 instances")
 
 
-def _random_problem(rng, feasible):
-    n = int(rng.integers(1, 6))
-    m_e = int(rng.integers(0, 3)) if n > 1 else 0
-    m_i = int(rng.integers(0, 9))
-    G = rng.normal(size=(n, n))
-    if rng.random() < 0.3:
-        G = G[: max(1, n - 1)]
-    H = G.T @ G
-    f = -G.T @ rng.normal(size=G.shape[0])
-    A_eq = rng.normal(size=(m_e, n)) if m_e else None
-    A_in = rng.normal(size=(m_i, n)) if m_i else None
-    if feasible:
-        z0 = rng.normal(size=n)
-        b_eq = A_eq @ z0 if m_e else None
-        b_in = A_in @ z0 - np.abs(rng.normal(size=m_i)) if m_i else None
-    else:
-        b_eq = rng.normal(size=m_e) if m_e else None
-        b_in = rng.normal(size=m_i) if m_i else None
-    return QpProblem(H=H, f=f, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
-
-
 def test_criterion_10_qp_solver_matches_enumeration_oracle():
     rng = np.random.default_rng(20260816)
     worst_obj, worst_feas, n_feasible, n_infeasible = 0.0, 0.0, 0, 0
     for k in range(1000):
-        p = _random_problem(rng, feasible=bool(k % 2))
+        p = random_problem(rng, feasible=bool(k % 2))
         sol = solve_qp(p)
         z_ref, obj_ref = oracle_solve(p)
         if z_ref is None:

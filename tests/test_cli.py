@@ -1,9 +1,14 @@
 """Command-line behavior: exit codes, CSV outputs, summary table."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cbf_hqp
 from cbf_hqp.cli import main
 from cbf_hqp.dynamics import bundled_model_path
 from cbf_hqp.sim import bundled_scenario_path
@@ -11,6 +16,17 @@ from cbf_hqp.sim import bundled_scenario_path
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_cli_process(*argv):
+    """The CLI in a child process, so an uncaught exception shows as a
+    traceback on stderr."""
+    src = str(Path(cbf_hqp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "cbf_hqp.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 class TestCheck:
@@ -31,6 +47,23 @@ class TestCheck:
         bad.write_text(text.replace("mass: 1.0", "mass: -1.0"))
         assert run_cli("check", str(bad)) == 1
         assert capsys.readouterr().err.strip()
+
+    def test_non_finite_model_number_exits_one_without_traceback(
+            self, tmp_path):
+        model = tmp_path / "nan_gravity.yaml"
+        model.write_text(bundled_model_path("twolink").read_text().replace(
+            "gravity: [0.0, -9.81, 0.0]", "gravity: [0, 0, .nan]"))
+        scn = tmp_path / "nan_gravity_run.yaml"
+        scn.write_text(f"name: nan_gravity\nmodel: {model}\nmode: single_qp\n"
+                       f"duration: 0.01\ninitial_q: [0.4, 0.5]\n")
+        out = tmp_path / "out"
+        for argv in (("check", str(model)),
+                     ("run", "--scenario", str(scn), "--out", str(out))):
+            proc = run_cli_process(*argv)
+            assert proc.returncode == 1, proc.stderr
+            assert "model.gravity" in proc.stderr
+            assert "Traceback" not in proc.stderr
+        assert not list(out.glob("*.csv"))
 
     def test_missing_model_exits_two(self, tmp_path):
         assert run_cli("check", str(tmp_path / "nope.yaml")) == 2
@@ -135,6 +168,19 @@ wrench: {kind: sine, axis: 1, amplitude: 60.0, frequency: 1.0}
         rc = run_cli("run", "--scenario", str(scn), "--out", str(tmp_path))
         assert rc == 1
         assert capsys.readouterr().err.strip()
+
+    @pytest.mark.parametrize("name", ["../../escaped", "[a, b]"])
+    def test_name_that_leaves_out_exits_one_writing_nothing(
+            self, tmp_path, capsys, name):
+        scn = tmp_path / "scenario.yaml"
+        scn.write_text(bundled_scenario_path("step").read_text().replace(
+            "name: step", f"name: {name}"))
+        rc = run_cli("run", "--scenario", str(scn), "--mode", "single_qp",
+                     "--duration", "0.01",
+                     "--out", str(tmp_path / "a" / "b" / "out"))
+        assert rc == 1
+        assert "name must be" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [scn]
 
     def test_mistyped_field_exits_one_naming_it(self, tmp_path, capsys):
         scn = tmp_path / "typo.yaml"

@@ -26,7 +26,7 @@ from cbf_hqp.control import (
 )
 from cbf_hqp.dynamics import compute_state
 from cbf_hqp.qpcore import FEAS_TOL
-from cbf_hqp.tasks import CbfParams, Task, acceleration_box
+from cbf_hqp.tasks import CbfParams, Task
 
 HOME = np.array([0.0, -np.pi / 4, 0.0, -2.3562, 0.0, 1.5708, np.pi / 4])
 TWOLINK_HOME = np.array([0.4, 0.8])
@@ -298,8 +298,7 @@ class TestTaskRows:
             cbf=CbfParams(plane_normal=(0.0, 0.0, 1.0), plane_offset=-1.0),
             impedance=impedance_at(st),
             strict_families=("plane", "position", "torque", "velocity"))
-        box = acceleration_box(st, ctrl.cbf, panda, ctrl.strict_families)
-        tasks = build_strict_tasks(panda, st, ctrl, None, box)
+        tasks = build_strict_tasks(panda, st, ctrl, None)
         assert [t.label for t in tasks] == ["plane", "acceleration", "torque"]
         assert [t.m for t in tasks] == [1, 14, 14]
 
@@ -331,8 +330,7 @@ class TestStep:
         for dz, projected in ((0.0, False), (0.1, True), (0.5, True)):
             ctrl = self.make_ctrl(st, "hqp_safety", dz=dz)
             u, info = step(panda, st, ctrl)
-            box = acceleration_box(st, ctrl.cbf, panda, ctrl.strict_families)
-            strict = build_strict_tasks(panda, st, ctrl, None, box)
+            strict = build_strict_tasks(panda, st, ctrl, None)
             broken = max(float(np.max(t.b - t.A @ info.u_nom)) for t in strict)
             assert info.phase1_used == projected == (broken > FEAS_TOL)
             assert max(float(np.max(t.b - t.A @ u)) for t in strict) \
@@ -357,8 +355,7 @@ class TestStep:
         levels = _levels_for_mode("hqp_performance", info.u_nom, energy, st,
                                   lam, nullspace_basis(st))
         levels[1] = type(levels[1])(inequality=pinned)
-        box = acceleration_box(st, ctrl.cbf, panda, ctrl.strict_families)
-        res = run_cascade(build_strict_tasks(panda, st, ctrl, None, box),
+        res = run_cascade(build_strict_tasks(panda, st, ctrl, None),
                           levels, info.u_nom)
         np.testing.assert_allclose(u, res.u_final, atol=1e-8)
 

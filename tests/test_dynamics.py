@@ -1,5 +1,7 @@
 """Dynamics layer checks against closed forms and finite differences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,30 @@ def test_bad_limits_rejected():
     raw["links"][1]["q_min"] = 4.0
     with pytest.raises(dyn.ModelError, match="q_min"):
         dyn.load_model(yaml.dump(raw))
+
+
+TWOLINK_TEXT = dyn.bundled_model_path("twolink").read_text()
+LINK0_DH = "{a: 0.0, d: 0.0, alpha: 0.0}"
+
+
+@pytest.mark.parametrize("field, old, new", [
+    ("model.gravity", "[0.0, -9.81, 0.0]", "[0.0, -9.81, .nan]"),
+    ("model.gravity", "[0.0, -9.81, 0.0]", "[0.0, -.inf, 0.0]"),
+    (r"links\[0\].dh.a", LINK0_DH, "{a: true, d: 0.0, alpha: 0.0}"),
+    (r"links\[0\].dh.a", LINK0_DH, "{a: '0.5', d: 0.0, alpha: 0.0}"),
+    (r"links\[0\].dh.d", LINK0_DH, "{a: 0.0, d: .nan, alpha: 0.0}"),
+    (r"links\[0\].com", "com: [0.5, 0.0, 0.0]", "com: [.nan, 0.0, 0.0]"),
+    (r"links\[0\].v_max", "v_max: 4.0", "v_max: .inf"),
+    (r"links\[0\].inertia", "[0.001, 0.0, 0.0]", "[0.001, false, 0.0]"),
+    ("ee_transform.translation", "translation: [1.0, 0.0, 0.0]",
+     "translation: [1.0, '0', 0.0]"),
+], ids=["gravity_nan", "gravity_inf", "dh_a_bool", "dh_a_string",
+        "dh_d_nan", "com_nan", "v_max_inf", "inertia_bool",
+        "translation_string"])
+def test_bad_number_rejected_naming_field(field, old, new):
+    assert old in TWOLINK_TEXT
+    with pytest.raises(dyn.ModelError, match=field):
+        dyn.load_model(TWOLINK_TEXT.replace(old, new, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +377,17 @@ def test_state_arrays_read_only(panda, rng):
     st = dyn.compute_state(panda, q, qd)
     with pytest.raises(ValueError):
         st.q[0] = 1.0
-    st.check_fresh()
 
 
-def test_stale_state_detected(panda, rng):
+def test_state_K_cannot_go_stale(panda, rng):
+    """The state is frozen, and K is derived from qd and M, not passed."""
     q, qd = random_panda_state(panda, rng)
     st = dyn.compute_state(panda, q, qd)
-    object.__setattr__(st, "K", st.K + 1.0)
-    with pytest.raises(dyn.StaleStateError):
-        st.check_fresh()
+    for name, value in (("K", st.K + 1.0), ("qd", qd + 1.0), ("M", st.M)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(st, name, value)
+    assert st.K == 0.5 * float(qd @ st.M @ qd)
+    with pytest.raises(TypeError):
+        dyn.RobotState(q=st.q, qd=st.qd, M=st.M, h=st.h, g=st.g,
+                       M_inv=st.M_inv, J=st.J, ee_pos=st.ee_pos,
+                       ee_quat=st.ee_quat, model=panda, K=0.0)

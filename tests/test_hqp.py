@@ -5,7 +5,13 @@ import time
 
 import numpy as np
 import pytest
-from oracles import oracle_solve
+from oracles import (
+    level_objective,
+    oracle_solve,
+    random_levels,
+    random_strict,
+    replay_level_qp,
+)
 
 from cbf_hqp import hqp
 from cbf_hqp.hqp import (
@@ -26,82 +32,6 @@ def box_task(n, bound):
     A = np.vstack([np.eye(n), -np.eye(n)])
     b = np.full(2 * n, -float(bound))
     return Task(kind="ineq", A=A, b=b, label="box")
-
-
-def random_strict(rng, n):
-    """A few random halfspaces guaranteed feasible at a witness point."""
-    k = int(rng.integers(2, 4))
-    A = rng.normal(size=(k, n))
-    w = rng.normal(size=n) * 0.5
-    b = A @ w - rng.uniform(0.2, 1.0, size=k)
-    return Task(kind="ineq", A=A, b=b, label="strict"), w
-
-
-def random_levels(rng, n):
-    levels = []
-    for _ in range(int(rng.integers(1, 4))):
-        eq = ineq = None
-        pick = rng.integers(0, 3)
-        if pick in (0, 2):
-            r = int(rng.integers(1, n + 1))
-            eq = Task(kind="eq", A=rng.normal(size=(r, n)),
-                      b=rng.normal(size=r), label="track")
-        if pick in (1, 2):
-            r = int(rng.integers(1, 3))
-            ineq = Task(kind="ineq", A=rng.normal(size=(r, n)),
-                        b=rng.normal(size=r), label="soft",
-                        slack=rng.uniform(0.5, 2.0, size=r))
-        levels.append(LevelSpec(equality=eq, inequality=ineq))
-    return levels
-
-
-def replay_level_qp(n, strict, records, levels, k):
-    """Rebuild level k's stacked QP exactly as the cascade poses it,
-    from the strict rows and the recorded outcomes of levels < k."""
-    A_eq = np.zeros((0, n))
-    b_eq = np.zeros(0)
-    A_in, b_in = strict.A.copy(), strict.b.copy()
-    for j in range(k):
-        spec, rec = levels[j], records[j]
-        if spec.equality is not None:
-            A_eq = np.vstack([A_eq, spec.equality.A])
-            b_eq = np.concatenate([b_eq, spec.equality.A @ rec.u])
-        if spec.inequality is not None:
-            A_in = np.vstack([A_in, spec.inequality.A])
-            b_in = np.concatenate(
-                [b_in, spec.inequality.b - spec.inequality.slack * rec.delta])
-    spec = levels[k]
-    slack = spec.inequality is not None
-    dim = n + (1 if slack else 0)
-    H = np.zeros((dim, dim))
-    f = np.zeros(dim)
-    if spec.equality is not None:
-        H[:n, :n] += spec.equality.A.T @ spec.equality.A
-        f[:n] -= spec.equality.A.T @ spec.equality.b
-    rows = [np.hstack([A_in, np.zeros((A_in.shape[0], dim - n))])]
-    rhs = [b_in]
-    if slack:
-        H[n, n] += spec.rho
-        rows.append(np.hstack([spec.inequality.A,
-                               spec.inequality.slack[:, None]]))
-        rhs.append(spec.inequality.b)
-        e = np.zeros((1, dim))
-        e[0, n] = 1.0
-        rows.append(e)
-        rhs.append(np.zeros(1))
-    eqs = np.hstack([A_eq, np.zeros((A_eq.shape[0], dim - n))])
-    return QpProblem(H=0.5 * (H + H.T), f=f, A_eq=eqs, b_eq=b_eq,
-                     A_in=np.vstack(rows), b_in=np.concatenate(rhs))
-
-
-def level_objective(spec, u, delta):
-    obj = 0.0
-    if spec.equality is not None:
-        r = spec.equality.A @ u - spec.equality.b
-        obj += 0.5 * float(r @ r)
-    if spec.inequality is not None:
-        obj += 0.5 * spec.rho * delta * delta
-    return obj
 
 
 class TestHandCascades:

@@ -3,7 +3,7 @@ with the exhaustive enumeration oracle on random instances."""
 
 import numpy as np
 import pytest
-from oracles import oracle_solve
+from oracles import oracle_solve, random_problem
 
 from cbf_hqp.qpcore import FEAS_TOL, QpProblem, solve_qp
 
@@ -17,32 +17,6 @@ def kkt_residual(problem, sol):
     # the residual measures what it actually solved.
     r += 2e-9 * sol.z_star
     return np.max(np.abs(r), initial=0.0)
-
-
-def random_problem(rng, feasible=True):
-    """A random QP; a feasible one has its rows built around a random
-    point."""
-    n = int(rng.integers(1, 6))
-    m_e = int(rng.integers(0, 3)) if n > 1 else 0
-    m_i = int(rng.integers(0, 9))
-    G = rng.normal(size=(n, n))
-    if rng.random() < 0.3:
-        # rank-deficient curvature; the anchor term resolves the flat part
-        G = G[: max(1, n - 1)]
-    H = G.T @ G
-    # least-squares shape: f in range(H), so flatness means ties rather
-    # than an unbounded objective
-    f = -G.T @ rng.normal(size=G.shape[0])
-    A_eq = rng.normal(size=(m_e, n)) if m_e else None
-    A_in = rng.normal(size=(m_i, n)) if m_i else None
-    if feasible:
-        z0 = rng.normal(size=n)
-        b_eq = A_eq @ z0 if m_e else None
-        b_in = A_in @ z0 - np.abs(rng.normal(size=m_i)) if m_i else None
-    else:
-        b_eq = rng.normal(size=m_e) if m_e else None
-        b_in = rng.normal(size=m_i) if m_i else None
-    return QpProblem(H=H, f=f, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in)
 
 
 def assert_kkt(problem, sol, k):
@@ -212,6 +186,26 @@ class TestValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             QpProblem(H=np.eye(2), f=[0.0, 0.0], A_eq=[[1.0, 0.0]], b_eq=[1.0, 2.0])
+
+    @pytest.mark.parametrize("name, value", [
+        ("f", [np.nan, 0.0]), ("b_in", [np.nan]), ("b_in", [np.inf]),
+        ("A_in", [[np.nan, 0.0]]), ("H", [[np.inf, 0.0], [0.0, 1.0]]),
+        ("A_eq", [[1.0, -np.inf]]), ("b_eq", [np.nan])])
+    def test_non_finite_data_rejected_naming_the_array(self, name, value):
+        data = dict(H=np.eye(2), f=[0.0, 0.0], A_eq=[[1.0, 1.0]],
+                    b_eq=[1.0], A_in=[[1.0, 0.0]], b_in=[0.0])
+        data[name] = value
+        with pytest.raises(ValueError, match=f"^{name} holds"):
+            QpProblem(**data)
+
+    def test_minus_inf_lower_bound_binds_nothing(self):
+        # min (z-3)^2 s.t. z >= -inf, z >= 5  ->  z = 5
+        p = QpProblem(H=[[2.0]], f=[-6.0], A_in=[[1.0], [1.0]],
+                      b_in=[-np.inf, 5.0])
+        sol = solve_qp(p)
+        assert sol.status == "optimal"
+        assert abs(sol.z_star[0] - 5.0) < 1e-9
+        assert sol.working == [1]
 
     def test_oracle_size_guard(self):
         p = QpProblem(H=np.eye(9), f=np.zeros(9))

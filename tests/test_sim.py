@@ -230,6 +230,12 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match=field):
             load_scenario(text)
 
+    @pytest.mark.parametrize("name", [
+        "../../x", "a/b", r"a\b", "..", ".", "''", "[a, b]", "7"])
+    def test_name_must_be_a_plain_file_name(self, name):
+        with pytest.raises(ScenarioError, match="name must be"):
+            load_scenario(HOLD_SCENARIO.replace("name: hold", f"name: {name}"))
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ScenarioError, match="mode"):
             load_scenario(HOLD_SCENARIO.replace("hqp_performance", "warp"))

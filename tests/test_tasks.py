@@ -7,20 +7,20 @@ a QP filtered by one row family must keep the corresponding quantity
 inside its safe set.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import random_panda_state
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from cbf_hqp.dynamics import StaleStateError, compute_state
+from cbf_hqp.dynamics import compute_state
 from cbf_hqp.hqp import LevelSpec, S0EmptyError, run_cascade
 from cbf_hqp.qpcore import QpProblem, solve_qp
 from cbf_hqp.tasks import (
-    AccelerationBox,
     CbfParams,
     Task,
-    acceleration_box,
     acceleration_rows,
     collision_plane_rows,
     energy_cbf_row,
@@ -82,11 +82,16 @@ class TestEnergyRow:
             k_dot = qd @ (u - st.g)
             assert task.A[0] @ u - task.b[0] == pytest.approx(-k_dot, abs=1e-9)
 
-    def test_stale_state_rejected(self, twolink):
+    def test_state_K_cannot_go_stale(self, twolink):
+        """The row reads K = 1/2 qd^T M qd, and the state refuses a
+        replaced K."""
         st = compute_state(twolink, np.array([0.1, 0.2]), np.array([1.0, 0.0]))
-        st.K = st.K + 1.0
-        with pytest.raises(StaleStateError):
-            energy_cbf_row(st, CbfParams())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            st.K = st.K + 1.0
+        params = CbfParams()
+        K = 0.5 * float(st.qd @ st.M @ st.qd)
+        assert energy_cbf_row(st, params).b[0] == pytest.approx(
+            -params.gamma * (params.k_max - K) + st.qd @ (-st.g), abs=1e-12)
 
     def test_negative_delta_prev_rejected(self, twolink):
         st = compute_state(twolink, np.zeros(2), np.zeros(2))
@@ -212,10 +217,28 @@ def drift_torque(st, tau_ext=None):
 
 
 def family_rows(st, params, model, families, tau_ext=None):
-    """One acceleration task per family, each from its own box."""
-    return [acceleration_rows(
-        st, acceleration_box(st, params, model, (f,), tau_ext))
-        for f in families]
+    """One acceleration task per family, each from its own bounds."""
+    return [acceleration_rows(st, params, model, (f,), tau_ext)
+            for f in families]
+
+
+def family_bounds(st, params, model, family):
+    """(lo, hi) on qdd that the family's barrier puts, from the formulas
+    in the tasks module docstring."""
+    if family == "velocity":
+        g = params.gamma_velocity
+        return -g * (st.qd + model.v_max), g * (model.v_max - st.qd)
+    s, p = params.lambda1 + params.lambda2, params.lambda1 * params.lambda2
+    return (-s * st.qd - p * (st.q - model.q_min),
+            p * (model.q_max - st.q) - s * st.qd)
+
+
+def bounds_of(task, st, tau_ext=None):
+    """(lo, hi) read off acceleration rows b = [a - hi, lo - a], with
+    a = M^-1 w the drift acceleration."""
+    n = st.n
+    a = st.M_inv @ drift_torque(st, tau_ext)
+    return task.b[n:] + a, a - task.b[:n]
 
 
 def stage0_outcome(tasks, witness):
@@ -250,8 +273,7 @@ class TestAccelerationTask:
         params = CbfParams()
         tau_ext = np.array(ext_frac) * panda.tau_max
         u = np.array(u_frac) * panda.tau_max
-        merged = acceleration_rows(
-            st, acceleration_box(st, params, panda, families, tau_ext))
+        merged = acceleration_rows(st, params, panda, families, tau_ext)
         single = family_rows(st, params, panda, families, tau_ext)
         assert merged.m == 14
         resid = np.array([t.A @ u - t.b for t in single])
@@ -266,15 +288,22 @@ class TestAccelerationTask:
             stage0_outcome(torque + single, u)
 
     def test_tie_goes_to_the_family_named_first(self, panda):
-        st = compute_state(panda, np.zeros(7), np.zeros(7))
-        bounds = (-np.ones(7), np.ones(7))
+        # at rest mid-range, both families bound qdd to [-1, 1] on every
+        # joint: g v_max = 1 and l1 l2 (q_max - q) = l1 l2 (q - q_min) = 1
+        model = dataclasses.replace(panda, v_max=np.full(7, 0.1),
+                                    q_min=-np.ones(7), q_max=np.ones(7))
+        params = CbfParams(gamma_velocity=10.0, lambda1=1.0, lambda2=1.0)
+        st = compute_state(model, np.zeros(7), np.zeros(7))
         for families in (("velocity", "position"), ("position", "velocity")):
-            box = AccelerationBox(
-                lo=bounds[0], hi=bounds[1],
-                family={f: bounds for f in families},
-                drift_acc=np.zeros(7))
+            for fam in families:
+                np.testing.assert_array_equal(
+                    family_bounds(st, params, model, fam),
+                    (-np.ones(7), np.ones(7)))
+            task = acceleration_rows(st, params, model, families)
+            np.testing.assert_allclose(bounds_of(task, st),
+                                       (-np.ones(7), np.ones(7)), atol=1e-9)
             prefix = families[0][:3]
-            assert acceleration_rows(st, box).row_labels == \
+            assert task.row_labels == \
                 [f"{prefix}_max[{i}]" for i in range(7)] + \
                 [f"{prefix}_min[{i}]" for i in range(7)]
 
@@ -283,11 +312,12 @@ class TestAccelerationTask:
         params = CbfParams()
         for _ in range(10):
             st = compute_state(panda, *random_panda_state(panda, rng))
-            one = acceleration_box(st, params, panda, ("velocity", "position"))
-            two = acceleration_box(st, params, panda, ("position", "velocity"))
-            assert np.array_equal(one.lo, two.lo)
-            assert np.array_equal(one.hi, two.hi)
-            assert list(two.family) == ["position", "velocity"]
+            one = acceleration_rows(st, params, panda,
+                                    ("velocity", "position"))
+            two = acceleration_rows(st, params, panda,
+                                    ("position", "velocity"))
+            assert np.array_equal(one.A, two.A)
+            assert np.array_equal(one.b, two.b)
 
 
 class TestAccelerationWitness:
@@ -298,22 +328,25 @@ class TestAccelerationWitness:
             tau_ext = rng.uniform(-5.0, 5.0, 7)
             u = rng.uniform(-50.0, 50.0, 7)
             acc = st.M_inv @ (u + drift_torque(st, tau_ext))
-            shared = acceleration_box(st, params, panda,
-                                      ("velocity", "position"), tau_ext)
-            np.testing.assert_allclose(shared.drift_acc,
-                                       st.M_inv @ drift_torque(st, tau_ext))
+            shared = acceleration_rows(st, params, panda,
+                                       ("velocity", "position"), tau_ext)
             boxes = []
             for fam in ("velocity", "position"):
-                box = acceleration_box(st, params, panda, (fam,))
+                lo, hi = family_bounds(st, params, panda, fam)
                 [task] = family_rows(st, params, panda, (fam,), tau_ext)
                 np.testing.assert_allclose(
                     task.A @ u - task.b,
-                    np.concatenate([box.hi - acc, acc - box.lo]), atol=1e-8)
-                boxes.append((box.lo, box.hi))
-            assert np.array_equal(shared.lo,
-                                  np.maximum(boxes[0][0], boxes[1][0]))
-            assert np.array_equal(shared.hi,
-                                  np.minimum(boxes[0][1], boxes[1][1]))
+                    np.concatenate([hi - acc, acc - lo]), atol=1e-8)
+                np.testing.assert_allclose(bounds_of(task, st, tau_ext),
+                                           (lo, hi), atol=1e-8)
+                boxes.append((lo, hi))
+            lo = np.maximum(boxes[0][0], boxes[1][0])
+            hi = np.minimum(boxes[0][1], boxes[1][1])
+            np.testing.assert_allclose(
+                shared.A @ u - shared.b,
+                np.concatenate([hi - acc, acc - lo]), atol=1e-8)
+            np.testing.assert_allclose(bounds_of(shared, st, tau_ext),
+                                       (lo, hi), atol=1e-8)
 
 
 def filtered_rollout(model, q0, qd0, u_des_fn, rows_fn, steps, dt=DT):
@@ -348,8 +381,8 @@ class TestForwardInvariance:
 
         hist = filtered_rollout(
             twolink, [0.2, -0.3], [0.0, 0.0], u_des,
-            lambda st: acceleration_rows(st, acceleration_box(
-                st, params, twolink, ("velocity",))), steps=1500)
+            lambda st: acceleration_rows(st, params, twolink, ("velocity",)),
+            steps=1500)
         peak = max(np.max(np.abs(st.qd)) for st in hist)
         assert peak <= twolink.v_max[0] + 1e-3
         assert peak > 0.5 * twolink.v_max[0]  # the input actually pushed
@@ -364,8 +397,8 @@ class TestForwardInvariance:
 
         hist = filtered_rollout(
             twolink, [0.0, 0.0], [0.0, 0.0], u_des,
-            lambda st: acceleration_rows(st, acceleration_box(
-                st, params, twolink, ("position",))), steps=3000)
+            lambda st: acceleration_rows(st, params, twolink, ("position",)),
+            steps=3000)
         q_hi = max(np.max(st.q - twolink.q_max) for st in hist)
         q_lo = max(np.max(twolink.q_min - st.q) for st in hist)
         assert q_hi <= 1e-3 and q_lo <= 1e-3
