@@ -17,7 +17,8 @@ A level may carry one equality task, one inequality task, or both:
 
 with delta a single scalar shared by the level's inequality rows through
 per-row coefficients c (c = 0 makes a row hard even inside a level).
-After the solve, `A u = A u*` and `C u >= d - c delta*` join the ledger.
+After the solve, `A u = A u*` and `C u >= d - c delta*` join the ledger,
+and the level's u*, delta* and iteration count are recorded.
 
 The frozen equality rows are eliminated rather than re-solved: the
 ledger keeps an orthonormal basis Z of their kernel and a witness w that
@@ -30,8 +31,6 @@ shrinks Z to Z ker(A Z).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,87 +76,16 @@ def _slack_of(task: Task | None) -> Array | None:
     return None
 
 
-def _labels(tasks) -> list[str]:
-    """Row labels of (level, task) pairs: stage-0 rows keep their own,
-    the rows frozen by level k are prefixed 'level{k}:'."""
-    return [f"level{lvl}:{lab}" if lvl else lab
-            for lvl, t in tasks for lab in t.row_labels]
-
-
-def _tight_labels(labels, lhs: Array, rhs: Array) -> tuple[str, ...]:
-    """Labels of the rows with |lhs - rhs| <= FEAS_TOL (1 + |rhs|), in
-    order. labels() builds the label list, and is called only when some
-    row is tight."""
-    tight = np.flatnonzero(np.abs(lhs - rhs) <= FEAS_TOL * (1.0 + np.abs(rhs)))
-    if not tight.size:
-        return ()
-    names = labels()
-    return tuple(names[i] for i in tight)
-
-
-class _LevelRows(NamedTuple):
-    """The ledger as one level was solved against it: the equality rows
-    it inherited, and every inequality row C u + c delta >= d (the
-    ledger's, then the level's own) with the (level, task) pairs that
-    label them."""
-    A_eq: Array
-    b_eq: Array
-    C: Array
-    d: Array
-    in_tasks: tuple[tuple[int, Task], ...]
-
-
 @dataclass
 class LevelRecord:
     """What one priority level did: its optimum u, its slack delta and
     the active-set iterations (0 for a level solved in closed form or
-    whose unconstrained minimizer meets every row).
-
-    objective (1/2 ||A u - b||^2 + rho/2 delta^2), eq_residual (the
-    largest residual of the equality rows inherited from earlier levels)
-    and active_rows (the labels of the inequality rows tight at u, the
-    slack's included) are computed on first read, from the rows that
-    existed when the level was solved. The record keeps its own copy of
-    the equality task's b (callers reuse that buffer, e.g. for u_nom);
-    the tasks' A, slack and row labels are read, not copied, and must
-    not be changed in place after the solve.
-    """
+    whose unconstrained minimizer meets every row)."""
     level: int
     status: str
     u: Array
     delta: float
     iterations: int
-    spec: LevelSpec = field(repr=False, compare=False)
-    rows: _LevelRows = field(repr=False, compare=False)
-    eq_b: Array | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def objective(self) -> float:
-        objective = 0.0
-        if self.spec.equality is not None:
-            r = self.spec.equality.A @ self.u - self.eq_b
-            objective += 0.5 * float(r @ r)
-        if _slack_of(self.spec.inequality) is not None:
-            objective += 0.5 * self.spec.rho * self.delta * self.delta
-        return objective
-
-    @cached_property
-    def eq_residual(self) -> float:
-        if not self.rows.A_eq.shape[0]:
-            return 0.0
-        return float(np.abs(self.rows.A_eq @ self.u - self.rows.b_eq).max())
-
-    @cached_property
-    def active_rows(self) -> tuple[str, ...]:
-        lhs, rhs = self.rows.C @ self.u, self.rows.d
-        slack = _slack_of(self.spec.inequality)
-        extra = []
-        if slack is not None:
-            lhs[rhs.shape[0] - slack.shape[0]:] += slack * self.delta
-            lhs, rhs = np.append(lhs, self.delta), np.append(rhs, 0.0)
-            extra = [f"level{self.level}:slack"]
-        return _tight_labels(lambda: _labels(self.rows.in_tasks) + extra,
-                             lhs, rhs)
 
 
 @dataclass
@@ -173,9 +101,9 @@ class StageLedger:
     cascade), kept as given: phase1_used says it breaks a strict row by
     more than FEAS_TOL, and then the first level projects it. An equality
     level leaves its A Z behind, and Z ker(A Z) is formed on the next
-    read of Z, so the last level's kernel is never computed. in_tasks
-    holds the (level, task) pairs behind the inequality rows, level 0
-    for stage 0; their labels are built from them on demand.
+    read of Z, so the last level's kernel is never computed.
+    strict_tasks holds the tasks behind the stage-0 rows, which are the
+    only rows the cascade names; their labels are built on demand.
     """
     n: int
     A_eq: Array
@@ -186,7 +114,7 @@ class StageLedger:
     witness: Array
     phase1_used: bool
     _Z: Array = field(repr=False)
-    in_tasks: list[tuple[int, Task]] = field(default_factory=list)
+    strict_tasks: list[Task] = field(default_factory=list)
     level: int = 0
     records: list[LevelRecord] = field(default_factory=list)
     _Z_kernel_of: Array | None = field(default=None, repr=False)
@@ -199,8 +127,8 @@ class StageLedger:
         return self._Z
 
     @property
-    def in_labels(self) -> list[str]:
-        return _labels(self.in_tasks)
+    def strict_labels(self) -> list[str]:
+        return [lab for t in self.strict_tasks for lab in t.row_labels]
 
     def eq_violation(self, u: Array) -> float:
         if not self.A_eq.shape[0]:
@@ -213,10 +141,17 @@ class StageLedger:
         return float((self.b_in - self.A_in @ u).max(initial=0.0))
 
     def strict_tight_rows(self, u: Array) -> tuple[str, ...]:
-        """Labels of stage-0 inequality rows active at u."""
+        """Labels of the stage-0 inequality rows active at u, those with
+        |A u - b| <= FEAS_TOL (1 + |b|), in order. The labels are built
+        only when some row is tight."""
         m = self.n_strict
-        return _tight_labels(lambda: self.in_labels, self.A_in[:m] @ u,
-                             self.b_in[:m])
+        rhs = self.b_in[:m]
+        tight = np.flatnonzero(np.abs(self.A_in[:m] @ u - rhs)
+                               <= FEAS_TOL * (1.0 + np.abs(rhs)))
+        if not tight.size:
+            return ()
+        names = self.strict_labels
+        return tuple(names[i] for i in tight)
 
 
 @dataclass(frozen=True)
@@ -298,22 +233,24 @@ def _least_infeasible(ledger: StageLedger, anchor: Array
                              A_in=np.hstack([A, np.eye(m)]), b_in=b),
                    anchor=np.concatenate([anchor, np.zeros(m)]))
     gap = b - A @ sol.z_star[:n]
-    viol = [(lab, float(g)) for lab, g in zip(ledger.in_labels, gap)
+    viol = [(lab, float(g)) for lab, g in zip(ledger.strict_labels, gap)
             if g > FEAS_TOL]
     return sorted(viol, key=lambda item: -item[1])
 
 
-def init_stage0(strict_tasks: list[Task], witness: Array | None = None,
-                n: int | None = None) -> StageLedger:
+def init_stage0(strict_tasks: list[Task], witness: Array) -> StageLedger:
     """Install the non-negotiable rows: hard inequality tasks only, so
-    an equality task or a task with slack is refused.
+    an equality task, a task with slack or a task whose column count
+    differs from the witness's length is refused.
 
-    The witness torque (the origin when None; inside a control loop,
-    u_nom) becomes the ledger's witness as it is, and phase1_used
-    records that it breaks a strict row by more than FEAS_TOL. No QP
-    runs here: the first level's solve meets the strict rows, and
-    `run_cascade` names the violated rows when they admit no torque.
+    The witness torque (inside a control loop, u_nom) sets n and becomes
+    the ledger's witness as it is; phase1_used records that it breaks a
+    strict row by more than FEAS_TOL. No QP runs here: the first level's
+    solve meets the strict rows, and `run_cascade` names the violated
+    rows when they admit no torque.
     """
+    w = np.array(witness, dtype=float)
+    n = w.shape[0]
     tasks = list(strict_tasks)
     for t in tasks:
         if t.kind != "ineq":
@@ -321,60 +258,53 @@ def init_stage0(strict_tasks: list[Task], witness: Array | None = None,
         if _slack_of(t) is not None:
             raise ValueError(
                 f"strict task '{t.label}' carries slack coefficients")
-    if tasks:
-        n = tasks[0].A.shape[1]
-    elif n is None:
-        raise ValueError("n is required when there are no strict tasks")
-    if any(t.A.shape[1] != n for t in tasks):
-        raise ValueError("strict tasks disagree on torque dimension")
+        if t.A.shape[1] != n:
+            raise ValueError(f"strict task '{t.label}' has {t.A.shape[1]} "
+                             f"columns, the witness {n} entries")
 
     A_in = np.vstack([t.A for t in tasks]) if tasks else np.zeros((0, n))
     b_in = np.concatenate([t.b for t in tasks]) if tasks else np.zeros(0)
-    w = np.zeros(n) if witness is None else np.asarray(witness, dtype=float)
     ledger = StageLedger(n=n, A_eq=np.zeros((0, n)), b_eq=np.zeros(0),
                          A_in=A_in, b_in=b_in, n_strict=A_in.shape[0],
-                         witness=w.copy(), phase1_used=False, _Z=np.eye(n),
-                         in_tasks=[(0, t) for t in tasks])
+                         witness=w, phase1_used=False, _Z=np.eye(n),
+                         strict_tasks=tasks)
     ledger.phase1_used = ledger.in_violation(w) > FEAS_TOL
     return ledger
 
 
-def solve_level(ledger: StageLedger, equality_task: Task | None = None,
-                inequality_task: Task | None = None, rho: float = 1e3,
-                regularization_anchor: Array | None = None
+def solve_level(ledger: StageLedger, spec: LevelSpec, anchor: Array
                 ) -> tuple[Array, float, StageLedger]:
     """Solve the next priority level and freeze its outcome into the ledger.
 
     The level is solved over u = w + Z y (w the ledger's witness, Z its
     kernel basis), which holds every frozen equality row by
-    construction. Returns (u_star, delta_star, ledger). The ledger is
-    mutated in place: the equality task contributes rows A u = A u_star
-    and shrinks Z, the inequality task adds rows C u >= d - c delta_star.
-    A level with one free direction and no slack is a scalar QP over an
-    interval and is minimized in closed form, without `solve_qp`; its
-    record reports 0 iterations. Raises CascadeInfeasibleError if the
-    level cannot be solved, which can only happen through hard (c = 0)
-    inequality rows.
+    construction; anchor (u_nom inside the cascade) centers the Tikhonov
+    term. Returns (u_star, delta_star, ledger). The ledger is mutated in
+    place: the equality task contributes rows A u = A u_star and shrinks
+    Z, the inequality task adds rows C u >= d - c delta_star, and a
+    LevelRecord is appended. A level with one free direction and no
+    slack is a scalar QP over an interval and is minimized in closed
+    form, without `solve_qp`; its record reports 0 iterations. Raises
+    CascadeInfeasibleError if the level cannot be solved, which can only
+    happen through hard (c = 0) inequality rows.
     """
-    spec = LevelSpec(equality_task, inequality_task, rho)  # validates it
+    eq, ineq = spec.equality, spec.inequality
     n = ledger.n
-    for t in (equality_task, inequality_task):
+    for t in (eq, ineq):
         if t is not None and t.A.shape[1] != n:
             raise ValueError(f"task '{t.label}' has wrong torque dimension")
 
     w, Z = ledger.witness, ledger.Z
     k = Z.shape[1]
-    slack_coef = _slack_of(inequality_task)
+    slack_coef = _slack_of(ineq)
     dim = k + (1 if slack_coef is not None else 0)
-    ref = np.zeros(n) if regularization_anchor is None \
-        else regularization_anchor
-    AZ = equality_task.A @ Z if equality_task is not None else None
+    AZ = eq.A @ Z if eq is not None else None
 
     # Inequality rows C u + c delta >= d: the ledger's, then the level's.
     C, d = ledger.A_in, ledger.b_in
-    if inequality_task is not None:
-        C = np.vstack([C, inequality_task.A])
-        d = np.concatenate([d, inequality_task.b])
+    if ineq is not None:
+        C = np.vstack([C, ineq.A])
+        d = np.concatenate([d, ineq.b])
 
     # The same rows on the search space: A_in y >= b_in. The witness
     # meets every ledger row within FEAS_TOL, and a ledger row it misses
@@ -387,20 +317,21 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
         b_in[:m] = np.minimum(b_in[:m], 0.0)
 
     # The level's QP in y (and delta): 1/2 ||A Z y - (b - A w)||^2 and
-    # rho/2 delta^2; anchor centers the Tikhonov term on the search space.
+    # rho/2 delta^2; y_anchor centers the Tikhonov term on the search
+    # space.
     H = np.zeros((dim, dim))
     f = np.zeros(dim)
     if AZ is not None:
         H[:k, :k] = AZ.T @ AZ
-        f[:k] = -AZ.T @ (equality_task.b - equality_task.A @ w)
+        f[:k] = -AZ.T @ (eq.b - eq.A @ w)
     if slack_coef is not None:
-        H[k, k] = rho
+        H[k, k] = spec.rho
         c = np.concatenate([np.zeros(ledger.A_in.shape[0]), slack_coef])
         A_in = np.vstack([np.hstack([A_in, c[:, None]]), np.eye(1, dim, k)])
         b_in = np.append(b_in, 0.0)
     H = 0.5 * (H + H.T)
-    anchor = np.zeros(dim)
-    anchor[:k] = Z.T @ (ref - w)
+    y_anchor = np.zeros(dim)
+    y_anchor[:k] = Z.T @ (anchor - w)
 
     level = ledger.level + 1
     iterations = 0
@@ -414,39 +345,34 @@ def solve_level(ledger: StageLedger, equality_task: Task | None = None,
         # minimized in closed form.
         y = _interval_minimizer(
             A_in[:, 0], b_in,
-            -(f[0] - 2.0 * REG * anchor[0]) / (H[0, 0] + 2.0 * REG))
+            -(f[0] - 2.0 * REG * y_anchor[0]) / (H[0, 0] + 2.0 * REG))
         if y is None:
             raise CascadeInfeasibleError(level, "infeasible")
         y = np.array([y])
     else:
         sol = solve_qp(QpProblem(H=H, f=f, A_in=A_in, b_in=b_in),
-                       anchor=anchor)
+                       anchor=y_anchor)
         if sol.status != "optimal":
             raise CascadeInfeasibleError(level, sol.status)
         y, iterations = sol.z_star, sol.iterations
     u_star = w + Z @ y[:k]
     delta = float(y[k]) if slack_coef is not None else 0.0
 
-    if inequality_task is not None:
-        ledger.in_tasks.append((level, inequality_task))
-    rows = _LevelRows(A_eq=ledger.A_eq, b_eq=ledger.b_eq, C=C, d=d,
-                      in_tasks=tuple(ledger.in_tasks))
-    if equality_task is not None:
-        ledger.A_eq = np.vstack([ledger.A_eq, equality_task.A])
-        ledger.b_eq = np.concatenate([ledger.b_eq, equality_task.A @ u_star])
+    if eq is not None:
+        ledger.A_eq = np.vstack([ledger.A_eq, eq.A])
+        ledger.b_eq = np.concatenate([ledger.b_eq, eq.A @ u_star])
         if k:
             ledger._Z_kernel_of = AZ
-    if inequality_task is not None:
+    if ineq is not None:
         ledger.A_in = C
         ledger.b_in = d if slack_coef is None else np.concatenate(
-            [ledger.b_in, inequality_task.b - slack_coef * delta])
+            [ledger.b_in, ineq.b - slack_coef * delta])
 
     ledger.level = level
     ledger.witness = u_star
-    ledger.records.append(LevelRecord(
-        level=level, status="optimal", u=u_star, delta=delta,
-        iterations=iterations, spec=spec, rows=rows,
-        eq_b=None if equality_task is None else equality_task.b.copy()))
+    ledger.records.append(LevelRecord(level=level, status="optimal",
+                                      u=u_star, delta=delta,
+                                      iterations=iterations))
     return u_star, delta, ledger
 
 
@@ -462,13 +388,11 @@ def run_cascade(strict_tasks: list[Task], levels: list[LevelSpec],
     otherwise the level's CascadeInfeasibleError stands.
     """
     u_nom = np.asarray(u_nom, dtype=float)
-    ledger = init_stage0(strict_tasks, witness=u_nom, n=u_nom.shape[0])
+    ledger = init_stage0(strict_tasks, u_nom)
     u = ledger.witness
     for spec in levels:
         try:
-            u, _, ledger = solve_level(
-                ledger, spec.equality, spec.inequality, rho=spec.rho,
-                regularization_anchor=u_nom)
+            u, _, ledger = solve_level(ledger, spec, u_nom)
         except CascadeInfeasibleError:
             viol = [] if ledger.level else _least_infeasible(ledger, u_nom)
             if viol:

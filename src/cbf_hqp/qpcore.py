@@ -262,13 +262,17 @@ def _dual_core(G: Array, g: Array, A: Array, b: Array, m_e: int):
 
 def solve_qp(problem: QpProblem, anchor: Array | None = None) -> QpSolution:
     """Solve the QP; `anchor` centers the Tikhonov term (the origin when
-    None), and the regularized minimizer is the method's start."""
+    None), and the regularized minimizer is the method's start. An
+    anchor that is not a finite (n,) vector is refused."""
     n = problem.n
     G = problem.H.copy()
     G.flat[::n + 1] += 2.0 * REG
     g = problem.f
     if anchor is not None:
-        g = g - 2.0 * REG * np.asarray(anchor, dtype=float)
+        anchor = np.asarray(anchor, dtype=float)
+        if anchor.shape != (n,) or not np.isfinite(anchor).all():
+            raise ValueError(f"anchor must be a finite ({n},) vector")
+        g = g - 2.0 * REG * anchor
     m_e = problem.A_eq.shape[0]
     A, b = problem.A_in, problem.b_in
     if m_e:

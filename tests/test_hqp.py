@@ -56,22 +56,24 @@ class TestHandCascades:
                                           label="track"))]
         ledger = init_stage0([strict], witness=np.zeros(n))
         rows_before = ledger.A_eq.shape[0]
-        u, delta, ledger = solve_level(ledger, equality_task=levels[0].equality)
+        u, delta, ledger = solve_level(ledger, levels[0], np.zeros(n))
         np.testing.assert_allclose(u, u_nom, atol=1e-8)
         assert delta == 0.0
         assert ledger.A_eq.shape[0] == rows_before + n
         # a later level cannot move the torque at all
         assert ledger.Z.shape == (n, 0)
-        u2, _, _ = solve_level(ledger, equality_task=Task(
-            kind="eq", A=np.eye(n), b=u_nom + 1.0, label="other"))
+        u2, _, _ = solve_level(ledger, LevelSpec(equality=Task(
+            kind="eq", A=np.eye(n), b=u_nom + 1.0, label="other")), np.zeros(n))
         np.testing.assert_allclose(u2, u_nom, atol=1e-8)
         # with no variable left, a hard row only checks the pinned torque
-        u3, _, _ = solve_level(ledger, inequality_task=Task(
-            kind="ineq", A=np.eye(n), b=u_nom - 1.0, label="below"))
+        u3, _, _ = solve_level(ledger, LevelSpec(inequality=Task(
+            kind="ineq", A=np.eye(n), b=u_nom - 1.0, label="below")),
+            np.zeros(n))
         np.testing.assert_allclose(u3, u_nom, atol=1e-8)
         with pytest.raises(CascadeInfeasibleError):
-            solve_level(ledger, inequality_task=Task(
-                kind="ineq", A=np.eye(n), b=u_nom + 1.0, label="above"))
+            solve_level(ledger, LevelSpec(inequality=Task(
+                kind="ineq", A=np.eye(n), b=u_nom + 1.0, label="above")),
+                np.zeros(n))
 
     def test_inactive_inequality_needs_no_slack(self):
         # row 0 * u + c delta >= negative number holds at delta = 0
@@ -105,7 +107,7 @@ class TestStageZero:
             run_cascade([cap], [LevelSpec(inequality=push)], np.array([5.0]))
 
     def test_box_alone_is_feasible(self):
-        ledger = init_stage0([box_task(3, 20.0)])
+        ledger = init_stage0([box_task(3, 20.0)], np.zeros(3))
         assert ledger.n_strict == 6
         assert ledger.in_violation(ledger.witness) <= 1e-8
 
@@ -136,40 +138,40 @@ class TestStageZero:
     def test_strict_equality_task_rejected(self):
         pin = Task(kind="eq", A=[[1.0, 0.0]], b=[0.0], label="pin")
         with pytest.raises(ValueError, match="'pin' is an equality task"):
-            init_stage0([pin, box_task(2, 10.0)])
+            init_stage0([pin, box_task(2, 10.0)], np.zeros(2))
 
     def test_slack_bearing_task_rejected(self):
         t = Task(kind="ineq", A=[[1.0]], b=[0.0], label="soft", slack=[1.0])
         with pytest.raises(ValueError, match="slack"):
-            init_stage0([t])
+            init_stage0([t], np.zeros(1))
 
-    def test_empty_task_list_needs_dimension(self):
-        with pytest.raises(ValueError, match="n is required"):
-            init_stage0([])
-        ledger = init_stage0([], n=3)
-        assert ledger.n == 3
+    def test_dimension_comes_from_the_witness(self):
+        ledger = init_stage0([], np.zeros(3))
+        assert ledger.n == 3 and ledger.Z.shape == (3, 3)
+
+    def test_nominal_torque_of_the_wrong_length_is_named(self):
+        track = Task(kind="eq", A=np.eye(3), b=np.zeros(3), label="track")
+        with pytest.raises(ValueError,
+                           match="'box' has 3 columns, the witness 2 entries"):
+            run_cascade([box_task(3, 10.0)], [LevelSpec(equality=track)],
+                        np.zeros(2))
 
 
 class TestLevelValidation:
     def test_level_needs_a_task(self):
-        ledger = init_stage0([box_task(2, 10.0)])
-        with pytest.raises(ValueError, match="at least one task"):
-            solve_level(ledger)
         with pytest.raises(ValueError, match="at least one task"):
             LevelSpec()
 
     def test_wrong_kinds_rejected(self):
         eq = Task(kind="eq", A=[[1.0, 0.0]], b=[0.0], label="e")
         ineq = Task(kind="ineq", A=[[1.0, 0.0]], b=[0.0], label="i")
-        ledger = init_stage0([box_task(2, 10.0)])
         with pytest.raises(ValueError, match="kind"):
-            solve_level(ledger, equality_task=ineq)
+            LevelSpec(equality=ineq)
         with pytest.raises(ValueError, match="kind"):
-            solve_level(ledger, inequality_task=eq)
+            LevelSpec(inequality=eq)
         with pytest.raises(ValueError, match="rho"):
-            solve_level(ledger, inequality_task=Task(
-                kind="ineq", A=[[1.0, 0.0]], b=[0.0], label="i",
-                slack=[1.0]), rho=0.0)
+            LevelSpec(inequality=Task(kind="ineq", A=[[1.0, 0.0]], b=[0.0],
+                                      label="i", slack=[1.0]), rho=0.0)
 
     def test_hard_level_conflict_raises(self):
         # strict u <= 1 against a hard (slack-free) level row u >= 2
@@ -177,7 +179,7 @@ class TestLevelValidation:
         want = Task(kind="ineq", A=[[1.0]], b=[2.0], label="push")
         ledger = init_stage0([strict], witness=np.zeros(1))
         with pytest.raises(CascadeInfeasibleError, match="level 1"):
-            solve_level(ledger, inequality_task=want)
+            solve_level(ledger, LevelSpec(inequality=want), np.zeros(1))
 
 
 class TestSlackOptimality:
@@ -232,13 +234,14 @@ class TestCascadeProperties:
             res = run_cascade([strict], levels, u_nom)
             for j, spec in enumerate(levels):
                 # the final torque still achieves level j's recorded value
-                achieved = level_objective(spec, res.u_final,
-                                           res.records[j].delta)
-                assert achieved <= res.records[j].objective + 1e-8
+                rec = res.records[j]
+                recorded = level_objective(spec, rec.u, rec.delta)
+                achieved = level_objective(spec, res.u_final, rec.delta)
+                assert achieved <= recorded + 1e-8
                 # re-running with the lower levels deleted changes nothing
-                partial = run_cascade([strict], levels[:j + 1], u_nom)
-                assert partial.records[j].objective == pytest.approx(
-                    res.records[j].objective, rel=1e-9, abs=1e-8)
+                part = run_cascade([strict], levels[:j + 1], u_nom).records[j]
+                assert level_objective(spec, part.u, part.delta) \
+                    == pytest.approx(recorded, rel=1e-9, abs=1e-8)
 
     def test_levels_match_oracle_on_stacked_problems(self, rng):
         checked = 0
@@ -256,7 +259,9 @@ class TestCascadeProperties:
                 delta_o = float(z[n]) if spec.inequality is not None else 0.0
                 obj_o = level_objective(spec, z[:n], delta_o)
                 scale = 1.0 + abs(obj_o)
-                assert abs(res.records[k].objective - obj_o) <= 1e-6 * scale
+                rec = res.records[k]
+                assert abs(level_objective(spec, rec.u, rec.delta) - obj_o) \
+                    <= 1e-6 * scale
                 checked += 1
         assert checked >= 30
 
@@ -267,9 +272,7 @@ class TestCascadeProperties:
             u_nom = rng.normal(size=n)
             ledger = init_stage0([strict], witness=w)
             for spec in random_levels(rng, n):
-                _, _, ledger = solve_level(
-                    ledger, spec.equality, spec.inequality, rho=spec.rho,
-                    regularization_anchor=u_nom)
+                _, _, ledger = solve_level(ledger, spec, u_nom)
                 Z, A_eq = ledger.Z, ledger.A_eq
                 assert np.linalg.norm(Z.T @ Z - np.eye(Z.shape[1])) <= 1e-12
                 assert np.linalg.norm(A_eq @ Z) \
@@ -282,36 +285,20 @@ class TestCascadeProperties:
             return tuple(lab for lab, lhs, rhs in rows
                          if abs(lhs - rhs) <= tol * (1.0 + abs(rhs)))
 
-        strict_seen = level_seen = 0
+        strict_seen = 0
         for _ in range(30):
             n = int(rng.integers(2, 5))
             strict, w = random_strict(rng, n)
             u_nom = rng.normal(size=n) * 3.0
             ledger = init_stage0([strict], witness=w)
             for spec in random_levels(rng, n):
-                A, b = ledger.A_in.copy(), ledger.b_in.copy()
-                labels = list(ledger.in_labels)
-                ineq = spec.inequality
-                u, delta, ledger = solve_level(
-                    ledger, spec.equality, ineq, rho=spec.rho,
-                    regularization_anchor=u_nom)
-                rows = [(lab, A[i] @ u, b[i]) for i, lab in enumerate(labels)]
-                if ineq is not None:
-                    name = f"level{ledger.level}:"
-                    rows += [(name + lab, ineq.A[i] @ u + ineq.slack[i] * delta,
-                              ineq.b[i])
-                             for i, lab in enumerate(ineq.row_labels)]
-                    rows += [(name + "slack", delta, 0.0)]
-                expected = tight(rows)
-                assert ledger.records[-1].active_rows == expected
-                level_seen += len(expected)
+                _, _, ledger = solve_level(ledger, spec, u_nom)
             u = ledger.witness
-            expected = tight([(ledger.in_labels[i], ledger.A_in[i] @ u,
-                               ledger.b_in[i])
-                              for i in range(ledger.n_strict)])
+            expected = tight([(lab, strict.A[i] @ u, strict.b[i])
+                              for i, lab in enumerate(strict.row_labels)])
             assert ledger.strict_tight_rows(u) == expected
             strict_seen += len(expected)
-        assert strict_seen > 0 and level_seen > 0
+        assert strict_seen > 0
 
     def test_single_level_reduces_to_plain_qp(self, rng):
         # one level, no strict rows, hard inequality: the cascade must
@@ -377,11 +364,10 @@ class TestCascadeProperties:
             if free < n:
                 ledger = pin_level(ledger, rng.normal(size=(n - free, n)))
             E = rng.normal(size=(int(rng.integers(1, n + 1)), n))
-            u, _, _ = solve_level(
-                ledger, equality_task=Task(kind="eq", A=E,
-                                           b=rng.normal(size=E.shape[0]) * 3.0,
-                                           label="track"),
-                regularization_anchor=w + rng.normal(size=n))
+            track = Task(kind="eq", A=E, b=rng.normal(size=E.shape[0]) * 3.0,
+                         label="track")
+            u, _, _ = solve_level(ledger, LevelSpec(equality=track),
+                                  w + rng.normal(size=n))
             assert np.all(A @ u - b >= np.minimum(A @ w - b, 0.0)
                           - FEAS_TOL * (1.0 + np.abs(b))), f"level {k}"
 
@@ -427,8 +413,8 @@ def pin_level(ledger, E):
     the level returns w itself and leaves Z = ker(E)."""
     w = ledger.witness.copy()
     u, _, ledger = solve_level(
-        ledger, equality_task=Task(kind="eq", A=E, b=E @ w, label="pin"),
-        regularization_anchor=w)
+        ledger, LevelSpec(equality=Task(kind="eq", A=E, b=E @ w, label="pin")),
+        w)
     assert np.array_equal(u, w)
     return ledger
 
@@ -494,13 +480,12 @@ class TestClosedFormLevel:
                            anchor=anchor)
             if ref.status == "infeasible":
                 with pytest.raises(CascadeInfeasibleError, match="level 2"):
-                    solve_level(ledger, eq, ineq, regularization_anchor=u_nom)
+                    solve_level(ledger, LevelSpec(eq, ineq), u_nom)
                 empty += 1
                 continue
             assert ref.status == "optimal"
 
-            u, delta, ledger = solve_level(ledger, eq, ineq,
-                                           regularization_anchor=u_nom)
+            u, delta, ledger = solve_level(ledger, LevelSpec(eq, ineq), u_nom)
             rec = ledger.records[-1]
             assert (rec.status, rec.iterations, delta) == ("optimal", 0, 0.0)
             u_ref = w + Z @ ref.z_star
@@ -529,52 +514,3 @@ class TestClosedFormLevel:
         # a clash within FEAS_TOL (1 + |b|) does not empty the interval
         y = _interval_minimizer(a, np.array([1.0 + 5e-9, -1.0]), 0.0)
         assert y == pytest.approx(1.0, abs=1e-8)
-
-    def test_record_fields_read_late_equal_the_eager_formulas(self, rng):
-        """objective, eq_residual and active_rows are computed on first
-        read; read after later levels have grown the ledger and the
-        equality tasks' b have been overwritten, they equal the formulas
-        evaluated when the level was solved."""
-        def tight(rows, tol=FEAS_TOL):
-            return tuple(lab for lab, lhs, rhs in rows
-                         if abs(lhs - rhs) <= tol * (1.0 + abs(rhs)))
-
-        grown = 0
-        for _ in range(40):
-            n = int(rng.integers(2, 5))
-            strict, w = random_strict(rng, n)
-            u_nom = rng.normal(size=n) * 3.0
-            ledger = init_stage0([strict], witness=w)
-            levels = random_levels(rng, n) + [LevelSpec(
-                equality=Task(kind="eq", A=rng.normal(size=(1, n)),
-                              b=rng.normal(size=1), label="last"))]
-            eager = []
-            for spec in levels:
-                A_eq, b_eq = ledger.A_eq, ledger.b_eq
-                A, b = ledger.A_in.copy(), ledger.b_in.copy()
-                labels = list(ledger.in_labels)
-                ineq = spec.inequality
-                u, delta, ledger = solve_level(
-                    ledger, spec.equality, ineq, rho=spec.rho,
-                    regularization_anchor=u_nom)
-                rows = [(lab, A[i] @ u, b[i]) for i, lab in enumerate(labels)]
-                if ineq is not None:
-                    name = f"level{ledger.level}:"
-                    rows += [(name + lab, ineq.A[i] @ u + ineq.slack[i] * delta,
-                              ineq.b[i])
-                             for i, lab in enumerate(ineq.row_labels)]
-                    rows += [(name + "slack", delta, 0.0)]
-                eq_res = (float(np.max(np.abs(A_eq @ u - b_eq)))
-                          if A_eq.shape[0] else 0.0)
-                eager.append((level_objective(spec, u, delta), eq_res,
-                              tight(rows)))
-            # The caller may reuse its buffers once the levels are solved.
-            for spec in levels:
-                if spec.equality is not None:
-                    spec.equality.b += 1.0
-            for rec, (objective, eq_res, active) in zip(ledger.records, eager):
-                assert rec.objective == objective
-                assert rec.eq_residual == eq_res
-                assert rec.active_rows == active
-                grown += rec.level < ledger.level
-        assert grown >= 40

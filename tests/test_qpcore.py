@@ -198,6 +198,14 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{name} holds"):
             QpProblem(**data)
 
+    @pytest.mark.parametrize("anchor", [
+        [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf],
+        [0.0, 0.0], [[0.0, 0.0, 0.0]]])
+    def test_bad_anchor_rejected_naming_it(self, anchor):
+        p = QpProblem(H=np.eye(3), f=np.zeros(3))
+        with pytest.raises(ValueError, match="^anchor must be a finite"):
+            solve_qp(p, anchor=anchor)
+
     def test_minus_inf_lower_bound_binds_nothing(self):
         # min (z-3)^2 s.t. z >= -inf, z >= 5  ->  z = 5
         p = QpProblem(H=[[2.0]], f=[-6.0], A_in=[[1.0], [1.0]],

@@ -1,11 +1,14 @@
 """Simulator checks: integrator physics, scenario parsing, rollout
 bookkeeping, and the CSV log format."""
 
+import dataclasses
 import math
 from textwrap import dedent
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from oracles import rk4_step
 
 from cbf_hqp import dynamics
@@ -293,6 +296,59 @@ def test_push_experiment_engages_the_filter(mode):
                   for r in result.records)
     assert changed >= 0.3 * len(result.records), changed
     assert max(r.K for r in result.records) <= scenario.cbf.k_max + 1e-6
+
+
+def _bitwise_equal(a, b) -> bool:
+    """a and b hold the same bits, NaN included."""
+    if isinstance(a, (float, np.ndarray)):
+        return np.array_equal(a, b, equal_nan=True)
+    return a == b
+
+
+@pytest.fixture(scope="module")
+def push_on_panda():
+    return (load_scenario_file(bundled_scenario_path("push")),
+            dynamics.load_bundled_model("panda"))
+
+
+@settings(max_examples=14, deadline=None, derandomize=True, database=None)
+@given(q_frac=hst.lists(hst.floats(0.1, 0.9), min_size=7, max_size=7),
+       k_max=hst.floats(0.05, 1.0), gamma=hst.floats(1.0, 20.0),
+       amplitude=hst.floats(0.0, 45.0),
+       rerun=hst.sampled_from(("single_qp", "hqp_safety", "hqp_performance")))
+def test_random_rollouts_are_clean_bounded_and_repeatable(
+        push_on_panda, q_frac, k_max, gamma, amplitude, rerun):
+    """Short `push` rollouts from random q0 (inner 80 % of each joint's
+    range) under random k_max, gamma and push amplitude, in every mode:
+    a clean finish or a logged fault, a clean audit, and the energy
+    bound in the modes with a hard energy row. One drawn mode is rolled
+    again, and the rerun must be bit-identical."""
+    push, model = push_on_panda
+    q0 = model.q_min + np.asarray(q_frac) * (model.q_max - model.q_min)
+    scenario = dataclasses.replace(
+        push, q0=q0,
+        wrench=dataclasses.replace(push.wrench, amplitude=amplitude))
+
+    def roll(mode):
+        return run_scenario(scenario, model=model, mode=mode, gamma=gamma,
+                            k_max=k_max, duration=0.3)
+
+    for mode in ("single_qp", "hqp_safety", "hqp_performance"):
+        res = roll(mode)
+        if not res.fault:
+            assert audit(res) == [], mode
+        if mode != "hqp_performance":
+            assert max(r.K for r in res.records) <= k_max + 1e-6, mode
+        if mode != rerun:
+            continue
+        again = roll(mode)
+        assert (res.fault, res.fault_reason, len(res.records)) \
+            == (again.fault, again.fault_reason, len(again.records)), mode
+        for ra, rb in zip(res.records, again.records):
+            for name, va in vars(ra).items():
+                if name != "solve_time_us":
+                    assert _bitwise_equal(va, getattr(rb, name)), \
+                        (mode, ra.t, name)
 
 
 @pytest.fixture(scope="module")
