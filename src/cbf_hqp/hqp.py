@@ -12,7 +12,7 @@ the violated rows when they do not.
 
 A level may carry one equality task, one inequality task, or both:
 
-    min  1/2 ||A u - b||^2 + rho/2 delta^2
+    min  1/2 ||A u - b||^2 + RHO/2 delta^2
     s.t. ledger rows, C u + c * delta >= d, delta >= 0
 
 with delta a single scalar shared by the level's inequality rows through
@@ -39,6 +39,8 @@ from .qpcore import (ADD_TOL, FEAS_TOL, REG, QpProblem, numerical_rank,
 from .tasks import Task
 
 Array = np.ndarray
+
+RHO = 1e3  # the slack penalty weight of every level
 
 
 class S0EmptyError(RuntimeError):
@@ -82,7 +84,6 @@ class LevelRecord:
     the active-set iterations (0 for a level solved in closed form or
     whose unconstrained minimizer meets every row)."""
     level: int
-    status: str
     u: Array
     delta: float
     iterations: int
@@ -156,11 +157,9 @@ class StageLedger:
 
 @dataclass(frozen=True)
 class LevelSpec:
-    """One priority level: an equality task, an inequality task, or both,
-    plus the slack penalty weight."""
+    """One priority level: an equality task, an inequality task, or both."""
     equality: Task | None = None
     inequality: Task | None = None
-    rho: float = 1e3
 
     def __post_init__(self):
         if self.equality is None and self.inequality is None:
@@ -169,24 +168,19 @@ class LevelSpec:
             raise ValueError("equality slot holds a task of kind 'ineq'")
         if self.inequality is not None and self.inequality.kind != "ineq":
             raise ValueError("inequality slot holds a task of kind 'eq'")
-        if self.inequality is not None and self.rho <= 0.0:
-            raise ValueError("rho must be > 0 when an inequality task is present")
 
 
 @dataclass
 class HqpResult:
-    """Outcome of a full cascade run.
-
-    feasible means u_final satisfies every row the ledger ever
-    accumulated within 1e-8 (a level that finds no optimum raises).
-    phase1_used says u_nom broke a strict row by more than FEAS_TOL, so
-    the first level projected it onto the strict rows.
+    """Outcome of a full cascade run: the final torque, one record per
+    level, the worst frozen-equality residual at u_final, and the labels
+    of the strict rows tight there. phase1_used says u_nom broke a
+    strict row by more than FEAS_TOL, so the first level projected it
+    onto the strict rows. A level that finds no optimum raises instead.
     """
     u_final: Array
     records: list[LevelRecord]
-    feasible: bool
     eq_residual: float
-    max_violation: float
     active_strict_rows: tuple[str, ...]
     phase1_used: bool
 
@@ -241,7 +235,8 @@ def _least_infeasible(ledger: StageLedger, anchor: Array
 def init_stage0(strict_tasks: list[Task], witness: Array) -> StageLedger:
     """Install the non-negotiable rows: hard inequality tasks only, so
     an equality task, a task with slack or a task whose column count
-    differs from the witness's length is refused.
+    differs from the witness's length is refused, and so is a witness
+    that is not a finite 1-D vector.
 
     The witness torque (inside a control loop, u_nom) sets n and becomes
     the ledger's witness as it is; phase1_used records that it breaks a
@@ -250,6 +245,8 @@ def init_stage0(strict_tasks: list[Task], witness: Array) -> StageLedger:
     rows when they admit no torque.
     """
     w = np.array(witness, dtype=float)
+    if w.ndim != 1 or not np.isfinite(w).all():
+        raise ValueError("witness must be a finite 1-D vector")
     n = w.shape[0]
     tasks = list(strict_tasks)
     for t in tasks:
@@ -292,7 +289,8 @@ def solve_level(ledger: StageLedger, spec: LevelSpec, anchor: Array
     n = ledger.n
     for t in (eq, ineq):
         if t is not None and t.A.shape[1] != n:
-            raise ValueError(f"task '{t.label}' has wrong torque dimension")
+            raise ValueError(f"task '{t.label}' has {t.A.shape[1]} "
+                             f"columns, the ledger's torque {n} entries")
 
     w, Z = ledger.witness, ledger.Z
     k = Z.shape[1]
@@ -317,7 +315,7 @@ def solve_level(ledger: StageLedger, spec: LevelSpec, anchor: Array
         b_in[:m] = np.minimum(b_in[:m], 0.0)
 
     # The level's QP in y (and delta): 1/2 ||A Z y - (b - A w)||^2 and
-    # rho/2 delta^2; y_anchor centers the Tikhonov term on the search
+    # RHO/2 delta^2; y_anchor centers the Tikhonov term on the search
     # space.
     H = np.zeros((dim, dim))
     f = np.zeros(dim)
@@ -325,7 +323,7 @@ def solve_level(ledger: StageLedger, spec: LevelSpec, anchor: Array
         H[:k, :k] = AZ.T @ AZ
         f[:k] = -AZ.T @ (eq.b - eq.A @ w)
     if slack_coef is not None:
-        H[k, k] = spec.rho
+        H[k, k] = RHO
         c = np.concatenate([np.zeros(ledger.A_in.shape[0]), slack_coef])
         A_in = np.vstack([np.hstack([A_in, c[:, None]]), np.eye(1, dim, k)])
         b_in = np.append(b_in, 0.0)
@@ -370,8 +368,7 @@ def solve_level(ledger: StageLedger, spec: LevelSpec, anchor: Array
 
     ledger.level = level
     ledger.witness = u_star
-    ledger.records.append(LevelRecord(level=level, status="optimal",
-                                      u=u_star, delta=delta,
+    ledger.records.append(LevelRecord(level=level, u=u_star, delta=delta,
                                       iterations=iterations))
     return u_star, delta, ledger
 
@@ -398,10 +395,7 @@ def run_cascade(strict_tasks: list[Task], levels: list[LevelSpec],
             if viol:
                 raise S0EmptyError(viol) from None
             raise
-    eq_residual = ledger.eq_violation(u)
-    max_violation = max(eq_residual, ledger.in_violation(u))
     return HqpResult(u_final=u, records=ledger.records,
-                     feasible=max_violation <= 1e-8,
-                     eq_residual=eq_residual, max_violation=max_violation,
+                     eq_residual=ledger.eq_violation(u),
                      active_strict_rows=ledger.strict_tight_rows(u),
                      phase1_used=ledger.phase1_used)

@@ -28,7 +28,6 @@ inconsistent, and the solve ends 'infeasible'.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -89,61 +88,18 @@ class QpProblem:
     def n(self) -> int:
         return self.f.shape[0]
 
-    def objective(self, z: Array) -> float:
-        return float(0.5 * z @ self.H @ z + self.f @ z)
-
-    def max_violation(self, z: Array) -> float:
-        v = 0.0
-        if self.A_eq.shape[0]:
-            v = float(np.abs(self.A_eq @ z - self.b_eq).max())
-        if self.A_in.shape[0]:
-            v = max(v, float((self.b_in - self.A_in @ z).max(initial=0.0)))
-        return v
-
 
 @dataclass
 class QpSolution:
-    """Outcome of `solve_qp`. working holds the rows active at z_star
-    (equality rows by their index, inequality row i as m_eq + i) and
-    multipliers their multipliers, in the same order. active_set
-    (indices of the inequality rows tight within FEAS_TOL),
-    objective_value, lam_eq and mu_in are computed from the problem on
-    first read; the problem's arrays are not copied and must not be
-    changed in place after the solve."""
+    """Outcome of `solve_qp`: the minimizer, the status, the active-set
+    iterations, and the rows active at z_star (working, equality rows by
+    their index, inequality row i as m_eq + i) with their multipliers in
+    the same order."""
     z_star: Array
     status: str                 # optimal | infeasible | max_iterations
     iterations: int
-    problem: QpProblem = field(repr=False)
-    working: list[int] = field(default_factory=list, repr=False)
-    multipliers: Array = field(default_factory=lambda: np.zeros(0),
-                               repr=False)
-
-    @cached_property
-    def active_set(self) -> Array:
-        if self.status == "infeasible" or not self.problem.A_in.shape[0]:
-            return np.zeros(0, dtype=int)
-        resid = self.problem.A_in @ self.z_star - self.problem.b_in
-        return np.flatnonzero(np.abs(resid) <= FEAS_TOL)
-
-    @cached_property
-    def objective_value(self) -> float:
-        if self.status == "infeasible":
-            return float("nan")
-        return self.problem.objective(self.z_star)
-
-    def _scatter(self) -> Array:
-        m_e = self.problem.A_eq.shape[0]
-        nu = np.zeros(m_e + self.problem.A_in.shape[0])
-        nu[self.working] = self.multipliers
-        return nu
-
-    @cached_property
-    def lam_eq(self) -> Array:
-        return self._scatter()[:self.problem.A_eq.shape[0]]
-
-    @cached_property
-    def mu_in(self) -> Array:
-        return self._scatter()[self.problem.A_eq.shape[0]:]
+    working: list[int] = field(repr=False)
+    multipliers: Array = field(repr=False)
 
 
 def numerical_rank(sig: Array) -> int:
@@ -280,4 +236,4 @@ def solve_qp(problem: QpProblem, anchor: Array | None = None) -> QpSolution:
         b = np.concatenate([problem.b_eq, b])
     z, status, iters, work, u = _dual_core(G, g, A, b, m_e)
     return QpSolution(z_star=z, status=status, iterations=iters,
-                      problem=problem, working=work, multipliers=u)
+                      working=work, multipliers=u)

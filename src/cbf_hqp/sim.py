@@ -277,10 +277,11 @@ def run_scenario(scenario: Scenario, model: RobotModel | None = None,
             gamma=float(gamma) if gamma is not None else cbf.gamma,
             k_max=float(k_max) if k_max is not None else cbf.k_max)
     duration = float(duration) if duration is not None else scenario.duration
-    if not (0.0 < duration < np.inf):
-        raise ScenarioError(f"duration must be a finite number > 0, "
-                            f"got {duration!r}")
     dt = scenario.dt
+    if not (0.0 < duration < np.inf and duration / dt < np.inf):
+        raise ScenarioError(f"duration must be a finite number > 0 with a "
+                            f"finite duration / dt, got duration "
+                            f"{duration!r} and dt {dt!r}")
     n_steps = int(round(duration / dt))
 
     state = compute_state(model, scenario.q0, np.zeros(model.n_joints))
@@ -372,8 +373,8 @@ def write_csv(result: SimResult, path: str | Path) -> Path:
 def audit(result: SimResult) -> list[str]:
     """Log-level invariant violations (empty list means clean).
 
-    Checks completeness, time monotonicity, finiteness, solver statuses,
-    slack bookkeeping, and the inherited-equality residual. Deeper
+    Checks completeness, time monotonicity, finiteness, slack
+    bookkeeping, and the inherited-equality residual. Deeper
     model-based identities live in the test suite.
     """
     problems = []
@@ -400,10 +401,6 @@ def audit(result: SimResult) -> list[str]:
             break
         if abs(r.k_max_eff - (result.k_max + r.delta)) > 1e-12:
             problems.append(f"slack bookkeeping broken at record {i}")
-            break
-        if not r.statuses or (r.statuses[-1] != "fault"
-                              and any(s != "optimal" for s in r.statuses)):
-            problems.append(f"non-optimal level status at record {i}")
             break
         if np.isfinite(r.eq_residual) and r.eq_residual > 1e-8:
             problems.append(f"inherited equality residual {r.eq_residual:.3g} "

@@ -1,8 +1,10 @@
-"""Test oracles kept out of the package: a brute-force QP solver, an
-RK4 step of the simulator's vector field, the n x n task and nullspace
-projectors the controller's full-rank rows stand in for, and the
-seeded random QPs and cascades, with the flat per-level replay, that
-the solver and cascade suites share."""
+"""Test oracles kept out of the package: a brute-force QP solver, the
+objective, violation, multipliers and tight rows of a QP solution, the
+worst violation of a cascade's frozen rows, an RK4 step of the
+simulator's vector field, the n x n task and nullspace projectors the
+controller's full-rank rows stand in for, and the seeded random QPs and
+cascades, with the flat per-level replay, that the solver and cascade
+suites share."""
 
 from __future__ import annotations
 
@@ -12,11 +14,59 @@ import numpy as np
 
 from cbf_hqp.control import task_space_inertia
 from cbf_hqp.dynamics import RobotModel, RobotState, compute_state
-from cbf_hqp.hqp import LevelSpec
-from cbf_hqp.qpcore import FEAS_TOL, REG, QpProblem
+from cbf_hqp.hqp import RHO, LevelSpec
+from cbf_hqp.qpcore import FEAS_TOL, REG, QpProblem, QpSolution
 from cbf_hqp.tasks import Task
 
 Array = np.ndarray
+
+
+def objective(problem: QpProblem, z: Array) -> float:
+    return float(0.5 * z @ problem.H @ z + problem.f @ z)
+
+
+def max_violation(problem: QpProblem, z: Array) -> float:
+    v = 0.0
+    if problem.A_eq.shape[0]:
+        v = float(np.abs(problem.A_eq @ z - problem.b_eq).max())
+    if problem.A_in.shape[0]:
+        v = max(v, float((problem.b_in - problem.A_in @ z).max(initial=0.0)))
+    return v
+
+
+def multipliers(problem: QpProblem, sol: QpSolution) -> tuple[Array, Array]:
+    """(lam_eq, mu_in): the solution's multipliers scattered over the
+    equality and the inequality rows, zero on the rows not in working."""
+    m_e = problem.A_eq.shape[0]
+    nu = np.zeros(m_e + problem.A_in.shape[0])
+    nu[sol.working] = sol.multipliers
+    return nu[:m_e], nu[m_e:]
+
+
+def active_rows(problem: QpProblem, z: Array) -> Array:
+    """Indices of the inequality rows tight at z within FEAS_TOL."""
+    return np.flatnonzero(np.abs(problem.A_in @ z - problem.b_in) <= FEAS_TOL)
+
+
+def cascade_violation(strict_tasks: list[Task], levels: list[LevelSpec],
+                      records, u: Array) -> float:
+    """Worst violation at u of every row a cascade froze, rebuilt from
+    its inputs and records: the strict rows A u >= b, A u = A u_j for
+    each equality task and C u >= d - c delta_j for each inequality task
+    (c = 0 for a hard one)."""
+    v = 0.0
+    for t in strict_tasks:
+        v = max(v, float(np.max(t.b - t.A @ u, initial=0.0)))
+    for spec, rec in zip(levels, records):
+        if spec.equality is not None:
+            A = spec.equality.A
+            v = max(v, float(np.max(np.abs(A @ u - A @ rec.u), initial=0.0)))
+        if spec.inequality is not None:
+            t = spec.inequality
+            c = t.slack if t.slack is not None else 0.0
+            v = max(v, float(np.max(t.b - c * rec.delta - t.A @ u,
+                                    initial=0.0)))
+    return v
 
 
 def oracle_solve(problem: QpProblem) -> tuple[Array | None, float]:
@@ -60,7 +110,7 @@ def oracle_solve(problem: QpProblem) -> tuple[Array | None, float]:
                 continue
             if mu.size and np.min(mu) < -FEAS_TOL:
                 continue
-            obj = problem.objective(z)
+            obj = objective(problem, z)
             if obj < best_obj - 1e-12:
                 best_obj = obj
                 best_z = z
@@ -205,7 +255,7 @@ def replay_level_qp(n, strict, records, levels, k):
     rows = [np.hstack([A_in, np.zeros((A_in.shape[0], dim - n))])]
     rhs = [b_in]
     if slack:
-        H[n, n] += spec.rho
+        H[n, n] += RHO
         rows.append(np.hstack([spec.inequality.A,
                                spec.inequality.slack[:, None]]))
         rhs.append(spec.inequality.b)
@@ -224,5 +274,5 @@ def level_objective(spec, u, delta):
         r = spec.equality.A @ u - spec.equality.b
         obj += 0.5 * float(r @ r)
     if spec.inequality is not None:
-        obj += 0.5 * spec.rho * delta * delta
+        obj += 0.5 * RHO * delta * delta
     return obj

@@ -192,7 +192,8 @@ wrench: {kind: sine, axis: 1, amplitude: 60.0, frequency: 1.0}
         assert "controller.k_trans" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option, value", [
-        ("--gamma", "nan"), ("--kmax", "inf"), ("--duration", "0")])
+        ("--gamma", "nan"), ("--kmax", "inf"), ("--duration", "0"),
+        ("--duration", "1e308")])
     def test_non_finite_or_empty_override_exits_one_naming_it(
             self, tmp_path, capsys, option, value):
         rc = run_cli("run", "--scenario", "step", "--mode", "single_qp",

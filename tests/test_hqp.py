@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 from oracles import (
+    cascade_violation,
     level_objective,
     oracle_solve,
     random_levels,
@@ -44,7 +45,8 @@ class TestHandCascades:
                                       label="want", slack=[1.0])),
         ]
         res = run_cascade([strict], levels, u_nom=np.zeros(1))
-        assert res.feasible
+        assert cascade_violation([strict], levels, res.records,
+                                 res.u_final) <= 1e-8
         assert res.u_final[0] == pytest.approx(2.0, abs=1e-8)
         assert res.records[1].delta == pytest.approx(1.0, abs=1e-8)
 
@@ -122,9 +124,11 @@ class TestStageZero:
         np.testing.assert_array_equal(without.witness, [50.0, 0.0])
         track = Task(kind="eq", A=np.eye(2), b=np.array([50.0, 0.0]),
                      label="track")
-        res = run_cascade([t], [LevelSpec(equality=track)],
-                          np.array([50.0, 0.0]))
-        assert res.phase1_used and res.feasible
+        levels = [LevelSpec(equality=track)]
+        res = run_cascade([t], levels, np.array([50.0, 0.0]))
+        assert res.phase1_used
+        assert cascade_violation([t], levels, res.records,
+                                 res.u_final) <= 1e-8
         np.testing.assert_allclose(res.u_final, [10.0, 0.0], atol=1e-8)
 
     def test_stage0_runs_no_qp(self, monkeypatch):
@@ -149,6 +153,12 @@ class TestStageZero:
         ledger = init_stage0([], np.zeros(3))
         assert ledger.n == 3 and ledger.Z.shape == (3, 3)
 
+    @pytest.mark.parametrize("witness", [3.0, np.zeros((2, 2)), [np.nan, 0.0]],
+                             ids=["scalar", "matrix", "nan"])
+    def test_witness_must_be_a_finite_vector(self, witness):
+        with pytest.raises(ValueError, match="^witness must be a finite"):
+            run_cascade([], [], witness)
+
     def test_nominal_torque_of_the_wrong_length_is_named(self):
         track = Task(kind="eq", A=np.eye(3), b=np.zeros(3), label="track")
         with pytest.raises(ValueError,
@@ -169,9 +179,13 @@ class TestLevelValidation:
             LevelSpec(equality=ineq)
         with pytest.raises(ValueError, match="kind"):
             LevelSpec(inequality=eq)
-        with pytest.raises(ValueError, match="rho"):
-            LevelSpec(inequality=Task(kind="ineq", A=[[1.0, 0.0]], b=[0.0],
-                                      label="i", slack=[1.0]), rho=0.0)
+
+    def test_task_of_the_wrong_width_is_named(self):
+        ledger = init_stage0([], witness=np.zeros(2))
+        wide = Task(kind="eq", A=np.eye(3), b=np.zeros(3), label="wide")
+        with pytest.raises(ValueError, match="'wide' has 3 columns, the "
+                                             "ledger's torque 2 entries"):
+            solve_level(ledger, LevelSpec(equality=wide), np.zeros(2))
 
     def test_hard_level_conflict_raises(self):
         # strict u <= 1 against a hard (slack-free) level row u >= 2
@@ -221,8 +235,8 @@ class TestCascadeProperties:
             strict, _ = random_strict(rng, n)
             levels = random_levels(rng, n)
             res = run_cascade([strict], levels, rng.normal(size=n))
-            assert res.feasible
-            assert res.max_violation <= 1e-8
+            assert cascade_violation([strict], levels, res.records,
+                                     res.u_final) <= 1e-8
             assert res.eq_residual <= 1e-8
 
     def test_lower_levels_cannot_degrade_higher_objectives(self, rng):
@@ -341,7 +355,8 @@ class TestCascadeProperties:
             strict, _ = random_strict(rng, n)
             levels = random_levels(rng, n)
             res = run_cascade([strict], levels, rng.normal(size=n))
-            assert res.feasible, f"cascade {k}"
+            assert cascade_violation([strict], levels, res.records,
+                                     res.u_final) <= 1e-8, f"cascade {k}"
         assert time.perf_counter() - t0 < 10.0
 
     def test_rows_the_witness_breaks_within_the_band_never_empty_a_level(
@@ -487,7 +502,7 @@ class TestClosedFormLevel:
 
             u, delta, ledger = solve_level(ledger, LevelSpec(eq, ineq), u_nom)
             rec = ledger.records[-1]
-            assert (rec.status, rec.iterations, delta) == ("optimal", 0, 0.0)
+            assert (rec.iterations, delta) == (0, 0.0)
             u_ref = w + Z @ ref.z_star
             assert np.max(np.abs(u - u_ref)) \
                 <= 1e-9 * (1.0 + np.max(np.abs(u_ref)))

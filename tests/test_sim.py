@@ -406,6 +406,14 @@ class TestRollout:
         with pytest.raises(ScenarioError, match="duration"):
             run_scenario(load_scenario(HOLD_SCENARIO), duration=duration)
 
+    @pytest.mark.parametrize("old, new", [
+        ("dt: 0.001", "dt: 1.0e-320"), ("duration: 0.3", "duration: 1.0e+308")],
+        ids=["tiny_dt", "huge_duration"])
+    def test_step_count_must_be_finite(self, old, new):
+        scenario = load_scenario(HOLD_SCENARIO.replace(old, new))
+        with pytest.raises(ScenarioError, match=r"duration / dt, got .* dt "):
+            run_scenario(scenario)
+
     def test_fault_keeps_partial_log(self):
         # torque demand far beyond the box: stage feasibility collapses
         sc = Scenario(
