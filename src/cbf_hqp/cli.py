@@ -33,6 +33,7 @@ from .sim import (ScenarioError, audit, bundled_scenario_path, csv_filename,
 @dataclass(frozen=True)
 class RunSpec:
     scenario_path: Path
+    scenario_name: str
     modes: tuple[str, ...]
     gammas: tuple[float, ...]
     k_max: float | None
@@ -47,6 +48,12 @@ class RunSpec:
         for m in self.modes:
             if m not in control.MODES:
                 raise ScenarioError(f"unknown mode '{m}'")
+        names = [csv_filename(self.scenario_name, m, g)
+                 for m in self.modes for g in self.gammas]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ScenarioError(
+                    f"two grid cells would both write {name}")
 
 
 def _execute_run(job: tuple) -> dict:
@@ -56,7 +63,8 @@ def _execute_run(job: tuple) -> dict:
     scenario = load_scenario_file(scenario_path)
     result = run_scenario(scenario, mode=mode, gamma=gamma, k_max=k_max,
                           duration=duration)
-    path = Path(out_dir) / csv_filename(result)
+    path = Path(out_dir) / csv_filename(result.scenario_name, result.mode,
+                                        result.gamma)
     write_csv(result, path)
     recs = result.records
     alpha = [abs(r.alpha_dev) for r in recs if np.isfinite(r.alpha_dev)]
@@ -219,7 +227,8 @@ def main(argv=None) -> int:
                      else (scenario.mode,))
             gammas = (tuple(float(g) for g in args.gamma.split(","))
                       if args.gamma else (scenario.cbf.gamma,))
-            spec = RunSpec(scenario_path=scenario_path, modes=modes,
+            spec = RunSpec(scenario_path=scenario_path,
+                           scenario_name=scenario.name, modes=modes,
                            gammas=gammas, k_max=args.kmax,
                            duration=args.duration, out_dir=Path(args.out))
             return cmd_run(spec)

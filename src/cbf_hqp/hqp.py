@@ -25,7 +25,12 @@ ledger keeps an orthonormal basis Z of their kernel and a witness w that
 satisfies every ledger row, and each level searches u = w + Z y only
 (the nullspace approach of Kanoun, Lamiraux & Wieber, IEEE T-RO 2011,
 and Escande, Mansard & Wieber, IJRR 2014). An equality level then
-shrinks Z to Z ker(A Z).
+shrinks Z to Z ker(A Z), formed only when a later level reads Z.
+
+An equality level whose answer is its witness (the anchor is the
+witness, A w == b exactly, no inequality task, and the ledger rows hold
+at w) passes through: it freezes its rows at w and builds no QP. When
+u_nom meets every row, only the levels with inequality rows solve.
 """
 
 from __future__ import annotations
@@ -101,8 +106,9 @@ class StageLedger:
     for any y. The one exception is stage 0's witness (u_nom inside the
     cascade), kept as given: phase1_used says it breaks a strict row by
     more than FEAS_TOL, and then the first level projects it. An equality
-    level leaves its A Z behind, and Z ker(A Z) is formed on the next
-    read of Z, so the last level's kernel is never computed.
+    level leaves its A in a list of pending kernels, and the next read of
+    Z folds them in order, Z <- Z ker(A Z), so neither the last level's
+    kernel nor one that no later level reads is ever computed.
     strict_tasks holds the tasks behind the stage-0 rows, which are the
     only rows the cascade names; their labels are built on demand.
     """
@@ -118,14 +124,21 @@ class StageLedger:
     strict_tasks: list[Task] = field(default_factory=list)
     level: int = 0
     records: list[LevelRecord] = field(default_factory=list)
-    _Z_kernel_of: Array | None = field(default=None, repr=False)
+    _pending_kernels: list[Array] = field(default_factory=list, repr=False)
 
     @property
     def Z(self) -> Array:
-        if self._Z_kernel_of is not None:
-            self._Z = self._Z @ _kernel(self._Z_kernel_of)
-            self._Z_kernel_of = None
+        for A in self._pending_kernels:
+            if self._Z.shape[1]:
+                self._Z = self._Z @ _kernel(A @ self._Z)
+        self._pending_kernels.clear()
         return self._Z
+
+    @property
+    def witness_meets_rows(self) -> bool:
+        """Whether the witness meets every ledger row within FEAS_TOL:
+        always past stage 0, and at stage 0 unless phase1_used."""
+        return bool(self.level) or not self.phase1_used
 
     @property
     def strict_labels(self) -> list[str]:
@@ -281,9 +294,15 @@ def solve_level(ledger: StageLedger, spec: LevelSpec, anchor: Array
     Z, the inequality task adds rows C u >= d - c delta_star, and a
     LevelRecord is appended. A level with one free direction and no
     slack is a scalar QP over an interval and is minimized in closed
-    form, without `solve_qp`; its record reports 0 iterations. Raises
-    CascadeInfeasibleError if the level cannot be solved, which can only
-    happen through hard (c = 0) inequality rows.
+    form, without `solve_qp`; its record reports 0 iterations.
+
+    An equality level with no inequality task passes through when the
+    anchor is the witness, A w == b holds exactly and the ledger rows
+    hold at w (always past stage 0, and at stage 0 unless phase1_used):
+    its QP would have f = 0, a zero anchor and every row met at y = 0,
+    so its answer is w after 0 iterations. Such a level builds no QP and
+    reads no Z. Raises CascadeInfeasibleError if the level cannot be
+    solved, which can only happen through hard (c = 0) inequality rows.
     """
     eq, ineq = spec.equality, spec.inequality
     n = ledger.n
@@ -292,17 +311,46 @@ def solve_level(ledger: StageLedger, spec: LevelSpec, anchor: Array
             raise ValueError(f"task '{t.label}' has {t.A.shape[1]} "
                              f"columns, the ledger's torque {n} entries")
 
-    w, Z = ledger.witness, ledger.Z
-    k = Z.shape[1]
+    w = ledger.witness
     slack_coef = _slack_of(ineq)
-    dim = k + (1 if slack_coef is not None else 0)
-    AZ = eq.A @ Z if eq is not None else None
-
     # Inequality rows C u + c delta >= d: the ledger's, then the level's.
     C, d = ledger.A_in, ledger.b_in
     if ineq is not None:
         C = np.vstack([C, ineq.A])
         d = np.concatenate([d, ineq.b])
+    if (ineq is None and ledger.witness_meets_rows
+            and np.array_equal(anchor, w) and np.array_equal(eq.A @ w, eq.b)):
+        u_star, delta, iterations = w, 0.0, 0
+    else:
+        u_star, delta, iterations = _level_optimum(ledger, eq, C, d,
+                                                   slack_coef, anchor)
+
+    if eq is not None:
+        ledger.A_eq = np.vstack([ledger.A_eq, eq.A])
+        ledger.b_eq = np.concatenate([ledger.b_eq, eq.A @ u_star])
+        ledger._pending_kernels.append(eq.A)
+    if ineq is not None:
+        ledger.A_in = C
+        ledger.b_in = d if slack_coef is None else np.concatenate(
+            [ledger.b_in, ineq.b - slack_coef * delta])
+
+    ledger.level += 1
+    ledger.witness = u_star
+    ledger.records.append(LevelRecord(level=ledger.level, u=u_star,
+                                      delta=delta, iterations=iterations))
+    return u_star, delta, ledger
+
+
+def _level_optimum(ledger: StageLedger, eq: Task | None, C: Array, d: Array,
+                   slack_coef: Array | None, anchor: Array
+                   ) -> tuple[Array, float, int]:
+    """The next level's (u_star, delta_star, iterations): the optimum of
+    its QP over u = w + Z y and its slack, under the rows
+    C u + c delta >= d (the ledger's, then the level's)."""
+    w, Z = ledger.witness, ledger.Z
+    k = Z.shape[1]
+    dim = k + (1 if slack_coef is not None else 0)
+    level = ledger.level + 1
 
     # The same rows on the search space: A_in y >= b_in. The witness
     # meets every ledger row within FEAS_TOL, and a ledger row it misses
@@ -310,7 +358,7 @@ def solve_level(ledger: StageLedger, spec: LevelSpec, anchor: Array
     # empties the level. Stage 0's witness may break the strict rows by
     # more; the first level then meets them as they are.
     A_in, b_in = C @ Z, d - C @ w
-    if ledger.level or not ledger.phase1_used:
+    if ledger.witness_meets_rows:
         m = ledger.b_in.shape[0]
         b_in[:m] = np.minimum(b_in[:m], 0.0)
 
@@ -319,7 +367,8 @@ def solve_level(ledger: StageLedger, spec: LevelSpec, anchor: Array
     # space.
     H = np.zeros((dim, dim))
     f = np.zeros(dim)
-    if AZ is not None:
+    if eq is not None:
+        AZ = eq.A @ Z
         H[:k, :k] = AZ.T @ AZ
         f[:k] = -AZ.T @ (eq.b - eq.A @ w)
     if slack_coef is not None:
@@ -331,7 +380,6 @@ def solve_level(ledger: StageLedger, spec: LevelSpec, anchor: Array
     y_anchor = np.zeros(dim)
     y_anchor[:k] = Z.T @ (anchor - w)
 
-    level = ledger.level + 1
     iterations = 0
     if dim == 0:
         # No free direction is left: the witness is the only candidate.
@@ -353,24 +401,8 @@ def solve_level(ledger: StageLedger, spec: LevelSpec, anchor: Array
         if sol.status != "optimal":
             raise CascadeInfeasibleError(level, sol.status)
         y, iterations = sol.z_star, sol.iterations
-    u_star = w + Z @ y[:k]
     delta = float(y[k]) if slack_coef is not None else 0.0
-
-    if eq is not None:
-        ledger.A_eq = np.vstack([ledger.A_eq, eq.A])
-        ledger.b_eq = np.concatenate([ledger.b_eq, eq.A @ u_star])
-        if k:
-            ledger._Z_kernel_of = AZ
-    if ineq is not None:
-        ledger.A_in = C
-        ledger.b_in = d if slack_coef is None else np.concatenate(
-            [ledger.b_in, ineq.b - slack_coef * delta])
-
-    ledger.level = level
-    ledger.witness = u_star
-    ledger.records.append(LevelRecord(level=level, u=u_star, delta=delta,
-                                      iterations=iterations))
-    return u_star, delta, ledger
+    return w + Z @ y[:k], delta, iterations
 
 
 def run_cascade(strict_tasks: list[Task], levels: list[LevelSpec],

@@ -22,7 +22,10 @@ that row leaves the active set (the dual ratio test). A problem whose
 minimizer already meets every row returns it after 0 iterations. A
 violated row that admits neither a primal step (it depends on the active
 rows) nor a dual step (no active multiplier bounds it) proves the rows
-inconsistent, and the solve ends 'infeasible'.
+inconsistent, and the solve ends 'infeasible'. When the regularized
+minimizer is the origin, there are no equality rows and no row is broken
+there, `solve_qp` returns the origin without factoring G: the answer the
+method gives at iterate 0.
 """
 
 from __future__ import annotations
@@ -219,10 +222,11 @@ def _dual_core(G: Array, g: Array, A: Array, b: Array, m_e: int):
 def solve_qp(problem: QpProblem, anchor: Array | None = None) -> QpSolution:
     """Solve the QP; `anchor` centers the Tikhonov term (the origin when
     None), and the regularized minimizer is the method's start. An
-    anchor that is not a finite (n,) vector is refused."""
+    anchor that is not a finite (n,) vector is refused. When that start
+    is z = 0 (g = f - 2 REG anchor is exactly zero), there are no
+    equality rows and every row meets b_in <= ADD_TOL (1 + |b_in|), the
+    answer is z = 0 after 0 iterations, and G is never formed."""
     n = problem.n
-    G = problem.H.copy()
-    G.flat[::n + 1] += 2.0 * REG
     g = problem.f
     if anchor is not None:
         anchor = np.asarray(anchor, dtype=float)
@@ -231,9 +235,15 @@ def solve_qp(problem: QpProblem, anchor: Array | None = None) -> QpSolution:
         g = g - 2.0 * REG * anchor
     m_e = problem.A_eq.shape[0]
     A, b = problem.A_in, problem.b_in
+    if not m_e and not g.any() and (b <= ADD_TOL * (1.0 + np.abs(b))).all():
+        # _dual_core's iterate-0 test at its start z = 0: no row to add
+        return QpSolution(z_star=np.zeros(n), status="optimal", iterations=0,
+                          working=[], multipliers=np.zeros(0))
     if m_e:
         A = np.vstack([problem.A_eq, A])
         b = np.concatenate([problem.b_eq, b])
+    G = problem.H.copy()
+    G.flat[::n + 1] += 2.0 * REG
     z, status, iters, work, u = _dual_core(G, g, A, b, m_e)
     return QpSolution(z_star=z, status=status, iterations=iters,
                       working=work, multipliers=u)

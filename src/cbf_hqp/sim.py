@@ -327,8 +327,9 @@ def run_scenario(scenario: Scenario, model: RobotModel | None = None,
                      records=records, fault=fault, fault_reason=reason)
 
 
-def csv_filename(result: SimResult) -> str:
-    return f"{result.scenario_name}_{result.mode}_gamma{result.gamma:g}.csv"
+def csv_filename(scenario_name: str, mode: str, gamma: float) -> str:
+    """The CSV name of one grid cell."""
+    return f"{scenario_name}_{mode}_gamma{gamma:g}.csv"
 
 
 def _columns(n: int) -> list[str]:

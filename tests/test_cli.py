@@ -105,6 +105,18 @@ class TestRun:
             "step_single_qp_gamma1", "step_single_qp_gamma20",
             "step_hqp_safety_gamma1", "step_hqp_safety_gamma20"]
 
+    @pytest.mark.parametrize("modes, gammas", [
+        ("single_qp,single_qp", "5"), ("single_qp", "5,5.0000001")])
+    def test_cells_sharing_a_csv_name_exit_one_naming_it(
+            self, tmp_path, capsys, modes, gammas):
+        # gamma is written with :g, so 5 and 5.0000001 share a file name
+        rc = run_cli("run", "--scenario", "step", "--mode", modes,
+                     "--gamma", gammas, "--duration", "0.01",
+                     "--out", str(tmp_path))
+        assert rc == 1
+        assert "step_single_qp_gamma5.csv" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_single_worker_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CBF_HQP_THREADS", "1")
         rc = run_cli("run", "--scenario", "sine", "--duration", "0.01",

@@ -423,6 +423,80 @@ class TestCascadeProperties:
             assert all(r.delta == 0.0 for r in res.records)
 
 
+def counted(monkeypatch, name):
+    """Wrap hqp.<name> so that each call is appended to the list returned."""
+    calls = []
+    real = getattr(hqp, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hqp, name, wrapper)
+    return calls
+
+
+class TestPassThroughLevels:
+    """An equality level met exactly at its witness, with the anchor at
+    that witness and no inequality task, returns the witness without a
+    QP and forms no kernel; the kernels it leaves are formed, in order,
+    by the first later level that reads Z."""
+
+    def test_safety_shaped_cascade_forms_no_kernel(self, rng, monkeypatch):
+        kernels = counted(monkeypatch, "_kernel")
+        solves = counted(monkeypatch, "solve_qp")
+        n = 7
+        for k in range(50):
+            u_nom = rng.normal(size=n) * 3.0
+            strict, _ = random_strict(rng, n)
+            strict = Task(kind="ineq", A=strict.A,
+                          b=strict.A @ u_nom - rng.uniform(0.0, 1.0,
+                                                           size=strict.b.shape[0]),
+                          label="strict")
+            e = rng.normal(size=(1, n))
+            energy = Task(kind="ineq", A=e, b=e @ u_nom - rng.uniform(0.0, 1.0),
+                          label="energy", slack=[1.0])
+            W, V = rng.normal(size=(6, n)), rng.normal(size=(1, n))
+            levels = [LevelSpec(inequality=energy),
+                      LevelSpec(equality=Task(kind="eq", A=W, b=W @ u_nom,
+                                              label="task_wrench")),
+                      LevelSpec(equality=Task(kind="eq", A=V, b=V @ u_nom,
+                                              label="nullspace"))]
+            res = run_cascade([strict], levels, u_nom)
+            assert np.array_equal(res.u_final, u_nom), f"cascade {k}"
+            assert [r.iterations for r in res.records] == [0, 0, 0]
+            assert (len(kernels), len(solves)) == (0, 1), f"cascade {k}"
+            solves.clear()
+
+    def test_later_level_reads_the_sequential_kernel(self, rng, monkeypatch):
+        kernel = hqp._kernel
+        kernels = counted(monkeypatch, "_kernel")
+        for k in range(50):
+            n = int(rng.integers(3, 7))
+            u_nom = rng.normal(size=n)
+            strict, _ = random_strict(rng, n)
+            strict = Task(kind="ineq", A=strict.A, b=strict.A @ u_nom - 0.5,
+                          label="strict")
+            A1 = rng.normal(size=(int(rng.integers(1, n - 1)), n))
+            A2 = rng.normal(size=(1, n))
+            ledger = init_stage0([strict], witness=u_nom)
+            for A in (A1, A2):
+                u, _, ledger = solve_level(ledger, LevelSpec(equality=Task(
+                    kind="eq", A=A, b=A @ u_nom, label="pin")), u_nom)
+                assert np.array_equal(u, u_nom)
+            assert kernels == []
+            C = rng.normal(size=(2, n))
+            solve_level(ledger, LevelSpec(inequality=Task(
+                kind="ineq", A=C, b=C @ u_nom + 1.0, label="push",
+                slack=[1.0, 1.0])), u_nom)
+            Z0 = np.eye(n)
+            Z1 = Z0 @ kernel(A1 @ Z0)
+            Z2 = Z1 @ kernel(A2 @ Z1)
+            assert np.array_equal(ledger.Z, Z2), f"cascade {k}"
+            assert len(kernels) == 2
+            kernels.clear()
+
+
 def pin_level(ledger, E):
     """The ledger after a level that pins E u = E w at its witness w:
     the level returns w itself and leaves Z = ker(E)."""

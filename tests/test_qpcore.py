@@ -12,7 +12,8 @@ from oracles import (
     random_problem,
 )
 
-from cbf_hqp.qpcore import FEAS_TOL, QpProblem, solve_qp
+from cbf_hqp import qpcore
+from cbf_hqp.qpcore import ADD_TOL, FEAS_TOL, REG, QpProblem, solve_qp
 
 
 def kkt_residual(problem, sol):
@@ -187,6 +188,88 @@ class TestHandCases:
         p = QpProblem(H=2 * np.eye(2), f=[0.0, 0.0],
                       A_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[0.0, 1.0])
         assert solve_qp(p).status == "infeasible"
+
+
+class TestZeroStartExit:
+    """When g = f - 2 REG anchor is exactly zero, there are no equality
+    rows and every row meets b <= ADD_TOL (1 + |b|), solve_qp returns
+    z = 0 without running the dual method; the method itself would stop
+    there at iterate 0."""
+
+    @staticmethod
+    def counted_core(monkeypatch):
+        calls = []
+
+        def core(G, g, A, b, m_e):
+            calls.append(m_e)
+            return real_core(G, g, A, b, m_e)
+
+        real_core = qpcore._dual_core
+        monkeypatch.setattr(qpcore, "_dual_core", core)
+        return calls
+
+    @staticmethod
+    def zero_start_problem(rng, b_in, A_eq=None, b_eq=None):
+        n = int(rng.integers(2, 7))
+        G = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+        anchor = rng.normal(size=n)
+        p = QpProblem(H=G.T @ G, f=2.0 * REG * anchor,
+                      A_in=rng.normal(size=(b_in.shape[0], n)), b_in=b_in,
+                      A_eq=None if A_eq is None else A_eq(n), b_eq=b_eq)
+        return p, anchor
+
+    @staticmethod
+    def direct_core(p, anchor):
+        G = p.H + 2.0 * REG * np.eye(p.n)
+        return qpcore._dual_core(G, p.f - 2.0 * REG * anchor, p.A_in,
+                                 p.b_in, 0)
+
+    def test_matches_the_dual_method_field_for_field(self, rng, monkeypatch):
+        calls = self.counted_core(monkeypatch)
+        banded = 0
+        for k in range(200):
+            m = int(rng.integers(0, 8))
+            # rows slack, tight, broken within the ADD_TOL band, or binding
+            # nothing
+            kind = rng.integers(0, 4, size=m)
+            b = np.select([kind == 0, kind == 1, kind == 2],
+                          [-rng.uniform(0.01, 1.0, size=m), 0.0,
+                           rng.uniform(0.0, ADD_TOL, size=m)], -np.inf)
+            banded += int((kind == 2).sum())
+            p, anchor = self.zero_start_problem(rng, b)
+            sol = solve_qp(p, anchor=anchor)
+            assert calls == [], f"problem {k}"
+            z, status, iters, work, u = self.direct_core(p, anchor)
+            calls.clear()
+            assert np.all(sol.z_star == z), f"problem {k}"
+            assert (sol.status, sol.iterations, sol.working) \
+                == (status, iters, work) == ("optimal", 0, [])
+            assert np.array_equal(sol.multipliers, u)
+        assert banded > 20
+
+    def test_row_broken_past_the_band_goes_to_the_dual_method(
+            self, rng, monkeypatch):
+        calls = self.counted_core(monkeypatch)
+        for k in range(50):
+            b = np.full(int(rng.integers(1, 5)), -1.0)
+            b[0] = ADD_TOL * (1.0 + 1e-6)  # > ADD_TOL (1 + |b|)
+            p, anchor = self.zero_start_problem(rng, b)
+            sol = solve_qp(p, anchor=anchor)
+            assert calls == [0], f"problem {k}"
+            assert sol.status == "optimal" and sol.iterations >= 1
+            calls.clear()
+
+    def test_equality_rows_go_to_the_dual_method(self, rng, monkeypatch):
+        calls = self.counted_core(monkeypatch)
+        for k in range(50):
+            m_e = int(rng.integers(1, 3))
+            p, anchor = self.zero_start_problem(
+                rng, np.full(2, -1.0),
+                A_eq=lambda n: rng.normal(size=(m_e, n)), b_eq=np.zeros(m_e))
+            sol = solve_qp(p, anchor=anchor)
+            assert calls == [m_e], f"problem {k}"
+            assert sol.status == "optimal" and sol.iterations == m_e
+            calls.clear()
 
 
 class TestValidation:

@@ -455,7 +455,9 @@ class TestRollout:
 
 class TestCsv:
     def test_filename_encodes_scenario_mode_gamma(self, hold_result):
-        assert csv_filename(hold_result) == "hold_hqp_performance_gamma5.csv"
+        assert csv_filename(hold_result.scenario_name, hold_result.mode,
+                            hold_result.gamma) \
+            == "hold_hqp_performance_gamma5.csv"
 
     def test_schema_and_roundtrip(self, tmp_path, hold_result):
         path = write_csv(hold_result, tmp_path / "out.csv")
