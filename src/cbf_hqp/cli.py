@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import control
-from .dynamics import ModelError, jacobian, forward_kinematics, mass_matrix
-from .dynamics import dynamics_terms
+from .dynamics import ModelError, compute_state
 from .sim import (ScenarioError, audit, bundled_scenario_path, csv_filename,
                   load_scenario_file, resolve_model, run_scenario, write_csv)
 
@@ -140,30 +139,28 @@ def cmd_check(model_ref: str, seed: int, n_states: int = 50) -> int:
     for _ in range(n_states):
         q = rng.uniform(model.q_min, model.q_max)
         qd = rng.uniform(-1.0, 1.0, model.n_joints) * model.v_max
-        M, C, _ = dynamics_terms(model, q, qd)
+        state = compute_state(model, q, qd)
 
         worst["mass-symmetry"] = max(worst["mass-symmetry"],
-                                     np.max(np.abs(M - M.T)))
+                                     np.max(np.abs(state.M - state.M.T)))
         worst["mass-positive-definite"] = min(
-            worst["mass-positive-definite"], np.linalg.eigvalsh(M)[0])
+            worst["mass-positive-definite"], np.linalg.eigvalsh(state.M)[0])
 
         h = 1e-6
-        dM = (mass_matrix(model, q + h * qd)
-              - mass_matrix(model, q - h * qd)) / (2.0 * h)
-        skew = (dM - 2.0 * C) + (dM - 2.0 * C).T
+        dM = (compute_state(model, q + h * qd, qd).M
+              - compute_state(model, q - h * qd, qd).M) / (2.0 * h)
+        skew = (dM - 2.0 * state.C) + (dM - 2.0 * state.C).T
         worst["coriolis-skew"] = max(worst["coriolis-skew"],
                                      np.max(np.abs(skew)))
 
-        J = jacobian(model, q)
         fd = np.zeros((3, model.n_joints))
         for i in range(model.n_joints):
             e = np.zeros(model.n_joints)
             e[i] = 1e-7
-            pp, _ = forward_kinematics(model, q + e)
-            pm, _ = forward_kinematics(model, q - e)
-            fd[:, i] = (pp - pm) / 2e-7
+            fd[:, i] = (compute_state(model, q + e, qd).ee_pos
+                        - compute_state(model, q - e, qd).ee_pos) / 2e-7
         worst["jacobian-fd"] = max(worst["jacobian-fd"],
-                                   np.max(np.abs(J[:3] - fd)))
+                                   np.max(np.abs(state.J[:3] - fd)))
 
     limits = {"mass-symmetry": 1e-10, "coriolis-skew": 1e-6,
               "jacobian-fd": 1e-5}
@@ -233,7 +230,7 @@ def main(argv=None) -> int:
                            duration=args.duration, out_dir=Path(args.out))
             return cmd_run(spec)
         return cmd_check(args.model, args.seed)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (ModelError, ScenarioError, ValueError) as exc:

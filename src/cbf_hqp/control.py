@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import RobotModel, RobotState
+from .dynamics import RobotState
 from .hqp import CascadeInfeasibleError, LevelSpec, S0EmptyError, run_cascade
 from .tasks import (
     CbfParams,
@@ -122,14 +122,16 @@ class ImpedanceParams:
         return K
 
 
-def check_strict_families(families: tuple[str, ...]) -> None:
+def check_strict_families(families: tuple[str, ...], cbf: CbfParams) -> None:
     """Raise ValueError unless each family is one of STRICT_FAMILIES and
-    is named once."""
+    is named once, and cbf configures the plane when 'plane' is named."""
     for i, fam in enumerate(families):
         if fam not in STRICT_FAMILIES:
             raise ValueError(f"unknown strict family '{fam}'")
         if fam in families[:i]:
             raise ValueError(f"strict family '{fam}' is named twice")
+    if "plane" in families and cbf.plane_normal is None:
+        raise ValueError("strict family 'plane' needs cbf.plane_normal")
 
 
 @dataclass
@@ -155,7 +157,7 @@ class ControllerState:
             raise ValueError(f"mode must be one of {MODES}")
         if self.delta_prev < 0.0:
             raise ValueError("delta_prev must be >= 0")
-        check_strict_families(self.strict_families)
+        check_strict_families(self.strict_families, self.cbf)
 
 
 @dataclass
@@ -279,8 +281,7 @@ def wrench_deviation(state: RobotState, u: Array, u_nom: Array,
     return lam @ (state.J @ (state.M_inv @ (u - u_nom)))
 
 
-def build_strict_tasks(model: RobotModel, state: RobotState,
-                       ctrl: ControllerState,
+def build_strict_tasks(state: RobotState, ctrl: ControllerState,
                        tau_ext: Array | None) -> list[Task]:
     """The hard rows the controller enforces at every priority level, in
     the order ctrl.strict_families names them; the one acceleration task
@@ -289,11 +290,11 @@ def build_strict_tasks(model: RobotModel, state: RobotState,
     tasks = []
     for fam in ctrl.strict_families:
         if fam == "torque":
-            tasks.append(torque_limit_rows(model))
+            tasks.append(torque_limit_rows(state.model))
         elif fam == "plane":
-            tasks.append(collision_plane_rows(state, ctrl.cbf, model, tau_ext))
+            tasks.append(collision_plane_rows(state, ctrl.cbf, tau_ext))
         elif not any(t.label == "acceleration" for t in tasks):
-            tasks.append(acceleration_rows(state, ctrl.cbf, model,
+            tasks.append(acceleration_rows(state, ctrl.cbf,
                                            ctrl.strict_families, tau_ext))
     return tasks
 
@@ -305,15 +306,14 @@ def _levels_for_mode(mode: str, u_nom: Array, energy: Task,
     ||W x|| = ||P x|| and |V x| = ||N x||, so task_wrench and nullspace
     minimize P, N (u - u_nom). single_qp tracks u_nom itself."""
     if mode == "single_qp":
-        track = Task(kind="eq", A=np.eye(u_nom.shape[0]), b=u_nom,
+        track = Task(A=np.eye(u_nom.shape[0]), b=u_nom,
                      label="torque_tracking")
-        hard_energy = Task(kind="ineq", A=energy.A, b=energy.b,
-                           label=energy.label, slack=None,
+        hard_energy = Task(A=energy.A, b=energy.b, label=energy.label,
                            row_labels=list(energy.row_labels))
         return [LevelSpec(equality=track, inequality=hard_energy)]
     W, V = task_rows(state, lam, z)
-    cartesian = Task(kind="eq", A=W, b=W @ u_nom, label="task_wrench")
-    nullspace = Task(kind="eq", A=V, b=V @ u_nom, label="nullspace")
+    cartesian = Task(A=W, b=W @ u_nom, label="task_wrench")
+    nullspace = Task(A=V, b=V @ u_nom, label="nullspace")
     if mode == "hqp_performance":
         return [LevelSpec(equality=cartesian),
                 LevelSpec(inequality=energy),
@@ -323,7 +323,7 @@ def _levels_for_mode(mode: str, u_nom: Array, energy: Task,
             LevelSpec(equality=nullspace)]
 
 
-def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
+def step(state: RobotState, ctrl: ControllerState,
          tau_ext: Array | None = None) -> tuple[Array, StepInfo]:
     """Run one control period: nominal law, safety filter, bookkeeping.
 
@@ -344,7 +344,7 @@ def step(model: RobotModel, state: RobotState, ctrl: ControllerState,
 
     energy = energy_cbf_row(state, ctrl.cbf, tau_ext=tau_ext,
                             delta_prev=ctrl.delta_prev)
-    strict = build_strict_tasks(model, state, ctrl, tau_ext)
+    strict = build_strict_tasks(state, ctrl, tau_ext)
     levels = _levels_for_mode(ctrl.mode, u_nom, energy, state, lam, z)
 
     fault = False

@@ -42,9 +42,10 @@ evaluations of the mass-matrix assembly, one per joint, and C qd equals
 h to roundoff. Gravity is g(q) = -sum_i m_i Jv_i^T g_vec, the exact
 gradient of the potential for the same model.
 
-All public entry points accept plain array-likes and return float64
-arrays. RobotState bundles the per-configuration quantities the
-controller needs and marks its arrays read-only.
+compute_state is the one evaluator of the dynamics: it accepts plain
+array-likes and returns a RobotState that bundles, as read-only float64
+arrays, every per-configuration quantity the controller, the integrator
+and `cbf-hqp check` read, together with the model it was built from.
 """
 
 from __future__ import annotations
@@ -339,11 +340,6 @@ def _mass_matrix_batched(model: RobotModel, T: Array, jac=None) -> Array:
     return np.swapaxes(Gv, -1, -2) @ Gv + np.swapaxes(Gw, -1, -2) @ Gw
 
 
-def _gravity_from_jv(model: RobotModel, Jv_real: Array) -> Array:
-    # g(q) = -sum_l m_l Jv_l^T g_vec, the exact potential gradient.
-    return -(model._mg @ Jv_real.reshape(-1, model.n_joints))
-
-
 def _ee_terms(model: RobotModel, T: Array):
     """End-effector pose (4x4) and 6xn geometric Jacobian, batched."""
     T_ee = T[:, -1] @ model.ee_transform
@@ -378,33 +374,6 @@ def _quat_from_rot(R: Array) -> Array:
     if q[0] < 0.0:
         q = -q
     return q / np.linalg.norm(q)
-
-
-def forward_kinematics(model: RobotModel, q) -> tuple[Array, Array]:
-    """End-effector position (3,) and orientation quaternion (w, x, y, z)."""
-    q = np.asarray(q, dtype=float).reshape(1, -1)
-    T = _chain(model, q)
-    T_ee = (T[:, -1] @ model.ee_transform)[0]
-    return T_ee[:3, 3].copy(), _quat_from_rot(T_ee[:3, :3])
-
-
-def jacobian(model: RobotModel, q) -> Array:
-    """Geometric end-effector Jacobian, rows [v; w], shape (6, n)."""
-    q = np.asarray(q, dtype=float).reshape(1, -1)
-    T = _chain(model, q)
-    _, J = _ee_terms(model, T)
-    return J[0]
-
-
-def mass_matrix(model: RobotModel, q) -> Array:
-    q = np.asarray(q, dtype=float).reshape(1, -1)
-    return _mass_matrix_batched(model, _chain(model, q))[0]
-
-
-def gravity_torque(model: RobotModel, q) -> Array:
-    q = np.asarray(q, dtype=float).reshape(1, -1)
-    Jv, _ = _link_jacobians(model, _chain(model, q))
-    return _gravity_from_jv(model, Jv[0])
 
 
 def jacobian_rate(model: RobotModel, q, qd) -> Array:
@@ -447,17 +416,6 @@ def _coriolis_matrix(model: RobotModel, q: Array, qd: Array) -> Array:
     Q = q + 1j * _CSTEP * np.eye(model.n_joints)
     dM = _mass_matrix_batched(model, _chain(model, Q)).imag / _CSTEP
     return _coriolis_from_partials(dM, qd)
-
-
-def dynamics_terms(model: RobotModel, q, qd) -> tuple[Array, Array, Array]:
-    """Mass matrix, Coriolis matrix, and gravity torque at (q, qd)."""
-    state = compute_state(model, q, qd)
-    return state.M, state.C, state.g
-
-
-def kinetic_energy(model: RobotModel, q, qd) -> float:
-    qd = np.asarray(qd, dtype=float)
-    return float(0.5 * qd @ mass_matrix(model, q) @ qd)
 
 
 @dataclass(frozen=True)
@@ -523,7 +481,8 @@ def compute_state(model: RobotModel, q, qd) -> RobotState:
     Jv, Jw = _link_jacobians(model, T)
     T0 = T[:1].real
     M = _mass_matrix_batched(model, T0, jac=(Jv[:1].real, Jw[:1].real))[0]
-    g = _gravity_from_jv(model, Jv[0].real)
+    # g(q) = -sum_l m_l Jv_l^T g_vec, the exact potential gradient.
+    g = -(model._mg @ Jv[0].real.reshape(-1, model.n_joints))
     T_ee, J = _ee_terms(model, T0)
     return RobotState(q=q, qd=qd, M=M, h=_bias_torque(model, T, Jv, Jw, qd),
                       g=g, M_inv=np.linalg.inv(M), J=J[0],

@@ -88,7 +88,6 @@ class LevelRecord:
     """What one priority level did: its optimum u, its slack delta and
     the active-set iterations (0 for a level solved in closed form or
     whose unconstrained minimizer meets every row)."""
-    level: int
     u: Array
     delta: float
     iterations: int
@@ -170,17 +169,14 @@ class StageLedger:
 
 @dataclass(frozen=True)
 class LevelSpec:
-    """One priority level: an equality task, an inequality task, or both."""
+    """One priority level: an equality task, whose rows read A u = b, an
+    inequality task, whose rows read A u (+ c delta) >= b, or both."""
     equality: Task | None = None
     inequality: Task | None = None
 
     def __post_init__(self):
         if self.equality is None and self.inequality is None:
             raise ValueError("a level needs at least one task")
-        if self.equality is not None and self.equality.kind != "eq":
-            raise ValueError("equality slot holds a task of kind 'ineq'")
-        if self.inequality is not None and self.inequality.kind != "ineq":
-            raise ValueError("inequality slot holds a task of kind 'eq'")
 
 
 @dataclass
@@ -246,10 +242,10 @@ def _least_infeasible(ledger: StageLedger, anchor: Array
 
 
 def init_stage0(strict_tasks: list[Task], witness: Array) -> StageLedger:
-    """Install the non-negotiable rows: hard inequality tasks only, so
-    an equality task, a task with slack or a task whose column count
-    differs from the witness's length is refused, and so is a witness
-    that is not a finite 1-D vector.
+    """Install the non-negotiable rows. Every strict task's rows read
+    A u >= b and must be hard, so a task with slack or a task whose
+    column count differs from the witness's length is refused, and so is
+    a witness that is not a finite 1-D vector.
 
     The witness torque (inside a control loop, u_nom) sets n and becomes
     the ledger's witness as it is; phase1_used records that it breaks a
@@ -263,8 +259,6 @@ def init_stage0(strict_tasks: list[Task], witness: Array) -> StageLedger:
     n = w.shape[0]
     tasks = list(strict_tasks)
     for t in tasks:
-        if t.kind != "ineq":
-            raise ValueError(f"strict task '{t.label}' is an equality task")
         if _slack_of(t) is not None:
             raise ValueError(
                 f"strict task '{t.label}' carries slack coefficients")
@@ -336,8 +330,8 @@ def solve_level(ledger: StageLedger, spec: LevelSpec, anchor: Array
 
     ledger.level += 1
     ledger.witness = u_star
-    ledger.records.append(LevelRecord(level=ledger.level, u=u_star,
-                                      delta=delta, iterations=iterations))
+    ledger.records.append(LevelRecord(u=u_star, delta=delta,
+                                      iterations=iterations))
     return u_star, delta, ledger
 
 

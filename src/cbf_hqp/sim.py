@@ -190,21 +190,21 @@ def load_scenario(text: str) -> Scenario:
                       "controller.k_trans")
     k_rot = _vector(ctl.get("k_rot", (50.0, 50.0, 50.0)), 3, "controller.k_rot")
 
-    cbf_raw = _section(raw, "cbf", _field_names(CbfParams), {})
-    cbf_raw.setdefault("dt", dt)
+    # the barrier's slack rate uses the scenario's one control period dt
+    cbf_raw = _section(raw, "cbf", _field_names(CbfParams) - {"dt"}, {})
     for key, v in cbf_raw.items():
         if key != "plane_normal":
             cbf_raw[key] = _scalar(v, f"cbf.{key}")
         elif v is not None:
             cbf_raw[key] = _vector(v, 3, "cbf.plane_normal")
-    cbf = CbfParams(**cbf_raw)
+    cbf = CbfParams(**cbf_raw, dt=dt)
 
     fams = raw.get("strict_families", ["torque", "velocity", "position"])
     if not isinstance(fams, list):
         raise ScenarioError("strict_families must be a list")
     strict_families = tuple(str(f) for f in fams)
     try:
-        control.check_strict_families(strict_families)
+        control.check_strict_families(strict_families, cbf)
     except ValueError as exc:
         raise ScenarioError(f"strict_families: {exc}") from None
 
@@ -243,7 +243,7 @@ def resolve_model(name_or_path: str) -> RobotModel:
     return load_bundled_model(name_or_path)
 
 
-def integrate_step(model: RobotModel, state: RobotState, u_applied: Array,
+def integrate_step(state: RobotState, u_applied: Array,
                    wrench: Array | None = None, dt: float = 1e-3) -> RobotState:
     """One semi-implicit Euler step under held torque and wrench."""
     tau = np.asarray(u_applied, dtype=float)
@@ -254,7 +254,7 @@ def integrate_step(model: RobotModel, state: RobotState, u_applied: Array,
     q_next = state.q + dt * qd_next
     if not (np.isfinite(q_next).all() and np.isfinite(qd_next).all()):
         raise SimulationFault("state became non-finite")
-    return compute_state(model, q_next, qd_next)
+    return compute_state(state.model, q_next, qd_next)
 
 
 def run_scenario(scenario: Scenario, model: RobotModel | None = None,
@@ -310,14 +310,14 @@ def run_scenario(scenario: Scenario, model: RobotModel | None = None,
         ctrl.impedance = impedance_at(t)
         wrench = scenario.wrench.at(t)
         tau_ext = state.J.T @ wrench if wrench is not None else None
-        u, info = control.step(model, state, ctrl, tau_ext)
+        u, info = control.step(state, ctrl, tau_ext)
         records.append(LogRecord(**vars(info), t=t, q=state.q, qd=state.qd))
         if info.fault:
             fault = True
             reason = info.fault_reason
             break
         try:
-            state = integrate_step(model, state, u, wrench, dt)
+            state = integrate_step(state, u, wrench, dt)
         except SimulationFault as exc:
             fault = True
             reason = str(exc)

@@ -88,12 +88,13 @@ class CbfParams:
 class Task:
     """A block of rows for the torque QP.
 
-    kind "eq" encodes A u = b; kind "ineq" encodes A u >= b. For
-    inequality rows, slack holds the per-row coefficient of the level's
-    relaxation variable (A u + slack * delta >= b); None means the rows
-    are hard everywhere, including inside a prioritized level.
+    The slot a task fills says what its rows mean: in a level's equality
+    slot they read A u = b; in its inequality slot, and at stage 0, they
+    read A u >= b. For inequality rows, slack holds the per-row
+    coefficient of the level's relaxation variable
+    (A u + slack * delta >= b); None means the rows are hard everywhere,
+    including inside a prioritized level.
     """
-    kind: str
     A: Array
     b: Array
     label: str
@@ -103,8 +104,6 @@ class Task:
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.b = np.asarray(self.b, dtype=float).reshape(-1)
-        if self.kind not in ("eq", "ineq"):
-            raise ValueError("kind must be 'eq' or 'ineq'")
         if self.A.shape[0] != self.b.shape[0]:
             raise ValueError("A and b row counts disagree")
         if self.slack is not None:
@@ -149,8 +148,7 @@ def energy_cbf_row(state: RobotState, params: CbfParams,
         + qd @ (te - state.g)
     ])
     c = np.array([params.gamma + 1.0 / params.dt])
-    return Task(kind="ineq", A=A, b=b, label="energy", slack=c,
-                row_labels=["energy"])
+    return Task(A=A, b=b, label="energy", slack=c, row_labels=["energy"])
 
 
 def torque_limit_rows(model: RobotModel) -> Task:
@@ -166,14 +164,15 @@ def torque_limit_rows(model: RobotModel) -> Task:
         b = np.concatenate([-model.tau_max, -model.tau_max])
         labels = [f"torque_min[{i}]" for i in range(n)] + \
                  [f"torque_max[{i}]" for i in range(n)]
-        task = Task(kind="ineq", A=A, b=b, label="torque", row_labels=labels)
+        task = Task(A=A, b=b, label="torque", row_labels=labels)
         task.A.flags.writeable = task.b.flags.writeable = False
         model._torque_rows = task
     return task
 
 
 def _family_bounds(state: RobotState, params: CbfParams,
-                   model: RobotModel, family: str) -> tuple[Array, Array]:
+                   family: str) -> tuple[Array, Array]:
+    model = state.model
     if family == "velocity":
         g = params.gamma_velocity
         return -g * (state.qd + model.v_max), g * (model.v_max - state.qd)
@@ -183,8 +182,7 @@ def _family_bounds(state: RobotState, params: CbfParams,
             p * (model.q_max - state.q) - s * state.qd)
 
 
-def acceleration_rows(state: RobotState, params: CbfParams,
-                      model: RobotModel, families,
+def acceleration_rows(state: RobotState, params: CbfParams, families,
                       tau_ext: Array | None = None) -> Task:
     """The bounds lo <= qdd <= hi the named barrier families put on this
     period's joint acceleration qdd = M^-1 (u + w), w = tau_ext - h - g,
@@ -198,7 +196,7 @@ def acceleration_rows(state: RobotState, params: CbfParams,
     must name velocity or position.
     """
     named = [f for f in families if f in ("velocity", "position")]
-    bounds = [_family_bounds(state, params, model, f) for f in named]
+    bounds = [_family_bounds(state, params, f) for f in named]
     lo0, hi0 = lo, hi = bounds[0]
     for f_lo, f_hi in bounds[1:]:
         lo, hi = np.maximum(lo, f_lo), np.minimum(hi, f_hi)
@@ -209,13 +207,12 @@ def acceleration_rows(state: RobotState, params: CbfParams,
              [f"{prefix[k]}_min[{i}]"
               for i, k in enumerate((lo0 < lo).tolist())]
     a = state.M_inv @ _drift_torque(state, tau_ext)
-    return Task(kind="ineq", A=np.vstack([-state.M_inv, state.M_inv]),
+    return Task(A=np.vstack([-state.M_inv, state.M_inv]),
                 b=np.concatenate([a - hi, lo - a]),
                 label="acceleration", row_labels=labels)
 
 
 def collision_plane_rows(state: RobotState, params: CbfParams,
-                         model: RobotModel,
                          tau_ext: Array | None = None) -> Task:
     """Keep the end effector on the positive side of the configured
     plane: h = n.p_ee - offset - d_min >= 0, relative degree two.
@@ -230,10 +227,10 @@ def collision_plane_rows(state: RobotState, params: CbfParams,
     h = float(n_vec @ state.ee_pos) - params.plane_offset - params.d_min
     hd = float(n_vec @ (Jv @ state.qd))
 
-    Jdot_qd = jacobian_rate(model, state.q, state.qd)[:3]
+    Jdot_qd = jacobian_rate(state.model, state.q, state.qd)[:3]
 
     l1, l2 = params.lambda1, params.lambda2
     row = n_vec @ Jv @ state.M_inv
     b = (-n_vec @ Jdot_qd - (l1 + l2) * hd - l1 * l2 * h - row @ w)
-    return Task(kind="ineq", A=row[None, :], b=np.array([b]),
+    return Task(A=row[None, :], b=np.array([b]),
                 label="plane", row_labels=["plane"])

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from cbf_hqp.control import task_space_inertia
-from cbf_hqp.dynamics import RobotModel, RobotState, compute_state
+from cbf_hqp.dynamics import RobotState, compute_state
 from cbf_hqp.hqp import RHO, LevelSpec
 from cbf_hqp.qpcore import FEAS_TOL, REG, QpProblem, QpSolution
 from cbf_hqp.tasks import Task
@@ -118,7 +118,7 @@ def oracle_solve(problem: QpProblem) -> tuple[Array | None, float]:
     return best_z, best_obj
 
 
-def rk4_step(model: RobotModel, state: RobotState, u_applied: Array,
+def rk4_step(state: RobotState, u_applied: Array,
              wrench: Array | None = None, dt: float = 1e-3) -> RobotState:
     """Classical RK4 on the same held-input vector field (test oracle)."""
     u = np.asarray(u_applied, dtype=float)
@@ -128,7 +128,7 @@ def rk4_step(model: RobotModel, state: RobotState, u_applied: Array,
         return st.M_inv @ (tau - st.C @ st.qd - st.g)
 
     def deriv(q, qd):
-        st = compute_state(model, q, qd)
+        st = compute_state(state.model, q, qd)
         return qd, accel(st)
 
     q, qd = state.q, state.qd
@@ -138,7 +138,7 @@ def rk4_step(model: RobotModel, state: RobotState, u_applied: Array,
     k4q, k4v = deriv(q + dt * k3q, qd + dt * k3v)
     q_next = q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
     qd_next = qd + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return compute_state(model, q_next, qd_next)
+    return compute_state(state.model, q_next, qd_next)
 
 
 def projections(state: RobotState,
@@ -206,7 +206,7 @@ def random_strict(rng, n):
     A = rng.normal(size=(k, n))
     w = rng.normal(size=n) * 0.5
     b = A @ w - rng.uniform(0.2, 1.0, size=k)
-    return Task(kind="ineq", A=A, b=b, label="strict"), w
+    return Task(A=A, b=b, label="strict"), w
 
 
 def random_levels(rng, n):
@@ -218,11 +218,11 @@ def random_levels(rng, n):
         pick = rng.integers(0, 3)
         if pick in (0, 2):
             r = int(rng.integers(1, n + 1))
-            eq = Task(kind="eq", A=rng.normal(size=(r, n)),
+            eq = Task(A=rng.normal(size=(r, n)),
                       b=rng.normal(size=r), label="track")
         if pick in (1, 2):
             r = int(rng.integers(1, 3))
-            ineq = Task(kind="ineq", A=rng.normal(size=(r, n)),
+            ineq = Task(A=rng.normal(size=(r, n)),
                         b=rng.normal(size=r), label="soft",
                         slack=rng.uniform(0.5, 2.0, size=r))
         levels.append(LevelSpec(equality=eq, inequality=ineq))

@@ -28,7 +28,7 @@ from oracles import (
 )
 
 from cbf_hqp.control import task_space_inertia
-from cbf_hqp.dynamics import compute_state, load_bundled_model, mass_matrix
+from cbf_hqp.dynamics import compute_state, load_bundled_model
 from cbf_hqp.hqp import LevelSpec, run_cascade
 from cbf_hqp.qpcore import QpProblem, solve_qp
 from cbf_hqp.sim import (audit, bundled_scenario_path, load_scenario_file,
@@ -80,15 +80,16 @@ def per_step_worst(runs):
         res, _ = runs[(name, mode, 5.0)]
         for rec in res.records:
             st = compute_state(model, rec.q, rec.qd)
-            dM = (mass_matrix(model, rec.q + h * rec.qd)
-                  - mass_matrix(model, rec.q - h * rec.qd)) / (2.0 * h)
+            dM = (compute_state(model, rec.q + h * rec.qd, rec.qd).M
+                  - compute_state(model, rec.q - h * rec.qd, rec.qd).M
+                  ) / (2.0 * h)
             skew = (dM - 2.0 * st.C) + (dM - 2.0 * st.C).T
             worst["skew"] = max(worst["skew"], np.max(np.abs(skew)))
 
             wrench = scenario.wrench.at(rec.t)
             tau_ext = st.J.T @ wrench if wrench is not None else 0.0
-            k_p = rk4_step(model, st, rec.u_applied, wrench, h).K
-            k_m = rk4_step(model, st, rec.u_applied, wrench, -h).K
+            k_p = rk4_step(st, rec.u_applied, wrench, h).K
+            k_m = rk4_step(st, rec.u_applied, wrench, -h).K
             k_dot_fd = (k_p - k_m) / (2.0 * h)
             power = rec.qd @ (rec.u_applied + tau_ext - st.g)
             worst["power"] = max(worst["power"], abs(k_dot_fd - power))
@@ -236,8 +237,8 @@ def test_criterion_9_single_level_cascade_equals_plain_qp():
         A = rng.normal(size=(m, n))
         b = A @ (rng.normal(size=n) * 0.3) - rng.uniform(0.1, 1.0, size=m)
         level = LevelSpec(
-            equality=Task(kind="eq", A=np.eye(n), b=u_nom, label="track"),
-            inequality=Task(kind="ineq", A=A, b=b, label="hard"))
+            equality=Task(A=np.eye(n), b=u_nom, label="track"),
+            inequality=Task(A=A, b=b, label="hard"))
         res = run_cascade([], [level], u_nom)
         direct = solve_qp(QpProblem(H=np.eye(n), f=-u_nom, A_in=A, b_in=b),
                           anchor=u_nom)

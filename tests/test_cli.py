@@ -215,6 +215,33 @@ wrench: {kind: sine, axis: 1, amplitude: 60.0, frequency: 1.0}
         assert name in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_io_errors_exit_two_naming_the_path(self, tmp_path):
+        # an existing file as --out, a directory as the scenario or model
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cases = [
+            (("run", "--scenario", "step", "--mode", "single_qp",
+              "--duration", "0.01", "--out", str(taken)), taken),
+            (("run", "--scenario", str(tmp_path),
+              "--out", str(tmp_path / "out")), tmp_path),
+            (("check", str(tmp_path)), tmp_path)]
+        for argv, path in cases:
+            proc = run_cli_process(*argv)
+            assert proc.returncode == 2, proc.stderr
+            assert str(path) in proc.stderr
+            assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_plane_family_without_a_plane_exits_one(self, tmp_path, capsys):
+        scn = tmp_path / "noplane.yaml"
+        scn.write_text(bundled_scenario_path("step").read_text()
+                       + "strict_families: [torque, plane]\n")
+        rc = run_cli("run", "--scenario", str(scn), "--mode", "single_qp",
+                     "--duration", "0.01", "--out", str(tmp_path))
+        assert rc == 1
+        assert "cbf.plane_normal" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("run")  # --scenario is required

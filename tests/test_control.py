@@ -61,7 +61,7 @@ def rollout(model, ctrl, q0, steps, dt=1e-3, tau_ext_fn=None):
     for k in range(steps):
         st = compute_state(model, q, qd)
         tau_ext = tau_ext_fn(k * dt, st) if tau_ext_fn else None
-        u, info = step(model, st, ctrl, tau_ext)
+        u, info = step(st, ctrl, tau_ext)
         infos.append((st, info))
         w = u - st.C @ qd - st.g
         if tau_ext is not None:
@@ -264,7 +264,7 @@ class TestTaskRows:
         monkeypatch.setattr(control, "run_cascade", capture)
         st = compute_state(panda, HOME, 0.05 * np.ones(7))
         for mode in ("hqp_performance", "hqp_safety"):
-            step(panda, st, ControllerState(mode=mode, cbf=CbfParams(),
+            step(st, ControllerState(mode=mode, cbf=CbfParams(),
                                             impedance=impedance_at(st, 0.1)))
         assert len(seen) == 2
         for levels in seen:
@@ -285,7 +285,7 @@ class TestTaskRows:
 
         monkeypatch.setattr(control, "run_cascade", capture)
         st = compute_state(panda, HOME, 0.05 * np.ones(7))
-        step(panda, st, ControllerState(mode="single_qp", cbf=CbfParams(),
+        step(st, ControllerState(mode="single_qp", cbf=CbfParams(),
                                         impedance=impedance_at(st, 0.1)))
         [strict] = seen
         assert [t.label for t in strict] == ["torque", "acceleration"]
@@ -298,7 +298,7 @@ class TestTaskRows:
             cbf=CbfParams(plane_normal=(0.0, 0.0, 1.0), plane_offset=-1.0),
             impedance=impedance_at(st),
             strict_families=("plane", "position", "torque", "velocity"))
-        tasks = build_strict_tasks(panda, st, ctrl, None)
+        tasks = build_strict_tasks(st, ctrl, None)
         assert [t.label for t in tasks] == ["plane", "acceleration", "torque"]
         assert [t.m for t in tasks] == [1, 14, 14]
 
@@ -314,7 +314,7 @@ class TestStep:
         st = compute_state(panda, HOME, np.zeros(7))
         for mode in ("single_qp", "hqp_performance", "hqp_safety"):
             ctrl = self.make_ctrl(st, mode)
-            u, info = step(panda, st, ctrl)
+            u, info = step(st, ctrl)
             np.testing.assert_allclose(u, info.u_nom, atol=1e-6)
             assert info.delta == pytest.approx(0.0, abs=1e-9)
             assert info.k_max_eff == pytest.approx(ctrl.cbf.k_max, abs=1e-9)
@@ -329,8 +329,8 @@ class TestStep:
         st = compute_state(panda, HOME, np.zeros(7))
         for dz, projected in ((0.0, False), (0.1, True), (0.5, True)):
             ctrl = self.make_ctrl(st, "hqp_safety", dz=dz)
-            u, info = step(panda, st, ctrl)
-            strict = build_strict_tasks(panda, st, ctrl, None)
+            u, info = step(st, ctrl)
+            strict = build_strict_tasks(st, ctrl, None)
             broken = max(float(np.max(t.b - t.A @ info.u_nom)) for t in strict)
             assert info.phase1_used == projected == (broken > FEAS_TOL)
             assert max(float(np.max(t.b - t.A @ u)) for t in strict) \
@@ -343,19 +343,19 @@ class TestStep:
         st = compute_state(panda, HOME, 0.05 * np.ones(7))
         assert st.K < 0.5
         ctrl = self.make_ctrl(st, "hqp_performance")
-        u, info = step(panda, st, ctrl)
+        u, info = step(st, ctrl)
         assert info.delta == 0.0
         from cbf_hqp.hqp import run_cascade
         from cbf_hqp.control import _levels_for_mode
         from cbf_hqp.tasks import Task, energy_cbf_row
         lam = task_space_inertia(st).lam
         energy = energy_cbf_row(st, ctrl.cbf)
-        pinned = Task(kind="ineq", A=energy.A, b=energy.b, label="energy",
+        pinned = Task(A=energy.A, b=energy.b, label="energy",
                       slack=None)
         levels = _levels_for_mode("hqp_performance", info.u_nom, energy, st,
                                   lam, nullspace_basis(st))
         levels[1] = type(levels[1])(inequality=pinned)
-        res = run_cascade(build_strict_tasks(panda, st, ctrl, None),
+        res = run_cascade(build_strict_tasks(st, ctrl, None),
                           levels, info.u_nom)
         np.testing.assert_allclose(u, res.u_final, atol=1e-8)
 
@@ -427,7 +427,7 @@ class TestStep:
             impedance=ImpedanceParams(eq_position=(0.5, 0.5, 0.0),
                                       eq_quat=(1.0, 0.0, 0.0, 0.0)),
             strict_families=("torque",))
-        u, info = step(twolink, st, ctrl)
+        u, info = step(st, ctrl)
         assert info.fault
         assert "level" in info.fault_reason or "strict" in info.fault_reason
         np.testing.assert_allclose(u, info.u_nom)  # no prior torque yet
@@ -439,7 +439,7 @@ class TestStep:
         # as a controller fault, never as an uncaught error
         st = compute_state(panda, HOME, np.zeros(7))
         ctrl = self.make_ctrl(st, "hqp_safety")
-        u_prev, _ = step(panda, st, ctrl)
+        u_prev, _ = step(st, ctrl)
 
         real = hqp.solve_qp
 
@@ -448,10 +448,10 @@ class TestStep:
                                        status="infeasible")
 
         monkeypatch.setattr(hqp, "solve_qp", infeasible)
-        soft = Task(kind="ineq", A=[[1.0]], b=[3.0], label="want", slack=[1.0])
+        soft = Task(A=[[1.0]], b=[3.0], label="want", slack=[1.0])
         with pytest.raises(hqp.CascadeInfeasibleError, match="level 1"):
             hqp.run_cascade([], [hqp.LevelSpec(inequality=soft)], np.zeros(1))
-        u, info = step(panda, st, ctrl)
+        u, info = step(st, ctrl)
         assert info.fault
         assert "level 1" in info.fault_reason
         np.testing.assert_array_equal(u, u_prev)
@@ -472,6 +472,12 @@ class TestStep:
             ControllerState(mode="single_qp", cbf=CbfParams(),
                             impedance=impedance_at(st),
                             strict_families=("torque", "torque", "velocity"))
+        # the plane family is refused up front when no plane is configured,
+        # not at the first period's row build
+        with pytest.raises(ValueError, match=r"cbf\.plane_normal"):
+            ControllerState(mode="single_qp", cbf=CbfParams(),
+                            impedance=impedance_at(st),
+                            strict_families=("torque", "plane"))
 
 
 def test_step_lunge_needs_no_phase1(monkeypatch):

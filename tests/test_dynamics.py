@@ -62,13 +62,19 @@ def fk_oracle(model, q):
     return T @ model.ee_transform
 
 
+def state_at(model, q, qd=None):
+    """compute_state at (q, qd), at rest when qd is None."""
+    return dyn.compute_state(
+        model, q, np.zeros(model.n_joints) if qd is None else qd)
+
+
 def fd_position_jacobian(model, q, eps=1e-7):
-    p0, _ = dyn.forward_kinematics(model, q)
+    p0 = state_at(model, q).ee_pos
     cols = []
     for k in range(model.n_joints):
         qp = np.array(q, dtype=float)
         qp[k] += eps
-        p1, _ = dyn.forward_kinematics(model, qp)
+        p1 = state_at(model, qp).ee_pos
         cols.append((p1 - p0) / eps)
     return np.array(cols).T
 
@@ -165,12 +171,12 @@ def test_bad_number_rejected_naming_field(field, old, new):
 
 
 def test_twolink_fk_stretched(twolink):
-    pos, _ = dyn.forward_kinematics(twolink, [0.0, 0.0])
+    pos = state_at(twolink, [0.0, 0.0]).ee_pos
     assert np.allclose(pos, [L1 + L2, 0.0, 0.0], atol=1e-12)
 
 
 def test_twolink_fk_quarter_turn(twolink):
-    pos, _ = dyn.forward_kinematics(twolink, [np.pi / 2, 0.0])
+    pos = state_at(twolink, [np.pi / 2, 0.0]).ee_pos
     assert np.allclose(pos, [0.0, L1 + L2, 0.0], atol=1e-12)
 
 
@@ -178,7 +184,8 @@ def test_panda_fk_matches_transform_chain(panda, rng):
     for _ in range(10):
         q, _ = random_panda_state(panda, rng)
         T = fk_oracle(panda, q)
-        pos, quat = dyn.forward_kinematics(panda, q)
+        st = state_at(panda, q)
+        pos, quat = st.ee_pos, st.ee_quat
         assert np.allclose(pos, T[:3, 3], atol=1e-12)
         # Same rotation up to quaternion sign convention.
         R = T[:3, :3]
@@ -193,7 +200,7 @@ def test_panda_fk_matches_transform_chain(panda, rng):
 
 def test_panda_zero_config_fk(panda):
     T = fk_oracle(panda, np.zeros(7))
-    pos, _ = dyn.forward_kinematics(panda, np.zeros(7))
+    pos = state_at(panda, np.zeros(7)).ee_pos
     assert np.allclose(pos, T[:3, 3], atol=1e-12)
 
 
@@ -201,19 +208,19 @@ def test_jacobian_matches_fd(panda, twolink, rng):
     for model in (panda, twolink):
         for _ in range(5):
             q = rng.uniform(-1.5, 1.5, model.n_joints)
-            J = dyn.jacobian(model, q)
+            J = state_at(model, q).J
             assert np.max(np.abs(J[:3] - fd_position_jacobian(model, q))) < 1e-5
 
 
 def test_twolink_jacobian_first_column(twolink):
-    J = dyn.jacobian(twolink, [0.0, 0.0])
+    J = state_at(twolink, [0.0, 0.0]).J
     assert np.allclose(J[:3, 0], [0.0, L1 + L2, 0.0], atol=1e-12)
 
 
 def test_revolute_angular_columns_unit(twolink, rng):
     for _ in range(5):
         q = rng.uniform(-3, 3, 2)
-        J = dyn.jacobian(twolink, q)
+        J = state_at(twolink, q).J
         norms = np.linalg.norm(J[3:], axis=0)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
@@ -226,16 +233,16 @@ def test_twolink_matches_closed_form(twolink, rng):
     for _ in range(50):
         q = rng.uniform(-3.0, 3.0, 2)
         qd = rng.uniform(-2.0, 2.0, 2)
-        M, C, g = dyn.dynamics_terms(twolink, q, qd)
+        st = dyn.compute_state(twolink, q, qd)
         M_ref, C_ref, g_ref = twolink_closed_form(q, qd)
-        assert np.max(np.abs(M - M_ref)) < 1e-10
-        assert np.max(np.abs(C - C_ref)) < 1e-10
-        assert np.max(np.abs(g - g_ref)) < 1e-10
+        assert np.max(np.abs(st.M - M_ref)) < 1e-10
+        assert np.max(np.abs(st.C - C_ref)) < 1e-10
+        assert np.max(np.abs(st.g - g_ref)) < 1e-10
 
 
 def test_coriolis_vanishes_at_rest(panda, rng):
     q, _ = random_panda_state(panda, rng)
-    _, C, _ = dyn.dynamics_terms(panda, q, np.zeros(7))
+    C = state_at(panda, q).C
     assert np.max(np.abs(C @ np.zeros(7))) == 0.0
     assert np.max(np.abs(C)) < 1e-12
 
@@ -244,8 +251,7 @@ def test_bias_torque_matches_christoffel(panda, rng):
     for _ in range(50):
         q, qd = random_panda_state(panda, rng)
         st = dyn.compute_state(panda, q, qd)
-        _, C, _ = dyn.dynamics_terms(panda, q, qd)
-        ref = C @ qd
+        ref = st.C @ qd
         assert np.max(np.abs(st.h - ref)) <= 1e-12 * (1.0 + np.linalg.norm(ref))
 
 
@@ -268,7 +274,7 @@ def test_coriolis_built_on_first_read(panda, rng):
     q, qd = random_panda_state(panda, rng)
     st = dyn.compute_state(panda, q, qd)
     assert "C" not in vars(st)
-    _, C, _ = dyn.dynamics_terms(panda, q, qd)
+    C = dyn.compute_state(panda, q, qd).C
     np.testing.assert_array_equal(st.C, C)
     assert st.C is st.C
     with pytest.raises(ValueError):
@@ -280,8 +286,8 @@ def test_jacobian_rate_matches_central_difference(twolink, rng):
     for _ in range(20):
         q = rng.uniform(-3.0, 3.0, 2)
         qd = rng.uniform(-2.0, 2.0, 2)
-        fd = (dyn.jacobian(twolink, q + eps * qd)
-              - dyn.jacobian(twolink, q - eps * qd)) @ qd / (2 * eps)
+        fd = (state_at(twolink, q + eps * qd).J
+              - state_at(twolink, q - eps * qd).J) @ qd / (2 * eps)
         assert np.max(np.abs(dyn.jacobian_rate(twolink, q, qd) - fd)) <= 1e-6
 
 
@@ -289,7 +295,7 @@ def test_mass_matrix_symmetric_spd(panda, twolink, rng):
     for model in (panda, twolink):
         for _ in range(10):
             q = rng.uniform(-1.5, 1.5, model.n_joints)
-            M = dyn.mass_matrix(model, q)
+            M = state_at(model, q).M
             assert np.max(np.abs(M - M.T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(M)) > 0.0
 
@@ -299,8 +305,8 @@ def test_skew_symmetry_identity(panda, rng):
     for _ in range(10):
         q, qd = random_panda_state(panda, rng)
         st = dyn.compute_state(panda, q, qd)
-        M_p = dyn.mass_matrix(panda, q + eps * qd)
-        M_m = dyn.mass_matrix(panda, q - eps * qd)
+        M_p = state_at(panda, q + eps * qd).M
+        M_m = state_at(panda, q - eps * qd).M
         Mdot = (M_p - M_m) / (2 * eps)
         S = Mdot - 2 * st.C
         assert np.max(np.abs(S + S.T)) < 1e-6
@@ -313,22 +319,22 @@ def test_skew_symmetry_identity(panda, rng):
 
 def test_kinetic_energy_at_rest(panda, rng):
     q, _ = random_panda_state(panda, rng)
-    assert dyn.kinetic_energy(panda, q, np.zeros(7)) == 0.0
+    assert state_at(panda, q).K == 0.0
 
 
 def test_pendulum_kinetic_energy(pendulum):
     # Point of reference: uniform rod of length 1, pivoted at one end.
     I_pivot = IZ1 + M1 * LC1**2
     for w in (0.3, -1.2, 2.5):
-        K = dyn.kinetic_energy(pendulum, [0.7], [w])
+        K = state_at(pendulum, [0.7], [w]).K
         assert abs(K - 0.5 * I_pivot * w**2) < 1e-12
 
 
 def _rk4(model, q, qd, tau, dt):
     def f(y):
         qq, vv = y[: model.n_joints], y[model.n_joints:]
-        M, C, g = dyn.dynamics_terms(model, qq, vv)
-        acc = np.linalg.solve(M, tau - C @ vv - g)
+        st = dyn.compute_state(model, qq, vv)
+        acc = np.linalg.solve(st.M, tau - st.C @ vv - st.g)
         return np.concatenate([vv, acc])
 
     y = np.concatenate([q, qd])
@@ -349,10 +355,10 @@ def test_power_identity(panda, rng):
         tau = rng.uniform(-10, 10, 7)
         y_p = _rk4(panda, q, qd, tau, h)
         y_m = _rk4(panda, q, qd, tau, -h)
-        K_p = dyn.kinetic_energy(panda, y_p[:7], y_p[7:])
-        K_m = dyn.kinetic_energy(panda, y_m[:7], y_m[7:])
+        K_p = state_at(panda, y_p[:7], y_p[7:]).K
+        K_m = state_at(panda, y_m[:7], y_m[7:]).K
         K_dot_fd = (K_p - K_m) / (2 * h)
-        g = dyn.gravity_torque(panda, q)
+        g = state_at(panda, q).g
         assert abs(K_dot_fd - qd @ (tau - g)) < 1e-3
 
 
@@ -363,13 +369,7 @@ def test_power_identity(panda, rng):
 def test_state_matches_standalone_terms(panda, rng):
     q, qd = random_panda_state(panda, rng)
     st = dyn.compute_state(panda, q, qd)
-    M, C, g = dyn.dynamics_terms(panda, q, qd)
-    assert np.allclose(st.M, M, atol=1e-14)
-    assert np.allclose(st.C, C, atol=1e-14)
-    assert np.allclose(st.g, g, atol=1e-14)
-    assert np.allclose(st.J, dyn.jacobian(panda, q), atol=1e-14)
     assert np.allclose(st.M_inv @ st.M, np.eye(7), atol=1e-10)
-    assert abs(st.K - dyn.kinetic_energy(panda, q, qd)) < 1e-12
 
 
 def test_state_arrays_read_only(panda, rng):

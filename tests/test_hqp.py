@@ -32,7 +32,7 @@ def box_task(n, bound):
     """|u_i| <= bound as 2n hard rows A u >= b."""
     A = np.vstack([np.eye(n), -np.eye(n)])
     b = np.full(2 * n, -float(bound))
-    return Task(kind="ineq", A=A, b=b, label="box")
+    return Task(A=A, b=b, label="box")
 
 
 class TestHandCascades:
@@ -40,8 +40,8 @@ class TestHandCascades:
         # level 1 pins u = 2; level 2 wants u >= 3 but may only relax
         strict = box_task(1, 10.0)
         levels = [
-            LevelSpec(equality=Task(kind="eq", A=[[1.0]], b=[2.0], label="pin")),
-            LevelSpec(inequality=Task(kind="ineq", A=[[1.0]], b=[3.0],
+            LevelSpec(equality=Task(A=[[1.0]], b=[2.0], label="pin")),
+            LevelSpec(inequality=Task(A=[[1.0]], b=[3.0],
                                       label="want", slack=[1.0])),
         ]
         res = run_cascade([strict], levels, u_nom=np.zeros(1))
@@ -54,7 +54,7 @@ class TestHandCascades:
         n = 4
         u_nom = rng.normal(size=n)
         strict = box_task(n, 100.0)
-        levels = [LevelSpec(equality=Task(kind="eq", A=np.eye(n), b=u_nom,
+        levels = [LevelSpec(equality=Task(A=np.eye(n), b=u_nom,
                                           label="track"))]
         ledger = init_stage0([strict], witness=np.zeros(n))
         rows_before = ledger.A_eq.shape[0]
@@ -65,22 +65,22 @@ class TestHandCascades:
         # a later level cannot move the torque at all
         assert ledger.Z.shape == (n, 0)
         u2, _, _ = solve_level(ledger, LevelSpec(equality=Task(
-            kind="eq", A=np.eye(n), b=u_nom + 1.0, label="other")), np.zeros(n))
+            A=np.eye(n), b=u_nom + 1.0, label="other")), np.zeros(n))
         np.testing.assert_allclose(u2, u_nom, atol=1e-8)
         # with no variable left, a hard row only checks the pinned torque
         u3, _, _ = solve_level(ledger, LevelSpec(inequality=Task(
-            kind="ineq", A=np.eye(n), b=u_nom - 1.0, label="below")),
+            A=np.eye(n), b=u_nom - 1.0, label="below")),
             np.zeros(n))
         np.testing.assert_allclose(u3, u_nom, atol=1e-8)
         with pytest.raises(CascadeInfeasibleError):
             solve_level(ledger, LevelSpec(inequality=Task(
-                kind="ineq", A=np.eye(n), b=u_nom + 1.0, label="above")),
+                A=np.eye(n), b=u_nom + 1.0, label="above")),
                 np.zeros(n))
 
     def test_inactive_inequality_needs_no_slack(self):
         # row 0 * u + c delta >= negative number holds at delta = 0
         strict = box_task(2, 50.0)
-        ineq = Task(kind="ineq", A=[[0.0, 0.0]], b=[-3.0], label="energy",
+        ineq = Task(A=[[0.0, 0.0]], b=[-3.0], label="energy",
                     slack=[1001.0])
         res = run_cascade([strict], [LevelSpec(inequality=ineq)],
                           u_nom=np.array([1.0, -2.0]))
@@ -91,9 +91,9 @@ class TestHandCascades:
 class TestStageZero:
     def test_contradictory_rows_named(self):
         # stage 0 installs the rows; the first level finds them empty
-        lo = Task(kind="ineq", A=[[1.0, 0.0]], b=[1.0], label="lo")
-        hi = Task(kind="ineq", A=[[-1.0, 0.0]], b=[0.0], label="hi")
-        track = Task(kind="eq", A=np.eye(2), b=np.zeros(2), label="track")
+        lo = Task(A=[[1.0, 0.0]], b=[1.0], label="lo")
+        hi = Task(A=[[-1.0, 0.0]], b=[0.0], label="hi")
+        track = Task(A=np.eye(2), b=np.zeros(2), label="track")
         with pytest.raises(S0EmptyError) as exc:
             run_cascade([lo, hi], [LevelSpec(equality=track)], np.zeros(2))
         assert "lo[0]" in str(exc.value) and "hi[0]" in str(exc.value)
@@ -103,8 +103,8 @@ class TestStageZero:
 
     def test_first_level_clash_with_nonempty_strict_rows_is_its_own(self):
         # the strict rows admit u = 0; the level's hard row u >= 2 does not
-        cap = Task(kind="ineq", A=[[-1.0]], b=[-1.0], label="cap")
-        push = Task(kind="ineq", A=[[1.0]], b=[2.0], label="push")
+        cap = Task(A=[[-1.0]], b=[-1.0], label="cap")
+        push = Task(A=[[1.0]], b=[2.0], label="push")
         with pytest.raises(CascadeInfeasibleError, match="level 1"):
             run_cascade([cap], [LevelSpec(inequality=push)], np.array([5.0]))
 
@@ -122,7 +122,7 @@ class TestStageZero:
         # stage 0 keeps the witness; the first level projects it onto
         # the box: the nearest point
         np.testing.assert_array_equal(without.witness, [50.0, 0.0])
-        track = Task(kind="eq", A=np.eye(2), b=np.array([50.0, 0.0]),
+        track = Task(A=np.eye(2), b=np.array([50.0, 0.0]),
                      label="track")
         levels = [LevelSpec(equality=track)]
         res = run_cascade([t], levels, np.array([50.0, 0.0]))
@@ -139,13 +139,8 @@ class TestStageZero:
                              witness=np.array([50.0, 0.0]))
         assert ledger.phase1_used and calls == []
 
-    def test_strict_equality_task_rejected(self):
-        pin = Task(kind="eq", A=[[1.0, 0.0]], b=[0.0], label="pin")
-        with pytest.raises(ValueError, match="'pin' is an equality task"):
-            init_stage0([pin, box_task(2, 10.0)], np.zeros(2))
-
     def test_slack_bearing_task_rejected(self):
-        t = Task(kind="ineq", A=[[1.0]], b=[0.0], label="soft", slack=[1.0])
+        t = Task(A=[[1.0]], b=[0.0], label="soft", slack=[1.0])
         with pytest.raises(ValueError, match="slack"):
             init_stage0([t], np.zeros(1))
 
@@ -160,7 +155,7 @@ class TestStageZero:
             run_cascade([], [], witness)
 
     def test_nominal_torque_of_the_wrong_length_is_named(self):
-        track = Task(kind="eq", A=np.eye(3), b=np.zeros(3), label="track")
+        track = Task(A=np.eye(3), b=np.zeros(3), label="track")
         with pytest.raises(ValueError,
                            match="'box' has 3 columns, the witness 2 entries"):
             run_cascade([box_task(3, 10.0)], [LevelSpec(equality=track)],
@@ -172,25 +167,17 @@ class TestLevelValidation:
         with pytest.raises(ValueError, match="at least one task"):
             LevelSpec()
 
-    def test_wrong_kinds_rejected(self):
-        eq = Task(kind="eq", A=[[1.0, 0.0]], b=[0.0], label="e")
-        ineq = Task(kind="ineq", A=[[1.0, 0.0]], b=[0.0], label="i")
-        with pytest.raises(ValueError, match="kind"):
-            LevelSpec(equality=ineq)
-        with pytest.raises(ValueError, match="kind"):
-            LevelSpec(inequality=eq)
-
     def test_task_of_the_wrong_width_is_named(self):
         ledger = init_stage0([], witness=np.zeros(2))
-        wide = Task(kind="eq", A=np.eye(3), b=np.zeros(3), label="wide")
+        wide = Task(A=np.eye(3), b=np.zeros(3), label="wide")
         with pytest.raises(ValueError, match="'wide' has 3 columns, the "
                                              "ledger's torque 2 entries"):
             solve_level(ledger, LevelSpec(equality=wide), np.zeros(2))
 
     def test_hard_level_conflict_raises(self):
         # strict u <= 1 against a hard (slack-free) level row u >= 2
-        strict = Task(kind="ineq", A=[[-1.0]], b=[-1.0], label="cap")
-        want = Task(kind="ineq", A=[[1.0]], b=[2.0], label="push")
+        strict = Task(A=[[-1.0]], b=[-1.0], label="cap")
+        want = Task(A=[[1.0]], b=[2.0], label="push")
         ledger = init_stage0([strict], witness=np.zeros(1))
         with pytest.raises(CascadeInfeasibleError, match="level 1"):
             solve_level(ledger, LevelSpec(inequality=want), np.zeros(1))
@@ -208,7 +195,7 @@ class TestSlackOptimality:
             expect = max(0.0, (b - float(np.sum(np.abs(a))) * bound) / c)
             res = run_cascade(
                 [box_task(n, bound)],
-                [LevelSpec(inequality=Task(kind="ineq", A=a, b=[b],
+                [LevelSpec(inequality=Task(A=a, b=[b],
                                            label="row", slack=[c]))],
                 u_nom=np.zeros(n))
             assert res.records[0].delta == pytest.approx(expect, abs=1e-6)
@@ -217,7 +204,7 @@ class TestSlackOptimality:
         for _ in range(30):
             n = int(rng.integers(2, 4))
             strict, _ = random_strict(rng, n)
-            ineq = Task(kind="ineq", A=rng.normal(size=(1, n)),
+            ineq = Task(A=rng.normal(size=(1, n)),
                         b=[rng.normal() * 2.0], label="row",
                         slack=[rng.uniform(0.5, 2.0)])
             levels = [LevelSpec(inequality=ineq)]
@@ -324,8 +311,8 @@ class TestCascadeProperties:
             w = rng.normal(size=n) * 0.3
             b = A @ w - rng.uniform(0.1, 1.0, size=3)
             level = LevelSpec(
-                equality=Task(kind="eq", A=np.eye(n), b=u_nom, label="track"),
-                inequality=Task(kind="ineq", A=A, b=b, label="hard"))
+                equality=Task(A=np.eye(n), b=u_nom, label="track"),
+                inequality=Task(A=A, b=b, label="hard"))
             res = run_cascade([], [level], u_nom)
             direct = solve_qp(QpProblem(H=np.eye(n), f=-u_nom, A_in=A, b_in=b),
                               anchor=u_nom)
@@ -374,12 +361,12 @@ class TestCascadeProperties:
             A = rng.normal(size=(int(rng.integers(2, 9)), n))
             b = A @ w + rng.uniform(0.0, FEAS_TOL, size=A.shape[0])
             ledger = init_stage0(
-                [Task(kind="ineq", A=A, b=b, label="strict")], witness=w)
+                [Task(A=A, b=b, label="strict")], witness=w)
             assert not ledger.phase1_used
             if free < n:
                 ledger = pin_level(ledger, rng.normal(size=(n - free, n)))
             E = rng.normal(size=(int(rng.integers(1, n + 1)), n))
-            track = Task(kind="eq", A=E, b=rng.normal(size=E.shape[0]) * 3.0,
+            track = Task(A=E, b=rng.normal(size=E.shape[0]) * 3.0,
                          label="track")
             u, _, _ = solve_level(ledger, LevelSpec(equality=track),
                                   w + rng.normal(size=n))
@@ -401,19 +388,19 @@ class TestCascadeProperties:
             n = int(rng.integers(2, 7))
             u_nom = rng.normal(size=n) * 3.0
             A, b = met_rows(int(rng.integers(1, 6)), u_nom)
-            strict = Task(kind="ineq", A=A, b=b, label="strict")
+            strict = Task(A=A, b=b, label="strict")
             levels = []
             for _ in range(int(rng.integers(1, 4))):
                 eq = ineq = None
                 pick = rng.integers(0, 3)
                 if pick in (0, 2):
                     E = rng.normal(size=(int(rng.integers(1, n + 1)), n))
-                    eq = Task(kind="eq", A=E, b=E @ u_nom, label="track")
+                    eq = Task(A=E, b=E @ u_nom, label="track")
                 if pick in (1, 2):
                     C, d = met_rows(int(rng.integers(1, 3)), u_nom)
                     slack = (None if rng.random() < 0.5
                              else rng.uniform(0.5, 2.0, size=d.shape[0]))
-                    ineq = Task(kind="ineq", A=C, b=d, label="soft",
+                    ineq = Task(A=C, b=d, label="soft",
                                 slack=slack)
                 levels.append(LevelSpec(equality=eq, inequality=ineq))
             res = run_cascade([strict], levels, u_nom)
@@ -449,18 +436,18 @@ class TestPassThroughLevels:
         for k in range(50):
             u_nom = rng.normal(size=n) * 3.0
             strict, _ = random_strict(rng, n)
-            strict = Task(kind="ineq", A=strict.A,
+            strict = Task(A=strict.A,
                           b=strict.A @ u_nom - rng.uniform(0.0, 1.0,
                                                            size=strict.b.shape[0]),
                           label="strict")
             e = rng.normal(size=(1, n))
-            energy = Task(kind="ineq", A=e, b=e @ u_nom - rng.uniform(0.0, 1.0),
+            energy = Task(A=e, b=e @ u_nom - rng.uniform(0.0, 1.0),
                           label="energy", slack=[1.0])
             W, V = rng.normal(size=(6, n)), rng.normal(size=(1, n))
             levels = [LevelSpec(inequality=energy),
-                      LevelSpec(equality=Task(kind="eq", A=W, b=W @ u_nom,
+                      LevelSpec(equality=Task(A=W, b=W @ u_nom,
                                               label="task_wrench")),
-                      LevelSpec(equality=Task(kind="eq", A=V, b=V @ u_nom,
+                      LevelSpec(equality=Task(A=V, b=V @ u_nom,
                                               label="nullspace"))]
             res = run_cascade([strict], levels, u_nom)
             assert np.array_equal(res.u_final, u_nom), f"cascade {k}"
@@ -475,19 +462,19 @@ class TestPassThroughLevels:
             n = int(rng.integers(3, 7))
             u_nom = rng.normal(size=n)
             strict, _ = random_strict(rng, n)
-            strict = Task(kind="ineq", A=strict.A, b=strict.A @ u_nom - 0.5,
+            strict = Task(A=strict.A, b=strict.A @ u_nom - 0.5,
                           label="strict")
             A1 = rng.normal(size=(int(rng.integers(1, n - 1)), n))
             A2 = rng.normal(size=(1, n))
             ledger = init_stage0([strict], witness=u_nom)
             for A in (A1, A2):
                 u, _, ledger = solve_level(ledger, LevelSpec(equality=Task(
-                    kind="eq", A=A, b=A @ u_nom, label="pin")), u_nom)
+                    A=A, b=A @ u_nom, label="pin")), u_nom)
                 assert np.array_equal(u, u_nom)
             assert kernels == []
             C = rng.normal(size=(2, n))
             solve_level(ledger, LevelSpec(inequality=Task(
-                kind="ineq", A=C, b=C @ u_nom + 1.0, label="push",
+                A=C, b=C @ u_nom + 1.0, label="push",
                 slack=[1.0, 1.0])), u_nom)
             Z0 = np.eye(n)
             Z1 = Z0 @ kernel(A1 @ Z0)
@@ -502,7 +489,7 @@ def pin_level(ledger, E):
     the level returns w itself and leaves Z = ker(E)."""
     w = ledger.witness.copy()
     u, _, ledger = solve_level(
-        ledger, LevelSpec(equality=Task(kind="eq", A=E, b=E @ w, label="pin")),
+        ledger, LevelSpec(equality=Task(A=E, b=E @ w, label="pin")),
         w)
     assert np.array_equal(u, w)
     return ledger
@@ -531,17 +518,17 @@ def one_variable_level(rng):
 
     A_s, b_s = rows(int(rng.integers(1, 8)), FEAS_TOL)
     ledger = pin_level(init_stage0(
-        [Task(kind="ineq", A=A_s, b=b_s, label="strict")], witness=w), E)
+        [Task(A=A_s, b=b_s, label="strict")], witness=w), E)
     assert ledger.Z.shape == (n, 1)
     pick = int(rng.integers(0, 3))
     eq = ineq = None
     if pick in (0, 2):
         r = int(rng.integers(1, 4))
-        eq = Task(kind="eq", A=rng.normal(size=(r, n)),
+        eq = Task(A=rng.normal(size=(r, n)),
                   b=rng.normal(size=r) * 3.0, label="track")
     if pick in (1, 2):
         A, b = rows(int(rng.integers(1, 4)), 2.0)
-        ineq = Task(kind="ineq", A=A, b=b, label="hard")
+        ineq = Task(A=A, b=b, label="hard")
     return ledger, eq, ineq, w + rng.normal(size=n) * 3.0
 
 

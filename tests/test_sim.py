@@ -63,7 +63,7 @@ class TestIntegrator:
         q0 = np.array([0.0, -np.pi / 4, 0.0, -2.3562, 0.0, 1.5708, np.pi / 4])
         st = compute_state(panda, q0, np.zeros(7))
         for _ in range(200):
-            st = integrate_step(panda, st, st.g, dt=1e-3)
+            st = integrate_step(st, st.g, dt=1e-3)
         np.testing.assert_allclose(st.q, q0, atol=1e-12)
         np.testing.assert_allclose(st.qd, np.zeros(7), atol=1e-12)
 
@@ -76,7 +76,7 @@ class TestIntegrator:
             e0 = st.K + twolink_potential(st.q)
             worst = 0.0
             for _ in range(steps):
-                st = integrate_step(twolink, st, np.zeros(2), dt=dt)
+                st = integrate_step(st, np.zeros(2), dt=dt)
                 worst = max(worst, abs(st.K + twolink_potential(st.q) - e0))
             return worst
 
@@ -89,7 +89,7 @@ class TestIntegrator:
         def terminal(stepper, dt, horizon=0.2):
             st = compute_state(twolink, [0.3, -0.4], [0.0, 0.0])
             for _ in range(int(round(horizon / dt))):
-                st = stepper(twolink, st, np.zeros(2), dt=dt)
+                st = stepper(st, np.zeros(2), dt=dt)
             return np.concatenate([st.q, st.qd])
 
         ref = terminal(rk4_step, 2.5e-5)
@@ -103,21 +103,21 @@ class TestIntegrator:
         k0 = st.K
         worst = -np.inf
         for _ in range(2000):
-            st = integrate_step(twolink, st, st.g, dt=1e-3)
+            st = integrate_step(st, st.g, dt=1e-3)
             worst = max(worst, st.K - k0)
         assert worst <= 1e-3
 
     def test_non_finite_state_raises(self, twolink):
         st = compute_state(twolink, [0.3, -0.4], [0.0, 0.0])
         with pytest.raises(SimulationFault):
-            integrate_step(twolink, st, np.array([np.inf, 0.0]), dt=1e-3)
+            integrate_step(st, np.array([np.inf, 0.0]), dt=1e-3)
 
     def test_wrench_enters_through_jacobian_transpose(self, panda):
         q0 = np.array([0.0, -np.pi / 4, 0.0, -2.3562, 0.0, 1.5708, np.pi / 4])
         st = compute_state(panda, q0, np.zeros(7))
         w = np.array([0.0, 0.0, 12.0, 0.0, 0.0, 0.0])
-        direct = integrate_step(panda, st, st.g, wrench=w, dt=1e-3)
-        folded = integrate_step(panda, st, st.g + st.J.T @ w, dt=1e-3)
+        direct = integrate_step(st, st.g, wrench=w, dt=1e-3)
+        folded = integrate_step(st, st.g + st.J.T @ w, dt=1e-3)
         np.testing.assert_allclose(direct.qd, folded.qd, atol=1e-15)
 
 
@@ -232,6 +232,23 @@ class TestScenarioLoading:
     def test_mistyped_field_named(self, field, text):
         with pytest.raises(ScenarioError, match=field):
             load_scenario(text)
+
+    def test_plane_family_needs_a_plane(self):
+        text = HOLD_SCENARIO + "strict_families: [torque, plane]\n"
+        with pytest.raises(ScenarioError, match=r"cbf\.plane_normal"):
+            load_scenario(text)
+        sc = load_scenario(text.replace(
+            "{k_max: 0.5, gamma: 5.0}",
+            "{k_max: 0.5, gamma: 5.0, plane_normal: [0, 0, 1]}"))
+        assert sc.strict_families == ("torque", "plane")
+
+    def test_control_period_is_the_scenario_dt(self):
+        # the energy row's slack rate uses the one period the loop runs at
+        with pytest.raises(ScenarioError, match="unknown cbf parameter 'dt'"):
+            load_scenario(HOLD_SCENARIO.replace(
+                "{k_max: 0.5, gamma: 5.0}", "{k_max: 0.5, dt: 0.05}"))
+        sc = load_scenario(HOLD_SCENARIO.replace("dt: 0.001", "dt: 0.002"))
+        assert sc.cbf.dt == sc.dt == 0.002
 
     @pytest.mark.parametrize("name", [
         "../../x", "a/b", r"a\b", "..", ".", "''", "[a, b]", "7"])

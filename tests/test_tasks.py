@@ -120,7 +120,7 @@ class TestLimitRows:
             st = compute_state(twolink, rng.uniform(-1, 1, 2), rng.uniform(-2, 2, 2))
             u = rng.uniform(-30, 30, 2)
             tau_ext = rng.uniform(-5, 5, 2)
-            [task] = family_rows(st, params, twolink, ("velocity",), tau_ext)
+            [task] = family_rows(st, params, ("velocity",), tau_ext)
             resid = task.A @ u - task.b
             qdd = joint_accel(twolink, st, u, tau_ext)
             g = params.gamma_velocity
@@ -136,7 +136,7 @@ class TestLimitRows:
         for _ in range(25):
             st = compute_state(twolink, rng.uniform(-1, 1, 2), rng.uniform(-2, 2, 2))
             u = rng.uniform(-30, 30, 2)
-            [task] = family_rows(st, params, twolink, ("position",))
+            [task] = family_rows(st, params, ("position",))
             resid = task.A @ u - task.b
             qdd = joint_accel(twolink, st, u)
             for i in range(2):
@@ -156,12 +156,11 @@ class TestLimitRows:
             qd = rng.uniform(-1, 1, 2)
             u = rng.uniform(-10, 10, 2)
             st = compute_state(twolink, q, qd)
-            task = collision_plane_rows(st, params, twolink)
+            task = collision_plane_rows(st, params)
             resid = float((task.A @ u - task.b)[0])
 
             def h_of(qq):
-                from cbf_hqp.dynamics import forward_kinematics
-                pos, _ = forward_kinematics(twolink, qq)
+                pos = compute_state(twolink, qq, np.zeros(2)).ee_pos
                 return normal @ pos - params.plane_offset
 
             # second-order central differences along the true flow
@@ -187,25 +186,21 @@ class TestLimitRows:
     def test_missing_plane_rejected(self, twolink):
         st = compute_state(twolink, np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match="plane"):
-            collision_plane_rows(st, CbfParams(), twolink)
+            collision_plane_rows(st, CbfParams())
 
 
 class TestTaskContainer:
-    def test_kind_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            Task(kind="soft", A=np.eye(2), b=np.zeros(2), label="x")
-
     def test_default_row_labels(self):
-        t = Task(kind="ineq", A=np.eye(2), b=np.zeros(2), label="lim")
+        t = Task(A=np.eye(2), b=np.zeros(2), label="lim")
         assert t.row_labels == ["lim[0]", "lim[1]"]
 
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):
-            Task(kind="eq", A=np.eye(2), b=np.zeros(3), label="x")
+            Task(A=np.eye(2), b=np.zeros(3), label="x")
 
     def test_negative_slack_rejected(self):
         with pytest.raises(ValueError, match="slack"):
-            Task(kind="ineq", A=np.eye(2), b=np.zeros(2), label="x",
+            Task(A=np.eye(2), b=np.zeros(2), label="x",
                  slack=[1.0, -1.0])
 
 
@@ -217,15 +212,16 @@ def drift_torque(st, tau_ext=None):
     return w if tau_ext is None else w + tau_ext
 
 
-def family_rows(st, params, model, families, tau_ext=None):
+def family_rows(st, params, families, tau_ext=None):
     """One acceleration task per family, each from its own bounds."""
-    return [acceleration_rows(st, params, model, (f,), tau_ext)
+    return [acceleration_rows(st, params, (f,), tau_ext)
             for f in families]
 
 
-def family_bounds(st, params, model, family):
+def family_bounds(st, params, family):
     """(lo, hi) on qdd that the family's barrier puts, from the formulas
     in the tasks module docstring."""
+    model = st.model
     if family == "velocity":
         g = params.gamma_velocity
         return -g * (st.qd + model.v_max), g * (model.v_max - st.qd)
@@ -245,7 +241,7 @@ def bounds_of(task, st, tau_ext=None):
 def stage0_outcome(tasks, witness):
     """Whether the strict tasks admit a torque, as a cascade whose one
     level tracks the witness decides it."""
-    track = Task(kind="eq", A=np.eye(witness.shape[0]), b=witness,
+    track = Task(A=np.eye(witness.shape[0]), b=witness,
                  label="track")
     levels = [LevelSpec(equality=track)]
     try:
@@ -275,8 +271,8 @@ class TestAccelerationTask:
         params = CbfParams()
         tau_ext = np.array(ext_frac) * panda.tau_max
         u = np.array(u_frac) * panda.tau_max
-        merged = acceleration_rows(st, params, panda, families, tau_ext)
-        single = family_rows(st, params, panda, families, tau_ext)
+        merged = acceleration_rows(st, params, families, tau_ext)
+        single = family_rows(st, params, families, tau_ext)
         assert merged.m == 14
         resid = np.array([t.A @ u - t.b for t in single])
         np.testing.assert_array_equal(merged.A @ u - merged.b,
@@ -299,9 +295,9 @@ class TestAccelerationTask:
         for families in (("velocity", "position"), ("position", "velocity")):
             for fam in families:
                 np.testing.assert_array_equal(
-                    family_bounds(st, params, model, fam),
+                    family_bounds(st, params, fam),
                     (-np.ones(7), np.ones(7)))
-            task = acceleration_rows(st, params, model, families)
+            task = acceleration_rows(st, params, families)
             np.testing.assert_allclose(bounds_of(task, st),
                                        (-np.ones(7), np.ones(7)), atol=1e-9)
             prefix = families[0][:3]
@@ -314,10 +310,8 @@ class TestAccelerationTask:
         params = CbfParams()
         for _ in range(10):
             st = compute_state(panda, *random_panda_state(panda, rng))
-            one = acceleration_rows(st, params, panda,
-                                    ("velocity", "position"))
-            two = acceleration_rows(st, params, panda,
-                                    ("position", "velocity"))
+            one = acceleration_rows(st, params, ("velocity", "position"))
+            two = acceleration_rows(st, params, ("position", "velocity"))
             assert np.array_equal(one.A, two.A)
             assert np.array_equal(one.b, two.b)
 
@@ -330,12 +324,12 @@ class TestAccelerationWitness:
             tau_ext = rng.uniform(-5.0, 5.0, 7)
             u = rng.uniform(-50.0, 50.0, 7)
             acc = st.M_inv @ (u + drift_torque(st, tau_ext))
-            shared = acceleration_rows(st, params, panda,
-                                       ("velocity", "position"), tau_ext)
+            shared = acceleration_rows(st, params, ("velocity", "position"),
+                                       tau_ext)
             boxes = []
             for fam in ("velocity", "position"):
-                lo, hi = family_bounds(st, params, panda, fam)
-                [task] = family_rows(st, params, panda, (fam,), tau_ext)
+                lo, hi = family_bounds(st, params, fam)
+                [task] = family_rows(st, params, (fam,), tau_ext)
                 np.testing.assert_allclose(
                     task.A @ u - task.b,
                     np.concatenate([hi - acc, acc - lo]), atol=1e-8)
@@ -383,7 +377,7 @@ class TestForwardInvariance:
 
         hist = filtered_rollout(
             twolink, [0.2, -0.3], [0.0, 0.0], u_des,
-            lambda st: acceleration_rows(st, params, twolink, ("velocity",)),
+            lambda st: acceleration_rows(st, params, ("velocity",)),
             steps=1500)
         peak = max(np.max(np.abs(st.qd)) for st in hist)
         assert peak <= twolink.v_max[0] + 1e-3
@@ -399,7 +393,7 @@ class TestForwardInvariance:
 
         hist = filtered_rollout(
             twolink, [0.0, 0.0], [0.0, 0.0], u_des,
-            lambda st: acceleration_rows(st, params, twolink, ("position",)),
+            lambda st: acceleration_rows(st, params, ("position",)),
             steps=3000)
         q_hi = max(np.max(st.q - twolink.q_max) for st in hist)
         q_lo = max(np.max(twolink.q_min - st.q) for st in hist)
@@ -419,7 +413,7 @@ class TestForwardInvariance:
 
             def rows(st):
                 t = energy_cbf_row(st, params)
-                return Task(kind="ineq", A=t.A, b=t.b, label="energy")
+                return Task(A=t.A, b=t.b, label="energy")
 
             hist = filtered_rollout(twolink, [0.1, 0.1], [0.0, 0.0], u_des,
                                     rows, steps=steps, dt=dt)
@@ -445,7 +439,7 @@ class TestForwardInvariance:
             return st.g + st.J[:3].T @ (-15.0 * normal) - 2.0 * st.qd
 
         def rows(st):
-            return collision_plane_rows(st, params, twolink)
+            return collision_plane_rows(st, params)
 
         hist = filtered_rollout(twolink, [0.5, 0.3], [0.0, 0.0], u_des,
                                 rows, steps=2000)
