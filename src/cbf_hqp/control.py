@@ -35,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import RobotState
-from .hqp import CascadeInfeasibleError, LevelSpec, S0EmptyError, run_cascade
+from .hqp import (CascadeInfeasibleError, LevelSpec, S0EmptyError, identity,
+                  run_cascade)
 from .tasks import (
     CbfParams,
     Task,
@@ -56,25 +57,19 @@ class UnsupportedConfigurationError(RuntimeError):
     nullspace row assumes."""
 
 
-def _quat_mul(a: Array, b: Array) -> Array:
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array([
+def _quat_log_error(q_des: tuple[float, ...], q_cur: Array) -> Array:
+    """Rotation vector (base frame) taking the current orientation to the
+    desired one: log of R_des R_cur^T. The quaternion product
+    q_des conj(q_cur) runs on Python floats."""
+    w1, x1, y1, z1 = q_des
+    w2, x2, y2, z2 = q_cur.tolist()
+    x2, y2, z2 = -x2, -y2, -z2
+    e = np.array([
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
     ])
-
-
-def _quat_conj(q: Array) -> Array:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
-def _quat_log_error(q_des: Array, q_cur: Array) -> Array:
-    """Rotation vector (base frame) taking the current orientation to the
-    desired one: log of R_des R_cur^T."""
-    e = _quat_mul(q_des, _quat_conj(q_cur))
     if e[0] < 0.0:
         e = -e
     v = e[1:]
@@ -120,6 +115,18 @@ class ImpedanceParams:
         K = np.diag(np.concatenate([self.k_trans, self.k_rot]).astype(float))
         K.flags.writeable = False
         return K
+
+    @cached_property
+    def position_target(self) -> Array:
+        """eq_position as a read-only float array."""
+        p = np.asarray(self.eq_position, dtype=float)
+        p.flags.writeable = False
+        return p
+
+    @cached_property
+    def quat_target(self) -> tuple[float, ...]:
+        """eq_quat as Python floats."""
+        return tuple(float(v) for v in self.eq_quat)
 
 
 def check_strict_families(families: tuple[str, ...], cbf: CbfParams) -> None:
@@ -219,9 +226,8 @@ def task_space_inertia(state: RobotState) -> TaskInertia:
 def pose_error(state: RobotState, impedance: ImpedanceParams) -> Array:
     """6-vector [position error; orientation log error], desired minus
     current, in the base frame."""
-    e_pos = np.asarray(impedance.eq_position, dtype=float) - state.ee_pos
-    e_rot = _quat_log_error(np.asarray(impedance.eq_quat, dtype=float),
-                            state.ee_quat)
+    e_pos = impedance.position_target - state.ee_pos
+    e_rot = _quat_log_error(impedance.quat_target, state.ee_quat)
     return np.concatenate([e_pos, e_rot])
 
 
@@ -306,14 +312,14 @@ def _levels_for_mode(mode: str, u_nom: Array, energy: Task,
     ||W x|| = ||P x|| and |V x| = ||N x||, so task_wrench and nullspace
     minimize P, N (u - u_nom). single_qp tracks u_nom itself."""
     if mode == "single_qp":
-        track = Task(A=np.eye(u_nom.shape[0]), b=u_nom,
-                     label="torque_tracking")
-        hard_energy = Task(A=energy.A, b=energy.b, label=energy.label,
-                           row_labels=list(energy.row_labels))
+        track = Task._trusted(identity(u_nom.shape[0]), u_nom,
+                              "torque_tracking")
+        hard_energy = Task._trusted(energy.A, energy.b, energy.label,
+                                    row_labels=list(energy.row_labels))
         return [LevelSpec(equality=track, inequality=hard_energy)]
     W, V = task_rows(state, lam, z)
-    cartesian = Task(A=W, b=W @ u_nom, label="task_wrench")
-    nullspace = Task(A=V, b=V @ u_nom, label="nullspace")
+    cartesian = Task._trusted(W, W @ u_nom, "task_wrench")
+    nullspace = Task._trusted(V, V @ u_nom, "nullspace")
     if mode == "hqp_performance":
         return [LevelSpec(equality=cartesian),
                 LevelSpec(inequality=energy),

@@ -50,6 +50,7 @@ and `cbf-hqp check` read, together with the model it was built from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -101,6 +102,18 @@ class RobotModel:
         self._sqrt_mass = np.sqrt(self.mass)
         self._com_col = self.com[:, :, None]
         self._mg = (self.mass[:, None] * self.gravity).reshape(-1)
+        # The joint transforms' entries that do not depend on q; _chain
+        # fills only the cos/sin entries of a copy per evaluation.
+        ca, sa = np.cos(self.dh_alpha), np.sin(self.dh_alpha)
+        self._csa = np.stack([ca, sa], axis=-1)     # (n, 2)
+        T = np.zeros((n, 4, 4))
+        T[:, 0, 3] = self.dh_a
+        T[:, 1, 2] = -sa
+        T[:, 1, 3] = -sa * self.dh_d
+        T[:, 2, 2] = ca
+        T[:, 2, 3] = ca * self.dh_d
+        T[:, 3, 3] = 1.0
+        self._T_const = T
 
 
 def _scalar(value, where: str, kind=float, error=ModelError):
@@ -271,24 +284,15 @@ def _rotz(t):
 
 def _chain(model: RobotModel, Q: Array):
     B, n = Q.shape
-    dtype = Q.dtype
     theta = Q + model.dh_theta_offset
     ct, st = np.cos(theta), np.sin(theta)          # (B, n)
-    ca, sa = np.cos(model.dh_alpha), np.sin(model.dh_alpha)  # (n,)
 
-    T_loc = np.zeros((B, n, 4, 4), dtype=dtype)
+    T_loc = np.empty((B, n, 4, 4), dtype=Q.dtype)
+    T_loc[:] = model._T_const
     T_loc[..., 0, 0] = ct
     T_loc[..., 0, 1] = -st
-    T_loc[..., 0, 3] = model.dh_a
-    T_loc[..., 1, 0] = st * ca
-    T_loc[..., 1, 1] = ct * ca
-    T_loc[..., 1, 2] = -sa
-    T_loc[..., 1, 3] = -sa * model.dh_d
-    T_loc[..., 2, 0] = st * sa
-    T_loc[..., 2, 1] = ct * sa
-    T_loc[..., 2, 2] = ca
-    T_loc[..., 2, 3] = ca * model.dh_d
-    T_loc[..., 3, 3] = 1.0
+    T_loc[..., 1:3, 0] = st[..., None] * model._csa   # st ca, st sa
+    T_loc[..., 1:3, 1] = ct[..., None] * model._csa   # ct ca, ct sa
 
     T = np.empty_like(T_loc)
     T[:, 0] = T_loc[:, 0]
@@ -299,7 +303,7 @@ def _chain(model: RobotModel, Q: Array):
 
 def _cross_rows(a: Array, b: Array) -> Array:
     """Cross product over a trailing axis of length 3, no reordering."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.result_type(a, b))
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     out[..., 0] = a1 * b2 - a2 * b1
@@ -322,8 +326,8 @@ def _link_jacobians(model: RobotModel, T: Array):
     diff = p[:, :, None, :] - o[:, None, :, :]            # (B, L, n, 3)
     cr = _cross_rows(z[:, None, :, :], diff)              # (B, L, n, 3)
     mask = model._tril[None, :, :, None]                  # joint j moves link l iff j <= l
-    Jv = np.swapaxes(cr * mask, -1, -2)                   # (B, L, 3, n)
-    Jw = np.swapaxes(z[:, None, :, :] * mask, -1, -2)
+    Jv = (cr * mask).swapaxes(-1, -2)                     # (B, L, 3, n)
+    Jw = (z[:, None, :, :] * mask).swapaxes(-1, -2)
     return Jv, Jw
 
 
@@ -336,8 +340,8 @@ def _mass_matrix_batched(model: RobotModel, T: Array, jac=None) -> Array:
     # R @ chol(I) factors the world inertia, so the angular part is a
     # Gram product too: Jw^T (R I R^T) Jw = (S^T R^T Jw)^T (S^T R^T Jw).
     RS = T[..., :3, :3] @ model._inertia_chol
-    Gw = (np.swapaxes(RS, -1, -2) @ Jw).reshape(B, 3 * n, n)
-    return np.swapaxes(Gv, -1, -2) @ Gv + np.swapaxes(Gw, -1, -2) @ Gw
+    Gw = (RS.swapaxes(-1, -2) @ Jw).reshape(B, 3 * n, n)
+    return Gv.swapaxes(-1, -2) @ Gv + Gw.swapaxes(-1, -2) @ Gw
 
 
 def _ee_terms(model: RobotModel, T: Array):
@@ -347,32 +351,34 @@ def _ee_terms(model: RobotModel, T: Array):
     o = T[..., :3, 3]
     p_ee = T_ee[:, :3, 3]
     Jv = _cross_rows(z, p_ee[:, None, :] - o)   # (B, n, 3)
-    J = np.concatenate([np.swapaxes(Jv, 1, 2), np.swapaxes(z, 1, 2)], axis=1)
+    J = np.concatenate([Jv.swapaxes(1, 2), z.swapaxes(1, 2)], axis=1)
     return T_ee, J
 
 
 def _quat_from_rot(R: Array) -> Array:
-    """Unit quaternion (w, x, y, z) from a rotation matrix, w >= 0."""
-    t = np.trace(R)
+    """Unit quaternion (w, x, y, z) from a rotation matrix, w >= 0. The
+    arithmetic runs on Python floats, the same IEEE operations as on
+    numpy scalars without their overhead."""
+    R = R.tolist()
+    t = R[0][0] + R[1][1] + R[2][2]
     if t > 0.0:
-        r = np.sqrt(1.0 + t)
-        w = 0.5 * r
-        x = 0.5 * (R[2, 1] - R[1, 2]) / r
-        y = 0.5 * (R[0, 2] - R[2, 0]) / r
-        z = 0.5 * (R[1, 0] - R[0, 1]) / r
+        r = math.sqrt(1.0 + t)
+        q = [0.5 * r,
+             0.5 * (R[2][1] - R[1][2]) / r,
+             0.5 * (R[0][2] - R[2][0]) / r,
+             0.5 * (R[1][0] - R[0][1]) / r]
     else:
-        i = int(np.argmax(np.diag(R)))
+        # the largest diagonal entry, the first on a tie
+        i = max(range(3), key=lambda m: R[m][m])
         j, k = (i + 1) % 3, (i + 2) % 3
-        r = np.sqrt(1.0 + R[i, i] - R[j, j] - R[k, k])
-        v = np.empty(3)
-        v[i] = 0.5 * r
-        v[j] = 0.5 * (R[j, i] + R[i, j]) / r
-        v[k] = 0.5 * (R[k, i] + R[i, k]) / r
-        w = 0.5 * (R[k, j] - R[j, k]) / r
-        x, y, z = v
-    q = np.array([w, x, y, z])
+        r = math.sqrt(1.0 + R[i][i] - R[j][j] - R[k][k])
+        q = [0.5 * (R[k][j] - R[j][k]) / r, 0.0, 0.0, 0.0]
+        q[1 + i] = 0.5 * r
+        q[1 + j] = 0.5 * (R[j][i] + R[i][j]) / r
+        q[1 + k] = 0.5 * (R[k][i] + R[i][k]) / r
     if q[0] < 0.0:
-        q = -q
+        q = [-v for v in q]
+    q = np.array(q)
     return q / np.linalg.norm(q)
 
 
@@ -394,7 +400,7 @@ def _bias_torque(model: RobotModel, T: Array, Jv: Array, Jw: Array,
     n = model.n_joints
     R = T[1, :, :3, :3]
     w = (Jw[1] @ qd)[..., None]
-    Iw = R @ (model.inertia @ (np.swapaxes(R, -1, -2) @ w))
+    Iw = R @ (model.inertia @ (R.swapaxes(-1, -2) @ w))
     lin = (Jv[1] @ qd).imag * (model.mass[:, None] / _CSTEP)
     ang = Iw[..., 0].imag / _CSTEP
     return (Jv[0].real.reshape(-1, n).T @ lin.reshape(-1)
@@ -476,7 +482,9 @@ def compute_state(model: RobotModel, q, qd) -> RobotState:
     if q.shape != (model.n_joints,) or qd.shape != (model.n_joints,):
         raise ModelError("q and qd must have length n_joints")
 
-    Q = np.stack([q, q + 1j * _CSTEP * qd])
+    Q = np.empty((2, model.n_joints), dtype=complex)
+    Q[0] = q
+    Q[1] = q + 1j * _CSTEP * qd
     T = _chain(model, Q)
     Jv, Jw = _link_jacobians(model, T)
     T0 = T[:1].real

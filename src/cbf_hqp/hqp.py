@@ -31,11 +31,19 @@ An equality level whose answer is its witness (the anchor is the
 witness, A w == b exactly, no inequality task, and the ledger rows hold
 at w) passes through: it freezes its rows at w and builds no QP. When
 u_nom meets every row, only the levels with inequality rows solve.
+
+Until the first equality level, Z is the identity. The ledger holds it
+as None, and a level searches u = w + y directly: it forms no C Z, Z^T x
+or Z y, whose products with an identity would give the same numbers.
+The ledger's rows were checked where they entered (`Task`, the witness
+of `init_stage0`), so a level poses its QP with `QpProblem._trusted`,
+without the public constructor's conversions and checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,6 +83,14 @@ class CascadeInfeasibleError(RuntimeError):
         super().__init__(f"priority level {level} ended with status '{status}'")
 
 
+@lru_cache(maxsize=None)
+def identity(n: int) -> Array:
+    """A shared read-only n x n identity."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _slack_of(task: Task | None) -> Array | None:
     """The task's slack coefficients when it has a slack variable, i.e.
     when some coefficient is positive; None for a hard task."""
@@ -100,13 +116,14 @@ class StageLedger:
     Inequality rows installed at stage 0 (the first n_strict of A_in)
     are the non-negotiable ones; everything after them was frozen in by
     some solved level, and every equality row was. Row counts never
-    shrink. Z is an orthonormal basis of the kernel of A_eq, and witness
-    satisfies every row, so witness + Z y keeps every frozen equality
-    for any y. The one exception is stage 0's witness (u_nom inside the
-    cascade), kept as given: phase1_used says it breaks a strict row by
-    more than FEAS_TOL, and then the first level projects it. An equality
-    level leaves its A in a list of pending kernels, and the next read of
-    Z folds them in order, Z <- Z ker(A Z), so neither the last level's
+    shrink. Z is an orthonormal basis of the kernel of A_eq (held as
+    None while it is the identity), and witness satisfies every row, so
+    witness + Z y keeps every frozen equality for any y. The one
+    exception is stage 0's witness (u_nom inside the cascade), kept as
+    given: phase1_used says it breaks a strict row by more than
+    FEAS_TOL, and then the first level projects it. An equality level
+    leaves its A in a list of pending kernels, and the next read of Z
+    folds them in order, Z <- Z ker(A Z), so neither the last level's
     kernel nor one that no later level reads is ever computed.
     strict_tasks holds the tasks behind the stage-0 rows, which are the
     only rows the cascade names; their labels are built on demand.
@@ -119,16 +136,26 @@ class StageLedger:
     n_strict: int
     witness: Array
     phase1_used: bool
-    _Z: Array = field(repr=False)
     strict_tasks: list[Task] = field(default_factory=list)
+    _Z: Array | None = field(default=None, repr=False)
     level: int = 0
     records: list[LevelRecord] = field(default_factory=list)
     _pending_kernels: list[Array] = field(default_factory=list, repr=False)
 
     @property
     def Z(self) -> Array:
+        Z = self._basis()
+        return identity(self.n) if Z is None else Z
+
+    def _basis(self) -> Array | None:
+        """Z after folding the pending kernels, None for the identity."""
         for A in self._pending_kernels:
-            if self._Z.shape[1]:
+            if self._Z is None:
+                # I ker(A I) has ker(A)'s numbers in C order; later
+                # products with Z round as they would with that product
+                # only when Z has its layout
+                self._Z = np.ascontiguousarray(_kernel(A))
+            elif self._Z.shape[1]:
                 self._Z = self._Z @ _kernel(A @ self._Z)
         self._pending_kernels.clear()
         return self._Z
@@ -200,6 +227,11 @@ def _kernel(A: Array) -> Array:
     return Vt[numerical_rank(sig):].T
 
 
+def _equal(a: Array, b: Array) -> bool:
+    """Whether a and b have one shape and equal entries."""
+    return a.shape == b.shape and bool((a == b).all())
+
+
 def _interval_minimizer(a: Array, b: Array, y_unc: float) -> float | None:
     """Minimizer over {y : a y >= b} of a strictly convex scalar QP whose
     unconstrained minimizer is y_unc: y_unc clipped into the rows'
@@ -266,12 +298,11 @@ def init_stage0(strict_tasks: list[Task], witness: Array) -> StageLedger:
             raise ValueError(f"strict task '{t.label}' has {t.A.shape[1]} "
                              f"columns, the witness {n} entries")
 
-    A_in = np.vstack([t.A for t in tasks]) if tasks else np.zeros((0, n))
+    A_in = np.concatenate([t.A for t in tasks]) if tasks else np.zeros((0, n))
     b_in = np.concatenate([t.b for t in tasks]) if tasks else np.zeros(0)
     ledger = StageLedger(n=n, A_eq=np.zeros((0, n)), b_eq=np.zeros(0),
                          A_in=A_in, b_in=b_in, n_strict=A_in.shape[0],
-                         witness=w, phase1_used=False, _Z=np.eye(n),
-                         strict_tasks=tasks)
+                         witness=w, phase1_used=False, strict_tasks=tasks)
     ledger.phase1_used = ledger.in_violation(w) > FEAS_TOL
     return ledger
 
@@ -310,18 +341,24 @@ def solve_level(ledger: StageLedger, spec: LevelSpec, anchor: Array
     # Inequality rows C u + c delta >= d: the ledger's, then the level's.
     C, d = ledger.A_in, ledger.b_in
     if ineq is not None:
-        C = np.vstack([C, ineq.A])
+        C = np.concatenate([C, ineq.A])
         d = np.concatenate([d, ineq.b])
-    if (ineq is None and ledger.witness_meets_rows
-            and np.array_equal(anchor, w) and np.array_equal(eq.A @ w, eq.b)):
+    Au = None  # A u_star, once known
+    if ineq is None and ledger.witness_meets_rows and _equal(anchor, w):
+        Au = eq.A @ w
+        if not _equal(Au, eq.b):
+            Au = None
+    if Au is not None:
         u_star, delta, iterations = w, 0.0, 0
     else:
         u_star, delta, iterations = _level_optimum(ledger, eq, C, d,
                                                    slack_coef, anchor)
 
     if eq is not None:
-        ledger.A_eq = np.vstack([ledger.A_eq, eq.A])
-        ledger.b_eq = np.concatenate([ledger.b_eq, eq.A @ u_star])
+        if Au is None:
+            Au = eq.A @ u_star
+        ledger.A_eq = np.concatenate([ledger.A_eq, eq.A])
+        ledger.b_eq = np.concatenate([ledger.b_eq, Au])
         ledger._pending_kernels.append(eq.A)
     if ineq is not None:
         ledger.A_in = C
@@ -341,38 +378,48 @@ def _level_optimum(ledger: StageLedger, eq: Task | None, C: Array, d: Array,
     """The next level's (u_star, delta_star, iterations): the optimum of
     its QP over u = w + Z y and its slack, under the rows
     C u + c delta >= d (the ledger's, then the level's)."""
-    w, Z = ledger.witness, ledger.Z
-    k = Z.shape[1]
+    w, Z = ledger.witness, ledger._basis()   # Z None: the identity
+    k = ledger.n if Z is None else Z.shape[1]
     dim = k + (1 if slack_coef is not None else 0)
     level = ledger.level + 1
+    m_ledger, m = ledger.b_in.shape[0], d.shape[0]
 
     # The same rows on the search space: A_in y >= b_in. The witness
     # meets every ledger row within FEAS_TOL, and a ledger row it misses
     # by less holds where the witness has it, so the ledger alone never
     # empties the level. Stage 0's witness may break the strict rows by
-    # more; the first level then meets them as they are.
-    A_in, b_in = C @ Z, d - C @ w
+    # more; the first level then meets them as they are. With slack, the
+    # level's rows gain the column c and the row delta >= 0.
+    CZ = C if Z is None else C @ Z
+    if slack_coef is None:
+        A_in, b_in = CZ, d - C @ w
+    else:
+        A_in = np.zeros((m + 1, dim))
+        A_in[:m, :k] = CZ
+        A_in[m_ledger:m, k] = slack_coef
+        A_in[m, k] = 1.0
+        b_in = np.empty(m + 1)
+        b_in[:m] = d - C @ w
+        b_in[m] = 0.0
     if ledger.witness_meets_rows:
-        m = ledger.b_in.shape[0]
-        b_in[:m] = np.minimum(b_in[:m], 0.0)
+        b_in[:m_ledger] = np.minimum(b_in[:m_ledger], 0.0)
 
     # The level's QP in y (and delta): 1/2 ||A Z y - (b - A w)||^2 and
     # RHO/2 delta^2; y_anchor centers the Tikhonov term on the search
-    # space.
+    # space. Only the equality part can leave H unsymmetric.
     H = np.zeros((dim, dim))
     f = np.zeros(dim)
-    if eq is not None:
-        AZ = eq.A @ Z
-        H[:k, :k] = AZ.T @ AZ
-        f[:k] = -AZ.T @ (eq.b - eq.A @ w)
     if slack_coef is not None:
         H[k, k] = RHO
-        c = np.concatenate([np.zeros(ledger.A_in.shape[0]), slack_coef])
-        A_in = np.vstack([np.hstack([A_in, c[:, None]]), np.eye(1, dim, k)])
-        b_in = np.append(b_in, 0.0)
-    H = 0.5 * (H + H.T)
+    if eq is not None:
+        if not np.isfinite(eq.b).all():
+            raise ValueError(f"equality task '{eq.label}': b must be finite")
+        AZ = eq.A if Z is None else eq.A @ Z
+        H[:k, :k] = AZ.T @ AZ
+        f[:k] = -AZ.T @ (eq.b - eq.A @ w)
+        H = 0.5 * (H + H.T)
     y_anchor = np.zeros(dim)
-    y_anchor[:k] = Z.T @ (anchor - w)
+    y_anchor[:k] = anchor - w if Z is None else Z.T @ (anchor - w)
 
     iterations = 0
     if dim == 0:
@@ -390,13 +437,12 @@ def _level_optimum(ledger: StageLedger, eq: Task | None, C: Array, d: Array,
             raise CascadeInfeasibleError(level, "infeasible")
         y = np.array([y])
     else:
-        sol = solve_qp(QpProblem(H=H, f=f, A_in=A_in, b_in=b_in),
-                       anchor=y_anchor)
+        sol = solve_qp(QpProblem._trusted(H, f, A_in, b_in), anchor=y_anchor)
         if sol.status != "optimal":
             raise CascadeInfeasibleError(level, sol.status)
         y, iterations = sol.z_star, sol.iterations
     delta = float(y[k]) if slack_coef is not None else 0.0
-    return w + Z @ y[:k], delta, iterations
+    return (w + y[:k] if Z is None else w + Z @ y[:k]), delta, iterations
 
 
 def run_cascade(strict_tasks: list[Task], levels: list[LevelSpec],

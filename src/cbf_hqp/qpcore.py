@@ -87,6 +87,21 @@ class QpProblem:
         if np.abs(self.H - self.H.T).max(initial=0.0) > 1e-12:
             raise ValueError("H must be symmetric")
 
+    @classmethod
+    def _trusted(cls, H: Array, f: Array, A_in: Array,
+                 b_in: Array) -> QpProblem:
+        """A problem with inequality rows only, from arrays the package
+        built itself, without the public constructor's conversions and
+        checks: finite float arrays H (n, n) symmetric, f (n,) and
+        A_in (m, n), and b_in (m,) with no nan or +inf. On such input it
+        equals QpProblem(H=H, f=f, A_in=A_in, b_in=b_in) field for
+        field."""
+        problem = object.__new__(cls)
+        n = f.shape[0]
+        problem.H, problem.f, problem.A_in, problem.b_in = H, f, A_in, b_in
+        problem.A_eq, problem.b_eq = np.zeros((0, n)), np.zeros(0)
+        return problem
+
     @property
     def n(self) -> int:
         return self.f.shape[0]

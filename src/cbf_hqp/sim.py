@@ -90,8 +90,12 @@ class EquilibriumSchedule:
         if self.kind == "step" and self.at < 0.0:
             raise ScenarioError("equilibrium.at must be >= 0")
 
+    def stepped(self, t: float) -> bool:
+        """Whether the offset applies at time t."""
+        return self.kind == "step" and t >= self.at
+
     def offset_at(self, t: float) -> Array:
-        if self.kind == "step" and t >= self.at:
+        if self.stepped(t):
             return np.asarray(self.offset, dtype=float)
         return np.zeros(3)
 
@@ -262,7 +266,10 @@ def run_scenario(scenario: Scenario, model: RobotModel | None = None,
                  k_max: float | None = None,
                  duration: float | None = None) -> SimResult:
     """Closed-loop rollout. Keyword overrides support parameter sweeps
-    without editing scenario files."""
+    without editing scenario files. The controller's barrier parameters
+    are the scenario's `cbf` with the scenario's dt as their control
+    period, so the energy row's slack rate uses the period the loop
+    steps with."""
     if model is None:
         model = resolve_model(scenario.model_name)
     if scenario.q0.shape != (model.n_joints,):
@@ -270,14 +277,13 @@ def run_scenario(scenario: Scenario, model: RobotModel | None = None,
     mode = mode or scenario.mode
     if mode not in control.MODES:
         raise ScenarioError(f"mode must be one of {control.MODES}")
-    cbf = scenario.cbf
-    if gamma is not None or k_max is not None:
-        cbf = dataclasses.replace(
-            cbf,
-            gamma=float(gamma) if gamma is not None else cbf.gamma,
-            k_max=float(k_max) if k_max is not None else cbf.k_max)
-    duration = float(duration) if duration is not None else scenario.duration
     dt = scenario.dt
+    cbf = scenario.cbf
+    cbf = dataclasses.replace(
+        cbf, dt=dt,
+        gamma=float(gamma) if gamma is not None else cbf.gamma,
+        k_max=float(k_max) if k_max is not None else cbf.k_max)
+    duration = float(duration) if duration is not None else scenario.duration
     if not (0.0 < duration < np.inf and duration / dt < np.inf):
         raise ScenarioError(f"duration must be a finite number > 0 with a "
                             f"finite duration / dt, got duration "
@@ -288,16 +294,17 @@ def run_scenario(scenario: Scenario, model: RobotModel | None = None,
     base_pos = state.ee_pos.copy()
     base_quat = state.ee_quat.copy()
 
-    impedance_cache: dict[tuple, control.ImpedanceParams] = {}
+    # one impedance target before the equilibrium step and one after it
+    impedances: dict[bool, control.ImpedanceParams] = {}
 
     def impedance_at(t: float) -> control.ImpedanceParams:
-        off = scenario.equilibrium.offset_at(t)
-        key = tuple(off)
-        if key not in impedance_cache:
-            impedance_cache[key] = control.ImpedanceParams(
+        stepped = scenario.equilibrium.stepped(t)
+        if stepped not in impedances:
+            off = scenario.equilibrium.offset_at(t)
+            impedances[stepped] = control.ImpedanceParams(
                 k_trans=scenario.k_trans, k_rot=scenario.k_rot,
                 eq_position=tuple(base_pos + off), eq_quat=tuple(base_quat))
-        return impedance_cache[key]
+        return impedances[stepped]
 
     ctrl = control.ControllerState(mode=mode, cbf=cbf,
                                    impedance=impedance_at(0.0),
@@ -383,28 +390,35 @@ def audit(result: SimResult) -> list[str]:
         problems.append(f"controller fault: {result.fault_reason}")
     elif len(result.records) != int(round(result.duration / result.dt)):
         problems.append("record count does not match duration/dt")
-    prev_t = None
-    for i, r in enumerate(result.records):
-        if prev_t is not None and not np.isclose(r.t - prev_t, result.dt,
-                                                 rtol=0, atol=1e-12):
-            problems.append(f"time stride broken at record {i}")
-            break
-        prev_t = r.t
-    for i, r in enumerate(result.records):
-        numeric = np.concatenate(
-            [r.q, r.qd, r.u_nom, r.u_applied, r.dW,
-             [r.K, r.k_max_eff, r.delta, r.solve_time_us]])
-        if not np.all(np.isfinite(numeric)):
-            problems.append(f"non-finite value at record {i}")
-            break
-        if r.delta < 0.0:
-            problems.append(f"negative slack at record {i}")
-            break
-        if abs(r.k_max_eff - (result.k_max + r.delta)) > 1e-12:
-            problems.append(f"slack bookkeeping broken at record {i}")
-            break
-        if np.isfinite(r.eq_residual) and r.eq_residual > 1e-8:
-            problems.append(f"inherited equality residual {r.eq_residual:.3g} "
-                            f"at record {i}")
-            break
+    recs = result.records
+    if not recs:
+        return problems
+    # One pass per check over all records; the messages name the first
+    # broken stride, and the first record that breaks a record check,
+    # with the first check it breaks.
+    t = np.array([r.t for r in recs])
+    stride_ok = np.isclose(np.diff(t), result.dt, rtol=0, atol=1e-12)
+    if not stride_ok.all():
+        problems.append(f"time stride broken at record "
+                        f"{int(np.argmin(stride_ok)) + 1}")
+    scalars = np.array([(r.K, r.k_max_eff, r.delta, r.solve_time_us,
+                         r.eq_residual) for r in recs])
+    K_max_eff, delta, eq_residual = scalars[:, 1], scalars[:, 2], scalars[:, 4]
+    finite = np.isfinite(scalars[:, :4]).all(axis=1)
+    for name in ("q", "qd", "u_nom", "u_applied", "dW"):
+        finite &= np.isfinite(np.array([getattr(r, name) for r in recs])
+                              ).all(axis=1)
+    checks = (
+        (~finite, lambda i: f"non-finite value at record {i}"),
+        (delta < 0.0, lambda i: f"negative slack at record {i}"),
+        (np.abs(K_max_eff - (result.k_max + delta)) > 1e-12,
+         lambda i: f"slack bookkeeping broken at record {i}"),
+        (np.isfinite(eq_residual) & (eq_residual > 1e-8),
+         lambda i: f"inherited equality residual {eq_residual[i]:.3g} "
+                   f"at record {i}"),
+    )
+    broken = np.array([bad for bad, _ in checks])
+    if broken.any():
+        i = int(np.argmax(broken.any(axis=0)))
+        problems.append(checks[int(np.argmax(broken[:, i]))][1](i))
     return problems

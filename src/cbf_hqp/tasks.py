@@ -41,6 +41,7 @@ Derivations, in brief:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,20 +107,54 @@ class Task:
         self.b = np.asarray(self.b, dtype=float).reshape(-1)
         if self.A.shape[0] != self.b.shape[0]:
             raise ValueError("A and b row counts disagree")
+        if not np.isfinite(self.A).all():
+            raise ValueError(f"task '{self.label}': A holds a nan or an "
+                             f"infinity")
+        # b = -inf is an inequality row that binds nothing
+        if not (self.b < np.inf).all():
+            raise ValueError(f"task '{self.label}': b holds a nan or +inf")
         if self.slack is not None:
             self.slack = np.asarray(self.slack, dtype=float).reshape(-1)
             if self.slack.shape[0] != self.b.shape[0]:
                 raise ValueError("slack and b row counts disagree")
-            if (self.slack < 0.0).any():
-                raise ValueError("slack coefficients must be >= 0")
+            if not (self.slack >= 0.0).all() or \
+                    not np.isfinite(self.slack).all():
+                raise ValueError("slack coefficients must be finite and "
+                                 ">= 0")
         if not self.row_labels:
-            self.row_labels = [f"{self.label}[{i}]" for i in range(self.b.shape[0])]
+            self.row_labels = _default_labels(self.label, self.b.shape[0])
         elif len(self.row_labels) != self.b.shape[0]:
             raise ValueError("row_labels and b row counts disagree")
+
+    @classmethod
+    def _trusted(cls, A: Array, b: Array, label: str,
+                 slack: Array | None = None,
+                 row_labels: list[str] | None = None) -> Task:
+        """A task from arrays the package built itself, without the
+        conversions and checks of the public constructor: A a finite
+        float (m, n) array, b a float (m,) array, slack None or m finite
+        coefficients >= 0, and row_labels m labels or None for the
+        default ones. On such input it equals Task(A, b, label, slack,
+        row_labels) field for field."""
+        task = object.__new__(cls)
+        task.A, task.b, task.label, task.slack = A, b, label, slack
+        task.row_labels = (row_labels if row_labels is not None
+                           else _default_labels(label, b.shape[0]))
+        return task
 
     @property
     def m(self) -> int:
         return self.b.shape[0]
+
+
+@lru_cache(maxsize=64)
+def _label_table(label: str, m: int) -> tuple[str, ...]:
+    return tuple(f"{label}[{i}]" for i in range(m))
+
+
+def _default_labels(label: str, m: int) -> list[str]:
+    """label[0], ..., label[m-1]: the row labels of an unlabelled task."""
+    return list(_label_table(label, m))
 
 
 def _drift_torque(state: RobotState, tau_ext: Array | None) -> Array:
@@ -148,7 +183,7 @@ def energy_cbf_row(state: RobotState, params: CbfParams,
         + qd @ (te - state.g)
     ])
     c = np.array([params.gamma + 1.0 / params.dt])
-    return Task(A=A, b=b, label="energy", slack=c, row_labels=["energy"])
+    return Task._trusted(A, b, "energy", slack=c, row_labels=["energy"])
 
 
 def torque_limit_rows(model: RobotModel) -> Task:
@@ -195,21 +230,32 @@ def acceleration_rows(state: RobotState, params: CbfParams, families,
     vel_min/pos_min); on a tie, the family named first wins. families
     must name velocity or position.
     """
-    named = [f for f in families if f in ("velocity", "position")]
+    named = tuple(f for f in families if f in ("velocity", "position"))
     bounds = [_family_bounds(state, params, f) for f in named]
     lo0, hi0 = lo, hi = bounds[0]
     for f_lo, f_hi in bounds[1:]:
         lo, hi = np.maximum(lo, f_lo), np.minimum(hi, f_hi)
     # the first family's bound where it binds, else the other family's
+    upper, lower = _acceleration_labels(named, state.n)
+    labels = [upper[i][k] for i, k in enumerate((hi0 > hi).tolist())] + \
+             [lower[i][k] for i, k in enumerate((lo0 < lo).tolist())]
+    M_inv = state.M_inv
+    n = state.n
+    a = M_inv @ _drift_torque(state, tau_ext)
+    A = np.empty((2 * n, n))
+    np.negative(M_inv, out=A[:n])
+    A[n:] = M_inv
+    return Task._trusted(A, np.concatenate([a - hi, lo - a]),
+                         "acceleration", row_labels=labels)
+
+
+@lru_cache(maxsize=None)
+def _acceleration_labels(named: tuple[str, ...], n: int):
+    """Per joint, the labels of its upper and of its lower row, one per
+    named family (vel_max[i], pos_max[i], ...)."""
     prefix = [f[:3] for f in named]  # vel, pos
-    labels = [f"{prefix[k]}_max[{i}]"
-              for i, k in enumerate((hi0 > hi).tolist())] + \
-             [f"{prefix[k]}_min[{i}]"
-              for i, k in enumerate((lo0 < lo).tolist())]
-    a = state.M_inv @ _drift_torque(state, tau_ext)
-    return Task(A=np.vstack([-state.M_inv, state.M_inv]),
-                b=np.concatenate([a - hi, lo - a]),
-                label="acceleration", row_labels=labels)
+    return (tuple(tuple(f"{p}_max[{i}]" for p in prefix) for i in range(n)),
+            tuple(tuple(f"{p}_min[{i}]" for p in prefix) for i in range(n)))
 
 
 def collision_plane_rows(state: RobotState, params: CbfParams,
@@ -232,5 +278,5 @@ def collision_plane_rows(state: RobotState, params: CbfParams,
     l1, l2 = params.lambda1, params.lambda2
     row = n_vec @ Jv @ state.M_inv
     b = (-n_vec @ Jdot_qd - (l1 + l2) * hd - l1 * l2 * h - row @ w)
-    return Task(A=row[None, :], b=np.array([b]),
-                label="plane", row_labels=["plane"])
+    return Task._trusted(row[None, :], np.array([b]), "plane",
+                         row_labels=["plane"])

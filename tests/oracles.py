@@ -1,6 +1,8 @@
 """Test oracles kept out of the package: a brute-force QP solver, the
 objective, violation, multipliers and tight rows of a QP solution, the
-worst violation of a cascade's frozen rows, an RK4 step of the
+worst violation of a cascade's frozen rows, a level's QP posed the
+general way (explicit C Z, validated QpProblem), the rollout audit as a
+record-by-record loop, an RK4 step of the
 simulator's vector field, the n x n task and nullspace projectors the
 controller's full-rank rows stand in for, and the seeded random QPs and
 cascades, with the flat per-level replay, that the solver and cascade
@@ -14,8 +16,9 @@ import numpy as np
 
 from cbf_hqp.control import task_space_inertia
 from cbf_hqp.dynamics import RobotState, compute_state
-from cbf_hqp.hqp import RHO, LevelSpec
-from cbf_hqp.qpcore import FEAS_TOL, REG, QpProblem, QpSolution
+from cbf_hqp.hqp import (RHO, CascadeInfeasibleError, LevelSpec,
+                         _interval_minimizer)
+from cbf_hqp.qpcore import FEAS_TOL, REG, QpProblem, QpSolution, solve_qp
 from cbf_hqp.tasks import Task
 
 Array = np.ndarray
@@ -69,6 +72,56 @@ def cascade_violation(strict_tasks: list[Task], levels: list[LevelSpec],
     return v
 
 
+def general_level_optimum(ledger, eq, C, d, slack_coef, anchor):
+    """A level's (u_star, delta_star, iterations) posed the general way,
+    as `hqp._level_optimum` posed it before its identity and trusted
+    shortcuts: the search space u = w + Z y with Z read from the ledger
+    (an explicit identity before the first equality level), C Z formed,
+    the slack column and the delta >= 0 row stacked on, and the QP
+    built with the validating QpProblem constructor."""
+    w, Z = ledger.witness, ledger.Z
+    k = Z.shape[1]
+    dim = k + (1 if slack_coef is not None else 0)
+    A_in, b_in = C @ Z, d - C @ w
+    if ledger.witness_meets_rows:
+        m = ledger.b_in.shape[0]
+        b_in[:m] = np.minimum(b_in[:m], 0.0)
+    H = np.zeros((dim, dim))
+    f = np.zeros(dim)
+    if eq is not None:
+        AZ = eq.A @ Z
+        H[:k, :k] = AZ.T @ AZ
+        f[:k] = -AZ.T @ (eq.b - eq.A @ w)
+    if slack_coef is not None:
+        H[k, k] = RHO
+        c = np.concatenate([np.zeros(ledger.A_in.shape[0]), slack_coef])
+        A_in = np.vstack([np.hstack([A_in, c[:, None]]), np.eye(1, dim, k)])
+        b_in = np.append(b_in, 0.0)
+    H = 0.5 * (H + H.T)
+    y_anchor = np.zeros(dim)
+    y_anchor[:k] = Z.T @ (anchor - w)
+    iterations = 0
+    if dim == 0:
+        if b_in.max(initial=0.0) > FEAS_TOL:
+            raise CascadeInfeasibleError(ledger.level + 1, "infeasible")
+        y = np.zeros(0)
+    elif dim == 1 and slack_coef is None:
+        y = _interval_minimizer(
+            A_in[:, 0], b_in,
+            -(f[0] - 2.0 * REG * y_anchor[0]) / (H[0, 0] + 2.0 * REG))
+        if y is None:
+            raise CascadeInfeasibleError(ledger.level + 1, "infeasible")
+        y = np.array([y])
+    else:
+        sol = solve_qp(QpProblem(H=H, f=f, A_in=A_in, b_in=b_in),
+                       anchor=y_anchor)
+        if sol.status != "optimal":
+            raise CascadeInfeasibleError(ledger.level + 1, sol.status)
+        y, iterations = sol.z_star, sol.iterations
+    delta = float(y[k]) if slack_coef is not None else 0.0
+    return w + Z @ y[:k], delta, iterations
+
+
 def oracle_solve(problem: QpProblem) -> tuple[Array | None, float]:
     """Exhaustive-enumeration reference solver for small problems.
 
@@ -116,6 +169,41 @@ def oracle_solve(problem: QpProblem) -> tuple[Array | None, float]:
                 best_z = z
 
     return best_z, best_obj
+
+
+def audit_loop(result) -> list[str]:
+    """`sim.audit` as a loop over the records, one record and one check
+    at a time: the reference its vectorized pass must agree with."""
+    problems = []
+    if result.fault:
+        problems.append(f"controller fault: {result.fault_reason}")
+    elif len(result.records) != int(round(result.duration / result.dt)):
+        problems.append("record count does not match duration/dt")
+    prev_t = None
+    for i, r in enumerate(result.records):
+        if prev_t is not None and not np.isclose(r.t - prev_t, result.dt,
+                                                 rtol=0, atol=1e-12):
+            problems.append(f"time stride broken at record {i}")
+            break
+        prev_t = r.t
+    for i, r in enumerate(result.records):
+        numeric = np.concatenate(
+            [r.q, r.qd, r.u_nom, r.u_applied, r.dW,
+             [r.K, r.k_max_eff, r.delta, r.solve_time_us]])
+        if not np.all(np.isfinite(numeric)):
+            problems.append(f"non-finite value at record {i}")
+            break
+        if r.delta < 0.0:
+            problems.append(f"negative slack at record {i}")
+            break
+        if abs(r.k_max_eff - (result.k_max + r.delta)) > 1e-12:
+            problems.append(f"slack bookkeeping broken at record {i}")
+            break
+        if np.isfinite(r.eq_residual) and r.eq_residual > 1e-8:
+            problems.append(f"inherited equality residual {r.eq_residual:.3g} "
+                            f"at record {i}")
+            break
+    return problems
 
 
 def rk4_step(state: RobotState, u_applied: Array,

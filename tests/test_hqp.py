@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import (
     cascade_violation,
+    general_level_optimum,
     level_objective,
     oracle_solve,
     random_levels,
@@ -20,6 +21,8 @@ from cbf_hqp.hqp import (
     LevelSpec,
     S0EmptyError,
     _interval_minimizer,
+    _level_optimum,
+    _slack_of,
     init_stage0,
     run_cascade,
     solve_level,
@@ -408,6 +411,58 @@ class TestCascadeProperties:
             assert not res.phase1_used
             assert [r.iterations for r in res.records] == [0] * len(levels)
             assert all(r.delta == 0.0 for r in res.records)
+
+
+class TestLeanLevelBuilder:
+    """`_level_optimum` skips the identity products before the first
+    equality level, stacks the slack rows into one array and poses its
+    QP unvalidated; none of that may move a bit of its answer."""
+
+    def test_matches_the_general_builder_on_random_cascades(self, rng):
+        seen = {"identity": 0, "kernel": 0, "hard": 0, "infeasible": 0}
+        for _ in range(150):
+            n = int(rng.integers(1, 6))
+            strict, _ = random_strict(rng, n)
+            levels = random_levels(rng, n)
+            if rng.random() < 0.3:
+                # a hard inequality level: no slack column at all
+                ineq = Task(A=rng.normal(size=(2, n)), b=rng.normal(size=2),
+                            label="hard")
+                levels.insert(int(rng.integers(0, len(levels) + 1)),
+                              LevelSpec(inequality=ineq))
+            u_nom = rng.normal(size=n)
+            ledger = init_stage0([strict], u_nom)
+            for spec in levels:
+                eq, ineq = spec.equality, spec.inequality
+                C, d = ledger.A_in, ledger.b_in
+                if ineq is not None:
+                    C = np.concatenate([C, ineq.A])
+                    d = np.concatenate([d, ineq.b])
+                slack = _slack_of(ineq)
+                seen["identity" if ledger._basis() is None else "kernel"] += 1
+                seen["hard"] += ineq is not None and slack is None
+                outcomes = []
+                for build in (_level_optimum, general_level_optimum):
+                    try:
+                        outcomes.append(build(ledger, eq, C, d, slack, u_nom))
+                    except CascadeInfeasibleError as exc:
+                        outcomes.append(str(exc))
+                lean, general = outcomes
+                if isinstance(lean, str) or isinstance(general, str):
+                    assert lean == general
+                    seen["infeasible"] += 1
+                    break
+                assert np.array_equal(lean[0], general[0])
+                assert lean[1:] == general[1:]
+                solve_level(ledger, spec, u_nom)
+        assert min(seen.values()) > 0, seen
+
+    def test_equality_target_must_be_finite(self):
+        ledger = init_stage0([box_task(2, 5.0)], np.zeros(2))
+        spec = LevelSpec(equality=Task(A=np.eye(2), b=[0.0, -np.inf],
+                                       label="track"))
+        with pytest.raises(ValueError, match="'track'.*finite"):
+            solve_level(ledger, spec, np.zeros(2))
 
 
 def counted(monkeypatch, name):

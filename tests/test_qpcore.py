@@ -315,6 +315,28 @@ class TestValidation:
             oracle_solve(p)
 
 
+class TestTrustedProblem:
+    """QpProblem._trusted, the cascade's unvalidated entry, builds the
+    same problem as the public constructor on valid input."""
+
+    def test_equals_the_public_problem_field_for_field(self, rng):
+        for _ in range(50):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(0, 9))
+            G = rng.normal(size=(n, n))
+            H, f = G.T @ G, rng.normal(size=n)
+            A, b = rng.normal(size=(m, n)), rng.normal(size=m)
+            public = QpProblem(H=H, f=f, A_in=A, b_in=b)
+            trusted = QpProblem._trusted(H, f, A, b)
+            for name in ("H", "f", "A_eq", "b_eq", "A_in", "b_in"):
+                x, y = getattr(public, name), getattr(trusted, name)
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
+            anchor = rng.normal(size=n)
+            one, two = solve_qp(public, anchor), solve_qp(trusted, anchor)
+            assert np.array_equal(one.z_star, two.z_star)
+            assert (one.status, one.iterations, one.working) == \
+                (two.status, two.iterations, two.working)
+
+
 class TestAgainstOracle:
     def test_random_instances_agree(self):
         rng = np.random.default_rng(42)

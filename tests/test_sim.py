@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from oracles import rk4_step
+from oracles import audit_loop, rk4_step
 
-from cbf_hqp import dynamics
+from cbf_hqp import control, dynamics
 from cbf_hqp.dynamics import compute_state
 from cbf_hqp.sim import (
     EquilibriumSchedule,
@@ -250,6 +250,26 @@ class TestScenarioLoading:
         sc = load_scenario(HOLD_SCENARIO.replace("dt: 0.001", "dt: 0.002"))
         assert sc.cbf.dt == sc.dt == 0.002
 
+    def test_replaced_period_reaches_the_energy_row(self, monkeypatch):
+        """run_scenario hands the controller the scenario's dt, even when
+        the scenario was built with another cbf.dt."""
+        sc = dataclasses.replace(
+            load_scenario_file(bundled_scenario_path("sine")), dt=0.002)
+        assert sc.cbf.dt == 0.001
+        rows = []
+        energy_cbf_row = control.energy_cbf_row
+
+        def recorded(*args, **kwargs):
+            rows.append(energy_cbf_row(*args, **kwargs))
+            return rows[-1]
+
+        monkeypatch.setattr(control, "energy_cbf_row", recorded)
+        res = run_scenario(sc, mode="hqp_safety", gamma=7.0, duration=0.01)
+        assert len(res.records) == len(rows) == 5
+        for task in rows:
+            assert task.slack.tolist() == [pytest.approx(7.0 + 500.0,
+                                                         rel=1e-15)]
+
     @pytest.mark.parametrize("name", [
         "../../x", "a/b", r"a\b", "..", ".", "''", "[a, b]", "7"])
     def test_name_must_be_a_plain_file_name(self, name):
@@ -468,6 +488,99 @@ class TestRollout:
         model = dynamics.load_bundled_model(sc.model_name)
         compute_state(model, res.records[-1].q, res.records[-1].qd).C
         assert len(calls) == 1
+
+
+def corrupted(result, i, **changes):
+    """result with record i's fields replaced by changes."""
+    records = list(result.records)
+    records[i] = dataclasses.replace(records[i], **changes)
+    return dataclasses.replace(result, records=records)
+
+
+class TestAudit:
+    """One message per broken invariant: the first broken time stride,
+    and the first record that breaks a record check, with the first
+    check it breaks (finite, slack sign, slack bookkeeping, equality
+    residual)."""
+
+    def test_clean_rollout(self, hold_result):
+        assert audit(hold_result) == []
+
+    def test_controller_fault(self, hold_result):
+        res = dataclasses.replace(hold_result, fault=True,
+                                  fault_reason="level 1 clashed")
+        assert audit(res) == ["controller fault: level 1 clashed"]
+
+    def test_record_count(self, hold_result):
+        res = dataclasses.replace(hold_result,
+                                  records=hold_result.records[:-1])
+        assert audit(res) == ["record count does not match duration/dt"]
+
+    def test_time_stride(self, hold_result):
+        res = corrupted(hold_result, 5, t=hold_result.records[5].t + 1e-9)
+        assert audit(res) == ["time stride broken at record 5"]
+
+    @pytest.mark.parametrize("field", ["q", "qd", "u_nom", "u_applied", "dW",
+                                       "K", "k_max_eff", "delta",
+                                       "solve_time_us"])
+    def test_non_finite_value(self, hold_result, field):
+        value = getattr(hold_result.records[7], field)
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value[-1] = np.nan
+        else:
+            value = np.inf
+        res = corrupted(hold_result, 7, **{field: value})
+        assert audit(res) == ["non-finite value at record 7"]
+
+    def test_negative_slack(self, hold_result):
+        res = corrupted(hold_result, 7, delta=-1e-3,
+                        k_max_eff=hold_result.k_max - 1e-3)
+        assert audit(res) == ["negative slack at record 7"]
+
+    def test_slack_bookkeeping(self, hold_result):
+        rec = hold_result.records[7]
+        res = corrupted(hold_result, 7, k_max_eff=rec.k_max_eff + 1e-9)
+        assert audit(res) == ["slack bookkeeping broken at record 7"]
+
+    def test_equality_residual(self, hold_result):
+        res = corrupted(hold_result, 7, eq_residual=2e-8)
+        assert audit(res) == ["inherited equality residual 2e-08 at record 7"]
+        # a nan residual (a faulted period) is not checked
+        assert audit(corrupted(hold_result, 7, eq_residual=np.nan)) == []
+
+    def test_first_record_then_first_check(self, hold_result):
+        res = corrupted(hold_result, 9, K=np.nan)
+        # record 4 breaks the slack sign and the bookkeeping: the sign
+        # is checked first
+        res = corrupted(res, 4, delta=-1e-3, eq_residual=1.0)
+        res = corrupted(res, 2, t=res.records[2].t + 1e-9)
+        assert audit(res) == ["time stride broken at record 2",
+                              "negative slack at record 4"]
+        res = corrupted(res, 3, eq_residual=1.0)
+        assert audit(res)[1] == "inherited equality residual 1 at record 3"
+
+    def test_agrees_with_the_record_loop(self, hold_result, rng):
+        fields = {"t": 1e-9, "K": np.nan, "delta": -1e-3,
+                  "k_max_eff": 1e-9, "eq_residual": 1e-7, "q": np.inf,
+                  "dW": np.nan}
+        for _ in range(100):
+            res = hold_result
+            if rng.random() < 0.2:
+                res = dataclasses.replace(res, records=res.records[:-3])
+            for _ in range(int(rng.integers(0, 4))):
+                i = int(rng.integers(0, len(res.records)))
+                name = str(rng.choice(list(fields)))
+                value = getattr(res.records[i], name)
+                if isinstance(value, np.ndarray):
+                    value = value.copy()
+                    value[int(rng.integers(0, value.shape[0]))] = fields[name]
+                elif name in ("t", "k_max_eff"):
+                    value = value + fields[name]
+                else:
+                    value = fields[name]
+                res = corrupted(res, i, **{name: value})
+            assert audit(res) == audit_loop(res)
 
 
 class TestCsv:

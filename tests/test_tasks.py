@@ -203,6 +203,58 @@ class TestTaskContainer:
             Task(A=np.eye(2), b=np.zeros(2), label="x",
                  slack=[1.0, -1.0])
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("A", [[1.0, np.nan], [0.0, 1.0]], "A holds"),
+        ("A", [[1.0, 0.0], [np.inf, 1.0]], "A holds"),
+        ("b", [np.nan, 0.0], "b holds"),
+        ("b", [0.0, np.inf], "b holds"),
+        ("slack", [1.0, np.inf], "slack"),
+        ("slack", [np.nan, 1.0], "slack")])
+    def test_non_finite_data_rejected(self, field, value, match):
+        data = dict(A=np.eye(2), b=np.zeros(2), label="x")
+        data[field] = value
+        with pytest.raises(ValueError, match=match):
+            Task(**data)
+
+    def test_minus_inf_bound_binds_nothing(self):
+        t = Task(A=np.eye(2), b=[-np.inf, 0.0], label="x")
+        assert t.b[0] == -np.inf
+
+    @pytest.mark.parametrize("slack", [None, [0.5, 0.0, 2.0]])
+    @pytest.mark.parametrize("row_labels", [None, ["a", "b", "c"]])
+    def test_trusted_equals_public_field_for_field(self, rng, slack,
+                                                   row_labels):
+        A, b = rng.normal(size=(3, 4)), rng.normal(size=3)
+        slack = None if slack is None else np.array(slack)
+        public = Task(A=A, b=b, label="t", slack=slack,
+                      row_labels=list(row_labels or []))
+        trusted = Task._trusted(A, b, "t", slack=slack,
+                                row_labels=row_labels)
+        assert_same_task(public, trusted)
+
+    def test_package_rows_equal_their_public_rebuild(self, panda, rng):
+        params = CbfParams(plane_normal=(0.0, 0.0, 1.0), plane_offset=-1.0)
+        for _ in range(5):
+            st = compute_state(panda, *random_panda_state(panda, rng))
+            tau_ext = rng.uniform(-5.0, 5.0, 7)
+            for task in (energy_cbf_row(st, params, tau_ext, 0.1),
+                         acceleration_rows(st, params,
+                                           ("velocity", "position"), tau_ext),
+                         collision_plane_rows(st, params, tau_ext)):
+                assert_same_task(task, Task(
+                    A=task.A, b=task.b, label=task.label, slack=task.slack,
+                    row_labels=list(task.row_labels)))
+
+
+def assert_same_task(one, two):
+    for name in ("A", "b", "slack"):
+        x, y = getattr(one, name), getattr(two, name)
+        if x is None or y is None:
+            assert x is None and y is None, name
+        else:
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert (one.label, one.row_labels) == (two.label, two.row_labels)
+
 
 FAMILY_SETS = [("velocity",), ("position",), ("velocity", "position")]
 
@@ -304,6 +356,31 @@ class TestAccelerationTask:
             assert task.row_labels == \
                 [f"{prefix}_max[{i}]" for i in range(7)] + \
                 [f"{prefix}_min[{i}]" for i in range(7)]
+
+    @pytest.mark.parametrize("families", FAMILY_SETS
+                             + [("position", "velocity")])
+    def test_labels_name_the_binding_family(self, panda, rng, families):
+        """Each row's label is prefix_max[i] / prefix_min[i] of the first
+        named family whose bound binds, as formatted per row."""
+        params = CbfParams()
+        mixed = 0
+        for _ in range(20):
+            # anywhere in the range, so that both families bind somewhere
+            st = compute_state(panda, rng.uniform(panda.q_min, panda.q_max),
+                               rng.uniform(-1.0, 1.0, 7) * panda.v_max)
+            bounds = [family_bounds(st, params, f) for f in families]
+            lo = np.max([lo for lo, _ in bounds], axis=0)
+            hi = np.min([hi for _, hi in bounds], axis=0)
+            first_hi = [next(f for f, (_, h) in zip(families, bounds)
+                             if h[i] == hi[i]) for i in range(7)]
+            first_lo = [next(f for f, (lo_f, _) in zip(families, bounds)
+                             if lo_f[i] == lo[i]) for i in range(7)]
+            expect = [f"{f[:3]}_max[{i}]" for i, f in enumerate(first_hi)] \
+                + [f"{f[:3]}_min[{i}]" for i, f in enumerate(first_lo)]
+            assert acceleration_rows(st, params, families).row_labels \
+                == expect
+            mixed += len({label[:3] for label in expect}) > 1
+        assert mixed > 0 or len(families) == 1
 
     def test_families_named_in_either_order_give_the_same_box(self, panda,
                                                               rng):
