@@ -239,14 +239,10 @@ def acceleration_rows(state: RobotState, params: CbfParams, families,
     upper, lower = _acceleration_labels(named, state.n)
     labels = [upper[i][k] for i, k in enumerate((hi0 > hi).tolist())] + \
              [lower[i][k] for i, k in enumerate((lo0 < lo).tolist())]
-    M_inv = state.M_inv
-    n = state.n
-    a = M_inv @ _drift_torque(state, tau_ext)
-    A = np.empty((2 * n, n))
-    np.negative(M_inv, out=A[:n])
-    A[n:] = M_inv
-    return Task._trusted(A, np.concatenate([a - hi, lo - a]),
-                         "acceleration", row_labels=labels)
+    a = state.M_inv @ _drift_torque(state, tau_ext)
+    return Task._trusted(np.concatenate([-state.M_inv, state.M_inv]),
+                         np.concatenate([a - hi, lo - a]), "acceleration",
+                         row_labels=labels)
 
 
 @lru_cache(maxsize=None)
