@@ -15,53 +15,66 @@ dispatched to a process pool; CBF_HQP_THREADS caps the worker count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import control
 from .dynamics import ModelError, compute_state
-from .sim import (ScenarioError, audit, bundled_scenario_path, csv_filename,
-                  load_scenario_file, resolve_model, run_scenario, write_csv)
+from .sim import (Scenario, ScenarioError, audit, bundled_scenario_path,
+                  csv_filename, load_scenario_file, resolve_model,
+                  run_scenario, write_csv)
+
+
+def _override(scenario: Scenario, flag: str, value, **change) -> Scenario:
+    """The scenario with the barrier parameters a command-line flag sets."""
+    try:
+        return dataclasses.replace(
+            scenario, cbf=dataclasses.replace(scenario.cbf, **change))
+    except ValueError as exc:
+        raise ScenarioError(f"{flag} {value:g}: {exc}") from None
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    scenario_path: Path
-    scenario_name: str
+    """A (mode, gamma) grid over one scenario. Its cells, the scenario
+    under each mode, each gamma and the k_max override, are built and
+    checked here, before any of them runs."""
+    scenario: Scenario
     modes: tuple[str, ...]
     gammas: tuple[float, ...]
     k_max: float | None
     duration: float | None
     out_dir: Path
+    cells: tuple[Scenario, ...] = field(init=False)
 
     def __post_init__(self):
-        if not self.modes:
-            raise ScenarioError("at least one mode is required")
-        if not self.gammas:
-            raise ScenarioError("at least one gamma is required")
-        for m in self.modes:
-            if m not in control.MODES:
-                raise ScenarioError(f"unknown mode '{m}'")
-        names = [csv_filename(self.scenario_name, m, g)
-                 for m in self.modes for g in self.gammas]
+        base = self.scenario
+        if self.k_max is not None:
+            base = _override(base, "--kmax", self.k_max, k_max=self.k_max)
+        by_gamma = [_override(base, "--gamma", g, gamma=g)
+                    for g in self.gammas]
+        cells = tuple(dataclasses.replace(sc, mode=m)
+                      for m in self.modes for sc in by_gamma)
+        if not cells:
+            raise ScenarioError("a grid needs a mode and a gamma")
+        names = [csv_filename(sc.name, sc.mode, sc.cbf.gamma) for sc in cells]
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise ScenarioError(
                     f"two grid cells would both write {name}")
+        object.__setattr__(self, "cells", cells)
 
 
 def _execute_run(job: tuple) -> dict:
-    """One grid cell: load, roll, write, audit. Top level so the
-    process pool can pickle it."""
-    scenario_path, mode, gamma, k_max, duration, out_dir = job
-    scenario = load_scenario_file(scenario_path)
-    result = run_scenario(scenario, mode=mode, gamma=gamma, k_max=k_max,
-                          duration=duration)
+    """One grid cell: roll, write, audit. Top level so the process
+    pool can pickle it."""
+    scenario, duration, out_dir = job
+    result = run_scenario(scenario, duration=duration)
     path = Path(out_dir) / csv_filename(result.scenario_name, result.mode,
                                         result.gamma)
     write_csv(result, path)
@@ -92,15 +105,9 @@ def _worker_cap(n_jobs: int) -> int:
 
 
 def cmd_run(spec: RunSpec) -> int:
-    if not spec.scenario_path.exists():
-        print(f"scenario file not found: {spec.scenario_path}",
-              file=sys.stderr)
-        return 2
     spec.out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(spec.scenario_path, mode, gamma, spec.k_max, spec.duration,
-             spec.out_dir)
-            for mode in spec.modes for gamma in spec.gammas]
+    jobs = [(scenario, spec.duration, spec.out_dir) for scenario in spec.cells]
     workers = _worker_cap(len(jobs))
     if workers == 1:
         summaries = [_execute_run(j) for j in jobs]
@@ -224,10 +231,9 @@ def main(argv=None) -> int:
                      else (scenario.mode,))
             gammas = (tuple(float(g) for g in args.gamma.split(","))
                       if args.gamma else (scenario.cbf.gamma,))
-            spec = RunSpec(scenario_path=scenario_path,
-                           scenario_name=scenario.name, modes=modes,
-                           gammas=gammas, k_max=args.kmax,
-                           duration=args.duration, out_dir=Path(args.out))
+            spec = RunSpec(scenario=scenario, modes=modes, gammas=gammas,
+                           k_max=args.kmax, duration=args.duration,
+                           out_dir=Path(args.out))
             return cmd_run(spec)
         return cmd_check(args.model, args.seed)
     except OSError as exc:

@@ -6,12 +6,13 @@ configuration-dependent critical damping D_c = 2 sym(sqrt(Lambda K_c)),
 Lambda = (J M^-1 J^T)^-1 being the task-space inertia.
 
 Every control step the filter assembles the hard rows (actuation box and
-any enabled limit barriers), the relaxable kinetic-energy row, and the
-mode's priority levels, then runs the QP cascade:
+any enabled limit barriers), the kinetic-energy row of the period dt
+with its slack coefficient c = gamma + 1/dt, and the mode's priority
+levels, then runs the QP cascade:
 
   single_qp          one level: track u_nom, energy row hard (no slack)
-  hqp_performance    1: task wrench  2: energy + slack  3: nullspace
-  hqp_safety         1: energy + slack  2: task wrench  3: nullspace
+  hqp_performance    1: task wrench  2: energy, slack c  3: nullspace
+  hqp_safety         1: energy, slack c  2: task wrench  3: nullspace
 
 The dynamically consistent projector P = J^T Lambda J M^-1 splits torque
 into a task part and a nullspace part N = I - P. The cascade tracks them
@@ -145,16 +146,18 @@ def check_strict_families(families: tuple[str, ...], cbf: CbfParams) -> None:
 class ControllerState:
     """Mutable per-simulation controller memory.
 
-    delta_prev is the previous step's optimal energy slack (the discrete
-    slack-rate term of the energy row); z_prev keeps the nullspace basis
-    sign-continuous; u_prev, the last torque the filter returned, is the
-    fallback torque on a fault. The cascade needs no start from it: its
-    first level starts at u_nom.
+    dt is the control period (s) the energy row is formed with;
+    delta_prev, finite and >= 0, is the previous step's optimal energy
+    slack (the discrete slack-rate term of the energy row); z_prev keeps
+    the nullspace basis sign-continuous; u_prev, the last torque the
+    filter returned, is the fallback torque on a fault. The cascade needs
+    no start from it: its first level starts at u_nom.
     """
     mode: str
     cbf: CbfParams
     impedance: ImpedanceParams
     strict_families: tuple[str, ...] = ("torque", "velocity", "position")
+    dt: float = 1e-3
     delta_prev: float = 0.0
     z_prev: Array | None = None
     u_prev: Array | None = None
@@ -162,8 +165,10 @@ class ControllerState:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.delta_prev < 0.0:
-            raise ValueError("delta_prev must be >= 0")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be a finite number > 0")
+        if not 0.0 <= self.delta_prev < np.inf:
+            raise ValueError("delta_prev must be a finite number >= 0")
         check_strict_families(self.strict_families, self.cbf)
 
 
@@ -305,26 +310,25 @@ def build_strict_tasks(state: RobotState, ctrl: ControllerState,
     return tasks
 
 
-def _levels_for_mode(mode: str, u_nom: Array, energy: Task,
+def _levels_for_mode(mode: str, u_nom: Array, energy: Task, c: float,
                      state: RobotState, lam: Array,
                      z: Array | None) -> list[LevelSpec]:
     """The mode's levels. The hqp modes track W, V from `task_rows`:
     ||W x|| = ||P x|| and |V x| = ||N x||, so task_wrench and nullspace
-    minimize P, N (u - u_nom). single_qp tracks u_nom itself."""
+    minimize P, N (u - u_nom), and relax the energy row with slack c.
+    single_qp tracks u_nom itself and holds the energy row hard."""
     if mode == "single_qp":
         track = Task._trusted(identity(u_nom.shape[0]), u_nom,
                               "torque_tracking")
-        hard_energy = Task._trusted(energy.A, energy.b, energy.label,
-                                    row_labels=list(energy.row_labels))
-        return [LevelSpec(equality=track, inequality=hard_energy)]
+        return [LevelSpec(equality=track, inequality=energy)]
     W, V = task_rows(state, lam, z)
     cartesian = Task._trusted(W, W @ u_nom, "task_wrench")
     nullspace = Task._trusted(V, V @ u_nom, "nullspace")
     if mode == "hqp_performance":
         return [LevelSpec(equality=cartesian),
-                LevelSpec(inequality=energy),
+                LevelSpec(inequality=energy, slack=(c,)),
                 LevelSpec(equality=nullspace)]
-    return [LevelSpec(inequality=energy),
+    return [LevelSpec(inequality=energy, slack=(c,)),
             LevelSpec(equality=cartesian),
             LevelSpec(equality=nullspace)]
 
@@ -333,11 +337,17 @@ def step(state: RobotState, ctrl: ControllerState,
          tau_ext: Array | None = None) -> tuple[Array, StepInfo]:
     """Run one control period: nominal law, safety filter, bookkeeping.
 
+    tau_ext, the external joint torque, is None or a finite (n,) vector.
     On an infeasible constraint set the controller reports a fault and
     emits the last feasible torque (the nominal one if there is none
     yet); delta_prev is left untouched in that case.
     """
     t0 = time.perf_counter()
+    if tau_ext is not None:
+        tau_ext = np.asarray(tau_ext, dtype=float)
+        if tau_ext.shape != (state.n,) or not np.isfinite(tau_ext).all():
+            raise ValueError(f"tau_ext must be a finite vector of n = "
+                             f"{state.n} entries")
     inertia = task_space_inertia(state)
     lam = inertia.lam
     u_nom = nominal_torque(state, ctrl.impedance, inertia)
@@ -348,10 +358,10 @@ def step(state: RobotState, ctrl: ControllerState,
     except UnsupportedConfigurationError:
         pass
 
-    energy = energy_cbf_row(state, ctrl.cbf, tau_ext=tau_ext,
-                            delta_prev=ctrl.delta_prev)
+    energy, c = energy_cbf_row(state, ctrl.cbf, ctrl.dt, tau_ext=tau_ext,
+                               delta_prev=ctrl.delta_prev)
     strict = build_strict_tasks(state, ctrl, tau_ext)
-    levels = _levels_for_mode(ctrl.mode, u_nom, energy, state, lam, z)
+    levels = _levels_for_mode(ctrl.mode, u_nom, energy, c, state, lam, z)
 
     fault = False
     reason = ""

@@ -15,8 +15,9 @@ A level may carry one equality task, one inequality task, or both:
     min  1/2 ||A u - b||^2 + RHO/2 delta^2
     s.t. ledger rows, C u + c * delta >= d, delta >= 0
 
-with delta a single scalar shared by the level's inequality rows through
-per-row coefficients c (c = 0 makes a row hard even inside a level).
+with delta the level's one scalar and c its per-row coefficients, held
+by the level, not by its rows (per-level slack, as in Escande, Mansard &
+Wieber, IJRR 2014); c = 0 makes a row hard, and a level without c is hard.
 After the solve, `A u = A u*` and `C u >= d - c delta*` join the ledger,
 and the level's u*, delta* and iteration count are recorded.
 
@@ -89,14 +90,6 @@ def identity(n: int) -> Array:
     eye = np.eye(n)
     eye.flags.writeable = False
     return eye
-
-
-def _slack_of(task: Task | None) -> Array | None:
-    """The task's slack coefficients when it has a slack variable, i.e.
-    when some coefficient is positive; None for a hard task."""
-    if task is not None and task.slack is not None and (task.slack > 0.0).any():
-        return task.slack
-    return None
 
 
 @dataclass
@@ -197,13 +190,25 @@ class StageLedger:
 @dataclass(frozen=True)
 class LevelSpec:
     """One priority level: an equality task, whose rows read A u = b, an
-    inequality task, whose rows read A u (+ c delta) >= b, or both."""
+    inequality task, whose rows read A u + c delta >= b, or both. slack
+    holds c, finite, >= 0 and not all zero; None makes the level hard."""
     equality: Task | None = None
     inequality: Task | None = None
+    slack: Array | None = None
 
     def __post_init__(self):
         if self.equality is None and self.inequality is None:
             raise ValueError("a level needs at least one task")
+        if self.slack is None:
+            return
+        c = np.asarray(self.slack, dtype=float).reshape(-1)
+        if self.inequality is None or c.shape[0] != self.inequality.m:
+            raise ValueError("slack needs one coefficient per row of an "
+                             "inequality task")
+        if not (all(0.0 <= x < np.inf for x in c.tolist()) and c.any()):
+            raise ValueError("slack coefficients must be finite, >= 0 and "
+                             "not all zero (a hard level has slack None)")
+        object.__setattr__(self, "slack", c)
 
 
 @dataclass
@@ -275,9 +280,9 @@ def _least_infeasible(ledger: StageLedger, anchor: Array
 
 def init_stage0(strict_tasks: list[Task], witness: Array) -> StageLedger:
     """Install the non-negotiable rows. Every strict task's rows read
-    A u >= b and must be hard, so a task with slack or a task whose
-    column count differs from the witness's length is refused, and so is
-    a witness that is not a finite 1-D vector.
+    A u >= b and are hard. A task whose column count differs from the
+    witness's length is refused, and so is a witness that is not a
+    finite 1-D vector.
 
     The witness torque (inside a control loop, u_nom) sets n and becomes
     the ledger's witness as it is; phase1_used records that it breaks a
@@ -291,9 +296,6 @@ def init_stage0(strict_tasks: list[Task], witness: Array) -> StageLedger:
     n = w.shape[0]
     tasks = list(strict_tasks)
     for t in tasks:
-        if _slack_of(t) is not None:
-            raise ValueError(
-                f"strict task '{t.label}' carries slack coefficients")
         if t.A.shape[1] != n:
             raise ValueError(f"strict task '{t.label}' has {t.A.shape[1]} "
                              f"columns, the witness {n} entries")
@@ -337,7 +339,7 @@ def solve_level(ledger: StageLedger, spec: LevelSpec, anchor: Array
                              f"columns, the ledger's torque {n} entries")
 
     w = ledger.witness
-    slack_coef = _slack_of(ineq)
+    slack_coef = spec.slack
     # Inequality rows C u + c delta >= d: the ledger's, then the level's.
     C, d = ledger.A_in, ledger.b_in
     if ineq is not None:

@@ -123,7 +123,8 @@ class Scenario:
         if not (0.0 < self.dt < np.inf):
             raise ScenarioError("dt must be a finite number > 0")
         if self.mode not in control.MODES:
-            raise ScenarioError(f"mode must be one of {control.MODES}")
+            raise ScenarioError(f"unknown mode '{self.mode}'; the modes are "
+                                f"{control.MODES}")
 
 
 @dataclass
@@ -194,14 +195,13 @@ def load_scenario(text: str) -> Scenario:
                       "controller.k_trans")
     k_rot = _vector(ctl.get("k_rot", (50.0, 50.0, 50.0)), 3, "controller.k_rot")
 
-    # the barrier's slack rate uses the scenario's one control period dt
-    cbf_raw = _section(raw, "cbf", _field_names(CbfParams) - {"dt"}, {})
+    cbf_raw = _section(raw, "cbf", _field_names(CbfParams), {})
     for key, v in cbf_raw.items():
         if key != "plane_normal":
             cbf_raw[key] = _scalar(v, f"cbf.{key}")
         elif v is not None:
             cbf_raw[key] = _vector(v, 3, "cbf.plane_normal")
-    cbf = CbfParams(**cbf_raw, dt=dt)
+    cbf = CbfParams(**cbf_raw)
 
     fams = raw.get("strict_families", ["torque", "velocity", "position"])
     if not isinstance(fams, list):
@@ -266,22 +266,17 @@ def run_scenario(scenario: Scenario, model: RobotModel | None = None,
                  k_max: float | None = None,
                  duration: float | None = None) -> SimResult:
     """Closed-loop rollout. Keyword overrides support parameter sweeps
-    without editing scenario files. The controller's barrier parameters
-    are the scenario's `cbf` with the scenario's dt as their control
-    period, so the energy row's slack rate uses the period the loop
-    steps with."""
+    without editing scenario files. The controller's period is the
+    scenario's dt, so the energy row's slack rate uses the period the
+    loop steps with."""
     if model is None:
         model = resolve_model(scenario.model_name)
     if scenario.q0.shape != (model.n_joints,):
         raise ScenarioError("initial_q length does not match the model")
     mode = mode or scenario.mode
-    if mode not in control.MODES:
-        raise ScenarioError(f"mode must be one of {control.MODES}")
-    dt = scenario.dt
-    cbf = scenario.cbf
+    dt, cbf = scenario.dt, scenario.cbf
     cbf = dataclasses.replace(
-        cbf, dt=dt,
-        gamma=float(gamma) if gamma is not None else cbf.gamma,
+        cbf, gamma=float(gamma) if gamma is not None else cbf.gamma,
         k_max=float(k_max) if k_max is not None else cbf.k_max)
     duration = float(duration) if duration is not None else scenario.duration
     if not (0.0 < duration < np.inf and duration / dt < np.inf):
@@ -308,7 +303,8 @@ def run_scenario(scenario: Scenario, model: RobotModel | None = None,
 
     ctrl = control.ControllerState(mode=mode, cbf=cbf,
                                    impedance=impedance_at(0.0),
-                                   strict_families=scenario.strict_families)
+                                   strict_families=scenario.strict_families,
+                                   dt=dt)
     records: list[LogRecord] = []
     fault = False
     reason = ""

@@ -6,8 +6,8 @@ turned into an affine inequality on the commanded torque u, of the form
     A u (+ c * delta) >= b
 
 so the QP layers can stack rows from different sources without caring
-where they came from. The slack column c is only nonzero for the
-relaxable kinetic-energy row; all limit rows are hard.
+where they came from. Rows carry no slack: the priority level that
+holds a task may relax it (`hqp.LevelSpec.slack`).
 
 Derivations, in brief:
 
@@ -54,8 +54,7 @@ Array = np.ndarray
 class CbfParams:
     """Barrier gains and geometry.
 
-    Rates are 1/s, k_max is Joules, dt is the control period the
-    discrete slack derivative is formed with. The optional plane
+    Rates are 1/s and k_max is Joules. The optional plane
     (unit-normal direction, scalar offset, clearance d_min) defines the
     end-effector keep-out halfspace n.p >= offset + d_min.
     """
@@ -64,14 +63,13 @@ class CbfParams:
     gamma_velocity: float = 10.0
     lambda1: float = 10.0
     lambda2: float = 10.0
-    dt: float = 1e-3
     plane_normal: tuple[float, float, float] | None = None
     plane_offset: float = 0.0
     d_min: float = 0.0
 
     def __post_init__(self):
         for name in ("k_max", "gamma", "gamma_velocity", "lambda1",
-                     "lambda2", "dt"):
+                     "lambda2"):
             if not (0.0 < getattr(self, name) < np.inf):
                 raise ValueError(f"{name} must be a finite number > 0")
         for name in ("plane_offset", "d_min"):
@@ -91,15 +89,12 @@ class Task:
 
     The slot a task fills says what its rows mean: in a level's equality
     slot they read A u = b; in its inequality slot, and at stage 0, they
-    read A u >= b. For inequality rows, slack holds the per-row
-    coefficient of the level's relaxation variable
-    (A u + slack * delta >= b); None means the rows are hard everywhere,
-    including inside a prioritized level.
+    read A u >= b. The rows carry no slack; a level that relaxes its
+    inequality rows holds the coefficients (`hqp.LevelSpec.slack`).
     """
     A: Array
     b: Array
     label: str
-    slack: Array | None = None
     row_labels: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -113,14 +108,6 @@ class Task:
         # b = -inf is an inequality row that binds nothing
         if not (self.b < np.inf).all():
             raise ValueError(f"task '{self.label}': b holds a nan or +inf")
-        if self.slack is not None:
-            self.slack = np.asarray(self.slack, dtype=float).reshape(-1)
-            if self.slack.shape[0] != self.b.shape[0]:
-                raise ValueError("slack and b row counts disagree")
-            if not (self.slack >= 0.0).all() or \
-                    not np.isfinite(self.slack).all():
-                raise ValueError("slack coefficients must be finite and "
-                                 ">= 0")
         if not self.row_labels:
             self.row_labels = _default_labels(self.label, self.b.shape[0])
         elif len(self.row_labels) != self.b.shape[0]:
@@ -128,16 +115,14 @@ class Task:
 
     @classmethod
     def _trusted(cls, A: Array, b: Array, label: str,
-                 slack: Array | None = None,
                  row_labels: list[str] | None = None) -> Task:
         """A task from arrays the package built itself, without the
         conversions and checks of the public constructor: A a finite
-        float (m, n) array, b a float (m,) array, slack None or m finite
-        coefficients >= 0, and row_labels m labels or None for the
-        default ones. On such input it equals Task(A, b, label, slack,
-        row_labels) field for field."""
+        float (m, n) array, b a float (m,) array, and row_labels m labels
+        or None for the default ones. On such input it equals
+        Task(A, b, label, row_labels) field for field."""
         task = object.__new__(cls)
-        task.A, task.b, task.label, task.slack = A, b, label, slack
+        task.A, task.b, task.label = A, b, label
         task.row_labels = (row_labels if row_labels is not None
                            else _default_labels(label, b.shape[0]))
         return task
@@ -164,26 +149,26 @@ def _drift_torque(state: RobotState, tau_ext: Array | None) -> Array:
     return w
 
 
-def energy_cbf_row(state: RobotState, params: CbfParams,
+def energy_cbf_row(state: RobotState, params: CbfParams, dt: float,
                    tau_ext: Array | None = None,
-                   delta_prev: float = 0.0) -> Task:
-    """Relaxed kinetic-energy barrier as a single row.
-
-    The returned slack coefficient is gamma + 1/dt; passing delta = 0
-    (or dropping the slack column) recovers the unrelaxed barrier.
+                   delta_prev: float = 0.0) -> tuple[Task, float]:
+    """Kinetic-energy barrier of a control period dt as one row
+    -qd^T u >= b, and the coefficient c = gamma + 1/dt of its relaxation:
+    a level holding the row with slack c enforces -qd^T u + c delta >= b,
+    and one holding it without slack the unrelaxed barrier.
     """
-    if delta_prev < 0.0:
-        raise ValueError("delta_prev must be >= 0")
+    if not 0.0 <= delta_prev < np.inf:
+        raise ValueError("delta_prev must be a finite number >= 0")
     qd = state.qd
     te = np.zeros(state.n) if tau_ext is None else np.asarray(tau_ext, float)
     A = -qd[None, :]
     b = np.array([
         -params.gamma * (params.k_max - state.K)
-        + delta_prev / params.dt
+        + delta_prev / dt
         + qd @ (te - state.g)
     ])
-    c = np.array([params.gamma + 1.0 / params.dt])
-    return Task._trusted(A, b, "energy", slack=c, row_labels=["energy"])
+    return (Task._trusted(A, b, "energy", row_labels=["energy"]),
+            params.gamma + 1.0 / dt)
 
 
 def torque_limit_rows(model: RobotModel) -> Task:

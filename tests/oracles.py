@@ -66,7 +66,7 @@ def cascade_violation(strict_tasks: list[Task], levels: list[LevelSpec],
             v = max(v, float(np.max(np.abs(A @ u - A @ rec.u), initial=0.0)))
         if spec.inequality is not None:
             t = spec.inequality
-            c = t.slack if t.slack is not None else 0.0
+            c = spec.slack if spec.slack is not None else 0.0
             v = max(v, float(np.max(t.b - c * rec.delta - t.A @ u,
                                     initial=0.0)))
     return v
@@ -299,10 +299,10 @@ def random_strict(rng, n):
 
 def random_levels(rng, n):
     """One to three levels, each an equality task, an inequality task
-    with slack, or both."""
+    the level relaxes with slack, or both."""
     levels = []
     for _ in range(int(rng.integers(1, 4))):
-        eq = ineq = None
+        eq = ineq = slack = None
         pick = rng.integers(0, 3)
         if pick in (0, 2):
             r = int(rng.integers(1, n + 1))
@@ -311,9 +311,9 @@ def random_levels(rng, n):
         if pick in (1, 2):
             r = int(rng.integers(1, 3))
             ineq = Task(A=rng.normal(size=(r, n)),
-                        b=rng.normal(size=r), label="soft",
-                        slack=rng.uniform(0.5, 2.0, size=r))
-        levels.append(LevelSpec(equality=eq, inequality=ineq))
+                        b=rng.normal(size=r), label="soft")
+            slack = rng.uniform(0.5, 2.0, size=r)
+        levels.append(LevelSpec(equality=eq, inequality=ineq, slack=slack))
     return levels
 
 
@@ -331,7 +331,7 @@ def replay_level_qp(n, strict, records, levels, k):
         if spec.inequality is not None:
             A_in = np.vstack([A_in, spec.inequality.A])
             b_in = np.concatenate(
-                [b_in, spec.inequality.b - spec.inequality.slack * rec.delta])
+                [b_in, spec.inequality.b - spec.slack * rec.delta])
     spec = levels[k]
     slack = spec.inequality is not None
     dim = n + (1 if slack else 0)
@@ -344,8 +344,7 @@ def replay_level_qp(n, strict, records, levels, k):
     rhs = [b_in]
     if slack:
         H[n, n] += RHO
-        rows.append(np.hstack([spec.inequality.A,
-                               spec.inequality.slack[:, None]]))
+        rows.append(np.hstack([spec.inequality.A, spec.slack[:, None]]))
         rhs.append(spec.inequality.b)
         e = np.zeros((1, dim))
         e[0, n] = 1.0

@@ -215,6 +215,27 @@ wrench: {kind: sine, axis: 1, amplitude: 60.0, frequency: 1.0}
         assert name in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("threads", ["1", None],
+                             ids=["one_worker", "threads_unset"])
+    @pytest.mark.parametrize("option, value, refused", [
+        ("--gamma", "1,-1", "--gamma -1"), ("--kmax", "0", "--kmax 0")],
+        ids=["gamma", "kmax"])
+    def test_refused_cell_exits_one_before_any_cell_runs(
+            self, tmp_path, capsys, monkeypatch, threads, option, value,
+            refused):
+        # every cell's barrier parameters are built before the first
+        # cell runs, so the valid gamma 1 cell writes nothing either
+        if threads is None:
+            monkeypatch.delenv("CBF_HQP_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CBF_HQP_THREADS", threads)
+        out = tmp_path / "out"
+        rc = run_cli("run", "--scenario", "sine", option, value,
+                     "--duration", "0.01", "--out", str(out))
+        assert rc == 1
+        assert refused in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_io_errors_exit_two_naming_the_path(self, tmp_path):
         # an existing file as --out, a directory as the scenario or model
         taken = tmp_path / "taken"

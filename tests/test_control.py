@@ -307,7 +307,7 @@ class TestStep:
     def make_ctrl(self, state, mode, k_max=0.5, dz=0.0, gamma=5.0):
         return ControllerState(
             mode=mode,
-            cbf=CbfParams(k_max=k_max, gamma=gamma, dt=1e-3),
+            cbf=CbfParams(k_max=k_max, gamma=gamma), dt=1e-3,
             impedance=impedance_at(state, dz=dz))
 
     def test_quiescent_step_passes_nominal_through(self, panda):
@@ -347,14 +347,13 @@ class TestStep:
         assert info.delta == 0.0
         from cbf_hqp.hqp import run_cascade
         from cbf_hqp.control import _levels_for_mode
-        from cbf_hqp.tasks import Task, energy_cbf_row
+        from cbf_hqp.tasks import energy_cbf_row
         lam = task_space_inertia(st).lam
-        energy = energy_cbf_row(st, ctrl.cbf)
-        pinned = Task(A=energy.A, b=energy.b, label="energy",
-                      slack=None)
-        levels = _levels_for_mode("hqp_performance", info.u_nom, energy, st,
-                                  lam, nullspace_basis(st))
-        levels[1] = type(levels[1])(inequality=pinned)
+        energy, c = energy_cbf_row(st, ctrl.cbf, ctrl.dt)
+        levels = _levels_for_mode("hqp_performance", info.u_nom, energy, c,
+                                  st, lam, nullspace_basis(st))
+        assert levels[1].slack.tolist() == [c]
+        levels[1] = type(levels[1])(inequality=energy)  # slack pinned to 0
         res = run_cascade(build_strict_tasks(st, ctrl, None),
                           levels, info.u_nom)
         np.testing.assert_allclose(u, res.u_final, atol=1e-8)
@@ -406,7 +405,7 @@ class TestStep:
         pos = st0.ee_pos + np.array([0.0, 0.1, 0.0])
         for mode in ("hqp_performance", "hqp_safety"):
             ctrl = ControllerState(
-                mode=mode, cbf=CbfParams(k_max=0.05, gamma=5.0, dt=1e-3),
+                mode=mode, cbf=CbfParams(k_max=0.05, gamma=5.0), dt=1e-3,
                 impedance=ImpedanceParams(eq_position=tuple(pos),
                                           eq_quat=tuple(st0.ee_quat)))
             infos = rollout(twolink, ctrl, TWOLINK_HOME, steps=200)
@@ -423,7 +422,7 @@ class TestStep:
         st = compute_state(twolink, np.array([0.3, 0.2]), np.array([6.0, -6.0]))
         ctrl = ControllerState(
             mode="single_qp",
-            cbf=CbfParams(k_max=0.01, gamma=500.0, dt=1e-3),
+            cbf=CbfParams(k_max=0.01, gamma=500.0), dt=1e-3,
             impedance=ImpedanceParams(eq_position=(0.5, 0.5, 0.0),
                                       eq_quat=(1.0, 0.0, 0.0, 0.0)),
             strict_families=("torque",))
@@ -448,9 +447,10 @@ class TestStep:
                                        status="infeasible")
 
         monkeypatch.setattr(hqp, "solve_qp", infeasible)
-        soft = Task(A=[[1.0]], b=[3.0], label="want", slack=[1.0])
+        soft = Task(A=[[1.0]], b=[3.0], label="want")
         with pytest.raises(hqp.CascadeInfeasibleError, match="level 1"):
-            hqp.run_cascade([], [hqp.LevelSpec(inequality=soft)], np.zeros(1))
+            hqp.run_cascade([], [hqp.LevelSpec(inequality=soft, slack=[1.0])],
+                            np.zeros(1))
         u, info = step(st, ctrl)
         assert info.fault
         assert "level 1" in info.fault_reason
@@ -478,6 +478,49 @@ class TestStep:
             ControllerState(mode="single_qp", cbf=CbfParams(),
                             impedance=impedance_at(st),
                             strict_families=("torque", "plane"))
+
+    def test_period_defaults_to_one_millisecond(self, panda):
+        st = compute_state(panda, HOME, np.zeros(7))
+        ctrl = ControllerState(mode="single_qp", cbf=CbfParams(),
+                               impedance=impedance_at(st))
+        assert ctrl.dt == 1e-3
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
+    def test_period_must_be_finite_and_positive(self, panda, dt):
+        st = compute_state(panda, HOME, np.zeros(7))
+        with pytest.raises(ValueError, match="dt must be a finite number > 0"):
+            ControllerState(mode="single_qp", cbf=CbfParams(),
+                            impedance=impedance_at(st), dt=dt)
+
+    @pytest.mark.parametrize("mode", ["single_qp", "hqp_performance",
+                                      "hqp_safety"])
+    @pytest.mark.parametrize("delta_prev", [np.nan, np.inf])
+    def test_non_finite_delta_prev_is_refused(self, panda, mode, delta_prev):
+        # refused by the controller state, and by the energy row when it
+        # is set on a state already built
+        st = compute_state(panda, HOME, 0.05 * np.ones(7))
+        with pytest.raises(ValueError, match="delta_prev"):
+            ControllerState(mode=mode, cbf=CbfParams(),
+                            impedance=impedance_at(st), delta_prev=delta_prev)
+        ctrl = self.make_ctrl(st, mode)
+        ctrl.delta_prev = delta_prev
+        with pytest.raises(ValueError, match="delta_prev"):
+            step(st, ctrl)
+
+    @pytest.mark.parametrize("mode", ["single_qp", "hqp_performance",
+                                      "hqp_safety"])
+    @pytest.mark.parametrize("tau_ext", [
+        np.full(7, np.nan), np.r_[np.inf, np.zeros(6)], np.zeros(3),
+        np.zeros((7, 1))], ids=["nan", "plus_inf", "length_3", "column"])
+    def test_bad_external_torque_is_refused_naming_it(self, panda, mode,
+                                                      tau_ext):
+        st = compute_state(panda, HOME, 0.05 * np.ones(7))
+        ctrl = self.make_ctrl(st, mode)
+        with pytest.raises(ValueError, match=r"tau_ext .* n = 7"):
+            step(st, ctrl, tau_ext)
+        # a finite (n,) list is taken as it is
+        u, info = step(st, ctrl, [0.0] * 7)
+        assert not info.fault and np.isfinite(u).all()
 
 
 def test_step_lunge_needs_no_phase1(monkeypatch):

@@ -22,7 +22,6 @@ from cbf_hqp.hqp import (
     S0EmptyError,
     _interval_minimizer,
     _level_optimum,
-    _slack_of,
     init_stage0,
     run_cascade,
     solve_level,
@@ -44,8 +43,8 @@ class TestHandCascades:
         strict = box_task(1, 10.0)
         levels = [
             LevelSpec(equality=Task(A=[[1.0]], b=[2.0], label="pin")),
-            LevelSpec(inequality=Task(A=[[1.0]], b=[3.0],
-                                      label="want", slack=[1.0])),
+            LevelSpec(inequality=Task(A=[[1.0]], b=[3.0], label="want"),
+                      slack=[1.0]),
         ]
         res = run_cascade([strict], levels, u_nom=np.zeros(1))
         assert cascade_violation([strict], levels, res.records,
@@ -83,9 +82,9 @@ class TestHandCascades:
     def test_inactive_inequality_needs_no_slack(self):
         # row 0 * u + c delta >= negative number holds at delta = 0
         strict = box_task(2, 50.0)
-        ineq = Task(A=[[0.0, 0.0]], b=[-3.0], label="energy",
-                    slack=[1001.0])
-        res = run_cascade([strict], [LevelSpec(inequality=ineq)],
+        ineq = Task(A=[[0.0, 0.0]], b=[-3.0], label="energy")
+        res = run_cascade([strict], [LevelSpec(inequality=ineq,
+                                               slack=[1001.0])],
                           u_nom=np.array([1.0, -2.0]))
         assert res.records[0].delta == 0.0
         np.testing.assert_allclose(res.u_final, [1.0, -2.0], atol=1e-8)
@@ -142,11 +141,6 @@ class TestStageZero:
                              witness=np.array([50.0, 0.0]))
         assert ledger.phase1_used and calls == []
 
-    def test_slack_bearing_task_rejected(self):
-        t = Task(A=[[1.0]], b=[0.0], label="soft", slack=[1.0])
-        with pytest.raises(ValueError, match="slack"):
-            init_stage0([t], np.zeros(1))
-
     def test_dimension_comes_from_the_witness(self):
         ledger = init_stage0([], np.zeros(3))
         assert ledger.n == 3 and ledger.Z.shape == (3, 3)
@@ -169,6 +163,35 @@ class TestLevelValidation:
     def test_level_needs_a_task(self):
         with pytest.raises(ValueError, match="at least one task"):
             LevelSpec()
+
+    def test_slack_needs_an_inequality_task(self):
+        track = Task(A=np.eye(2), b=np.zeros(2), label="track")
+        with pytest.raises(ValueError, match="inequality task"):
+            LevelSpec(equality=track, slack=[1.0, 1.0])
+
+    @pytest.mark.parametrize("slack", [[1.0], [1.0, 1.0, 1.0]])
+    def test_slack_needs_one_coefficient_per_row(self, slack):
+        soft = Task(A=np.eye(2), b=np.zeros(2), label="soft")
+        with pytest.raises(ValueError, match="one coefficient per row"):
+            LevelSpec(inequality=soft, slack=slack)
+
+    @pytest.mark.parametrize("slack", [[1.0, -1.0], [1.0, np.inf],
+                                       [np.nan, 1.0]],
+                             ids=["negative", "inf", "nan"])
+    def test_slack_coefficients_must_be_finite_and_nonnegative(self, slack):
+        soft = Task(A=np.eye(2), b=np.zeros(2), label="soft")
+        with pytest.raises(ValueError, match="finite, >= 0"):
+            LevelSpec(inequality=soft, slack=slack)
+
+    def test_all_zero_slack_is_refused(self):
+        soft = Task(A=np.eye(2), b=np.zeros(2), label="soft")
+        with pytest.raises(ValueError, match="not all zero"):
+            LevelSpec(inequality=soft, slack=[0.0, 0.0])
+        # a hard level has no slack at all; a zero coefficient beside a
+        # positive one keeps its row hard inside a relaxed level
+        assert LevelSpec(inequality=soft).slack is None
+        np.testing.assert_array_equal(
+            LevelSpec(inequality=soft, slack=[0.0, 2.0]).slack, [0.0, 2.0])
 
     def test_task_of_the_wrong_width_is_named(self):
         ledger = init_stage0([], witness=np.zeros(2))
@@ -198,8 +221,8 @@ class TestSlackOptimality:
             expect = max(0.0, (b - float(np.sum(np.abs(a))) * bound) / c)
             res = run_cascade(
                 [box_task(n, bound)],
-                [LevelSpec(inequality=Task(A=a, b=[b],
-                                           label="row", slack=[c]))],
+                [LevelSpec(inequality=Task(A=a, b=[b], label="row"),
+                           slack=[c])],
                 u_nom=np.zeros(n))
             assert res.records[0].delta == pytest.approx(expect, abs=1e-6)
 
@@ -208,9 +231,9 @@ class TestSlackOptimality:
             n = int(rng.integers(2, 4))
             strict, _ = random_strict(rng, n)
             ineq = Task(A=rng.normal(size=(1, n)),
-                        b=[rng.normal() * 2.0], label="row",
-                        slack=[rng.uniform(0.5, 2.0)])
-            levels = [LevelSpec(inequality=ineq)]
+                        b=[rng.normal() * 2.0], label="row")
+            levels = [LevelSpec(inequality=ineq,
+                                slack=[rng.uniform(0.5, 2.0)])]
             res = run_cascade([strict], levels, u_nom=np.zeros(n))
             prob = replay_level_qp(n, strict, res.records, levels, 0)
             z, _ = oracle_solve(prob)
@@ -394,7 +417,7 @@ class TestCascadeProperties:
             strict = Task(A=A, b=b, label="strict")
             levels = []
             for _ in range(int(rng.integers(1, 4))):
-                eq = ineq = None
+                eq = ineq = slack = None
                 pick = rng.integers(0, 3)
                 if pick in (0, 2):
                     E = rng.normal(size=(int(rng.integers(1, n + 1)), n))
@@ -403,9 +426,9 @@ class TestCascadeProperties:
                     C, d = met_rows(int(rng.integers(1, 3)), u_nom)
                     slack = (None if rng.random() < 0.5
                              else rng.uniform(0.5, 2.0, size=d.shape[0]))
-                    ineq = Task(A=C, b=d, label="soft",
-                                slack=slack)
-                levels.append(LevelSpec(equality=eq, inequality=ineq))
+                    ineq = Task(A=C, b=d, label="soft")
+                levels.append(LevelSpec(equality=eq, inequality=ineq,
+                                        slack=slack))
             res = run_cascade([strict], levels, u_nom)
             assert np.array_equal(res.u_final, u_nom), f"cascade {k}"
             assert not res.phase1_used
@@ -438,7 +461,7 @@ class TestLeanLevelBuilder:
                 if ineq is not None:
                     C = np.concatenate([C, ineq.A])
                     d = np.concatenate([d, ineq.b])
-                slack = _slack_of(ineq)
+                slack = spec.slack
                 seen["identity" if ledger._basis() is None else "kernel"] += 1
                 seen["hard"] += ineq is not None and slack is None
                 outcomes = []
@@ -497,9 +520,9 @@ class TestPassThroughLevels:
                           label="strict")
             e = rng.normal(size=(1, n))
             energy = Task(A=e, b=e @ u_nom - rng.uniform(0.0, 1.0),
-                          label="energy", slack=[1.0])
+                          label="energy")
             W, V = rng.normal(size=(6, n)), rng.normal(size=(1, n))
-            levels = [LevelSpec(inequality=energy),
+            levels = [LevelSpec(inequality=energy, slack=[1.0]),
                       LevelSpec(equality=Task(A=W, b=W @ u_nom,
                                               label="task_wrench")),
                       LevelSpec(equality=Task(A=V, b=V @ u_nom,
@@ -528,9 +551,9 @@ class TestPassThroughLevels:
                 assert np.array_equal(u, u_nom)
             assert kernels == []
             C = rng.normal(size=(2, n))
-            solve_level(ledger, LevelSpec(inequality=Task(
-                A=C, b=C @ u_nom + 1.0, label="push",
-                slack=[1.0, 1.0])), u_nom)
+            push = Task(A=C, b=C @ u_nom + 1.0, label="push")
+            solve_level(ledger, LevelSpec(inequality=push, slack=[1.0, 1.0]),
+                        u_nom)
             Z0 = np.eye(n)
             Z1 = Z0 @ kernel(A1 @ Z0)
             Z2 = Z1 @ kernel(A2 @ Z1)

@@ -242,33 +242,45 @@ class TestScenarioLoading:
             "{k_max: 0.5, gamma: 5.0, plane_normal: [0, 0, 1]}"))
         assert sc.strict_families == ("torque", "plane")
 
-    def test_control_period_is_the_scenario_dt(self):
-        # the energy row's slack rate uses the one period the loop runs at
+    def test_control_period_is_the_scenario_dt(self, monkeypatch):
+        # the energy row's slack rate uses the one period the loop runs
+        # at; the barrier parameters hold no period of their own
         with pytest.raises(ScenarioError, match="unknown cbf parameter 'dt'"):
             load_scenario(HOLD_SCENARIO.replace(
                 "{k_max: 0.5, gamma: 5.0}", "{k_max: 0.5, dt: 0.05}"))
         sc = load_scenario(HOLD_SCENARIO.replace("dt: 0.001", "dt: 0.002"))
-        assert sc.cbf.dt == sc.dt == 0.002
+        assert sc.dt == 0.002
+        assert "dt" not in {f.name for f in dataclasses.fields(sc.cbf)}
+        periods = []
+        real_step = control.step
+
+        def recorded(state, ctrl, tau_ext=None):
+            periods.append(ctrl.dt)
+            return real_step(state, ctrl, tau_ext)
+
+        monkeypatch.setattr(control, "step", recorded)
+        res = run_scenario(sc, duration=0.01)
+        assert periods == [0.002] * len(res.records) == [0.002] * 5
 
     def test_replaced_period_reaches_the_energy_row(self, monkeypatch):
-        """run_scenario hands the controller the scenario's dt, even when
-        the scenario was built with another cbf.dt."""
+        """run_scenario hands the controller the period of the scenario
+        it is given, also one replaced after loading."""
         sc = dataclasses.replace(
             load_scenario_file(bundled_scenario_path("sine")), dt=0.002)
-        assert sc.cbf.dt == 0.001
-        rows = []
+        calls = []
         energy_cbf_row = control.energy_cbf_row
 
-        def recorded(*args, **kwargs):
-            rows.append(energy_cbf_row(*args, **kwargs))
-            return rows[-1]
+        def recorded(state, params, dt, *args, **kwargs):
+            calls.append((dt, energy_cbf_row(state, params, dt, *args,
+                                             **kwargs)))
+            return calls[-1][1]
 
         monkeypatch.setattr(control, "energy_cbf_row", recorded)
         res = run_scenario(sc, mode="hqp_safety", gamma=7.0, duration=0.01)
-        assert len(res.records) == len(rows) == 5
-        for task in rows:
-            assert task.slack.tolist() == [pytest.approx(7.0 + 500.0,
-                                                         rel=1e-15)]
+        assert len(res.records) == len(calls) == 5
+        for dt, (_, c) in calls:
+            assert dt == 0.002
+            assert c == pytest.approx(7.0 + 500.0, rel=1e-15)
 
     @pytest.mark.parametrize("name", [
         "../../x", "a/b", r"a\b", "..", ".", "''", "[a, b]", "7"])
@@ -456,7 +468,7 @@ class TestRollout:
         sc = Scenario(
             name="overload", model_name="twolink", q0=np.array([0.4, 0.5]),
             k_trans=(200.0, 200.0, 200.0), k_rot=(50.0, 50.0, 50.0),
-            cbf=CbfParams(k_max=1e-4, gamma=1e4, dt=1e-3),
+            cbf=CbfParams(k_max=1e-4, gamma=1e4),
             mode="single_qp",
             strict_families=("torque", "velocity", "position"),
             duration=1.0, dt=1e-3,

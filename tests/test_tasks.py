@@ -41,17 +41,17 @@ def joint_accel(model, st, u, tau_ext=None):
 class TestEnergyRow:
     def test_hand_values(self, twolink):
         st = compute_state(twolink, np.array([0.3, -0.5]), np.array([1.0, -1.0]))
-        params = CbfParams(k_max=0.5, gamma=1.0, dt=DT)
-        task = energy_cbf_row(st, params)
+        params = CbfParams(k_max=0.5, gamma=1.0)
+        task, c = energy_cbf_row(st, params, DT)
         np.testing.assert_allclose(task.A[0], -st.qd)
-        assert task.slack[0] == pytest.approx(1001.0)
+        assert c == pytest.approx(1001.0)
         b_expect = -1.0 * (0.5 - st.K) + st.qd @ (-st.g)
         assert task.b[0] == pytest.approx(b_expect, abs=1e-12)
 
     def test_residual_matches_barrier_rate(self, twolink, rng):
         """A u + c delta - b == hdot + gamma h for the relaxed barrier,
         with hdot assembled from the energy rate qd^T (u + tau_ext - g)."""
-        params = CbfParams(k_max=0.4, gamma=3.0, dt=DT)
+        params = CbfParams(k_max=0.4, gamma=3.0)
         for _ in range(50):
             q = rng.uniform(-1.5, 1.5, 2)
             qd = rng.uniform(-2, 2, 2)
@@ -60,9 +60,9 @@ class TestEnergyRow:
             delta_prev = abs(rng.normal()) * 0.1
             delta = abs(rng.normal()) * 0.1
             st = compute_state(twolink, q, qd)
-            task = energy_cbf_row(st, params, tau_ext=tau_ext,
-                                  delta_prev=delta_prev)
-            lhs = task.A[0] @ u + task.slack[0] * delta - task.b[0]
+            task, c = energy_cbf_row(st, params, DT, tau_ext=tau_ext,
+                                     delta_prev=delta_prev)
+            lhs = task.A[0] @ u + c * delta - task.b[0]
 
             k_dot = qd @ (u + tau_ext - st.g)
             h = params.k_max - st.K + delta
@@ -74,11 +74,11 @@ class TestEnergyRow:
         q = np.array([0.2, 0.4])
         qd_dir = np.array([1.0, -0.5])
         st0 = compute_state(twolink, q, qd_dir)
-        params = CbfParams(k_max=0.3, gamma=5.0, dt=DT)
+        params = CbfParams(k_max=0.3, gamma=5.0)
         qd = qd_dir * np.sqrt(params.k_max / st0.K)
         st = compute_state(twolink, q, qd)
         assert st.K == pytest.approx(params.k_max, abs=1e-12)
-        task = energy_cbf_row(st, params)
+        task, _ = energy_cbf_row(st, params, DT)
         for u in (np.array([5.0, 1.0]), np.array([-20.0, 3.0])):
             k_dot = qd @ (u - st.g)
             assert task.A[0] @ u - task.b[0] == pytest.approx(-k_dot, abs=1e-9)
@@ -91,13 +91,13 @@ class TestEnergyRow:
             st.K = st.K + 1.0
         params = CbfParams()
         K = 0.5 * float(st.qd @ st.M @ st.qd)
-        assert energy_cbf_row(st, params).b[0] == pytest.approx(
+        assert energy_cbf_row(st, params, DT)[0].b[0] == pytest.approx(
             -params.gamma * (params.k_max - K) + st.qd @ (-st.g), abs=1e-12)
 
     def test_negative_delta_prev_rejected(self, twolink):
         st = compute_state(twolink, np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match="delta_prev"):
-            energy_cbf_row(st, CbfParams(), delta_prev=-0.1)
+            energy_cbf_row(st, CbfParams(), DT, delta_prev=-0.1)
 
 
 class TestLimitRows:
@@ -198,18 +198,11 @@ class TestTaskContainer:
         with pytest.raises(ValueError):
             Task(A=np.eye(2), b=np.zeros(3), label="x")
 
-    def test_negative_slack_rejected(self):
-        with pytest.raises(ValueError, match="slack"):
-            Task(A=np.eye(2), b=np.zeros(2), label="x",
-                 slack=[1.0, -1.0])
-
     @pytest.mark.parametrize("field, value, match", [
         ("A", [[1.0, np.nan], [0.0, 1.0]], "A holds"),
         ("A", [[1.0, 0.0], [np.inf, 1.0]], "A holds"),
         ("b", [np.nan, 0.0], "b holds"),
-        ("b", [0.0, np.inf], "b holds"),
-        ("slack", [1.0, np.inf], "slack"),
-        ("slack", [np.nan, 1.0], "slack")])
+        ("b", [0.0, np.inf], "b holds")])
     def test_non_finite_data_rejected(self, field, value, match):
         data = dict(A=np.eye(2), b=np.zeros(2), label="x")
         data[field] = value
@@ -220,16 +213,15 @@ class TestTaskContainer:
         t = Task(A=np.eye(2), b=[-np.inf, 0.0], label="x")
         assert t.b[0] == -np.inf
 
-    @pytest.mark.parametrize("slack", [None, [0.5, 0.0, 2.0]])
+    @pytest.mark.parametrize("unbound", [None, 1])
     @pytest.mark.parametrize("row_labels", [None, ["a", "b", "c"]])
-    def test_trusted_equals_public_field_for_field(self, rng, slack,
-                                                   row_labels):
+    def test_trusted_equals_public_field_for_field(self, rng, row_labels,
+                                                   unbound):
         A, b = rng.normal(size=(3, 4)), rng.normal(size=3)
-        slack = None if slack is None else np.array(slack)
-        public = Task(A=A, b=b, label="t", slack=slack,
-                      row_labels=list(row_labels or []))
-        trusted = Task._trusted(A, b, "t", slack=slack,
-                                row_labels=row_labels)
+        if unbound is not None:
+            b[unbound] = -np.inf  # a row that binds nothing
+        public = Task(A=A, b=b, label="t", row_labels=list(row_labels or []))
+        trusted = Task._trusted(A, b, "t", row_labels=row_labels)
         assert_same_task(public, trusted)
 
     def test_package_rows_equal_their_public_rebuild(self, panda, rng):
@@ -237,22 +229,19 @@ class TestTaskContainer:
         for _ in range(5):
             st = compute_state(panda, *random_panda_state(panda, rng))
             tau_ext = rng.uniform(-5.0, 5.0, 7)
-            for task in (energy_cbf_row(st, params, tau_ext, 0.1),
+            for task in (energy_cbf_row(st, params, DT, tau_ext, 0.1)[0],
                          acceleration_rows(st, params,
                                            ("velocity", "position"), tau_ext),
                          collision_plane_rows(st, params, tau_ext)):
                 assert_same_task(task, Task(
-                    A=task.A, b=task.b, label=task.label, slack=task.slack,
+                    A=task.A, b=task.b, label=task.label,
                     row_labels=list(task.row_labels)))
 
 
 def assert_same_task(one, two):
-    for name in ("A", "b", "slack"):
+    for name in ("A", "b"):
         x, y = getattr(one, name), getattr(two, name)
-        if x is None or y is None:
-            assert x is None and y is None, name
-        else:
-            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
     assert (one.label, one.row_labels) == (two.label, two.row_labels)
 
 
@@ -486,11 +475,10 @@ class TestForwardInvariance:
             return st.g + np.array([15.0 * np.sin(4 * t), 12.0 * np.sin(5 * t + 1)])
 
         def overshoot_at(dt, steps):
-            params = CbfParams(k_max=0.3, gamma=5.0, dt=dt)
+            params = CbfParams(k_max=0.3, gamma=5.0)
 
             def rows(st):
-                t = energy_cbf_row(st, params)
-                return Task(A=t.A, b=t.b, label="energy")
+                return energy_cbf_row(st, params, dt)[0]
 
             hist = filtered_rollout(twolink, [0.1, 0.1], [0.0, 0.0], u_des,
                                     rows, steps=steps, dt=dt)
@@ -530,13 +518,9 @@ class TestParams:
         with pytest.raises(ValueError, match="gamma"):
             CbfParams(gamma=0.0)
 
-    def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ValueError, match="dt"):
-            CbfParams(dt=0.0)
-
     @pytest.mark.parametrize("field, value", [
         ("gamma", float("nan")), ("k_max", float("inf")),
-        ("lambda1", float("nan")), ("dt", float("inf")),
+        ("lambda1", float("nan")), ("gamma_velocity", float("inf")),
         ("plane_offset", float("nan")), ("d_min", float("inf")),
         ("plane_normal", (0.0, float("nan"), 1.0))])
     def test_non_finite_rejected(self, field, value):
